@@ -372,20 +372,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    config = _apply_flag_overrides(config, args)
-    try:
-        schedules.Schedule(
-            kind=config.schedule["kind"],
-            max_lag=config.schedule["max_lag"],
-            window=config.schedule["window"],
-            block_size=config.schedule["block_size"],
-            seed=config.schedule["seed"],
-            activation_prob=float(config.schedule["activation_prob"]),
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return run(config)
+    return run(_apply_flag_overrides(config, args))
 
 
 if __name__ == "__main__":

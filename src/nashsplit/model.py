@@ -17,7 +17,7 @@ advisory: the ``validate_*`` functions return lists of violation strings
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -32,6 +32,7 @@ __all__ = [
     "CouplingBlock",
     "InteractionGradient",
     "Game",
+    "StateBlocks",
     "SolverParams",
     "StepSchedule",
     "as_vector",
@@ -160,9 +161,24 @@ class InteractionGradient:
             raise ValueError("interaction lipschitz constant must be positive")
 
 
+class StateBlocks(NamedTuple):
+    """Per-block views of one flat ``[x | y | z | u* | v*]`` vector."""
+
+    x: tuple
+    y: tuple
+    z: tuple
+    u_star: tuple
+    v_star: tuple
+
+
 @dataclass(frozen=True)
 class Game:
-    """A full modular Nash game: players, couplings, interaction gradient."""
+    """A full modular Nash game: players, couplings, interaction gradient.
+
+    Construction fixes the flat state layout ``[x | y | z | u* | v*]``
+    (``state_size`` entries, the ``y`` part contiguous at ``y_span``) and,
+    per player, the couplings whose maps read that player's strategy.
+    """
 
     players: Sequence[PlayerBlock]
     interaction: InteractionGradient
@@ -176,6 +192,21 @@ class Game:
         object.__setattr__(
             self, "_offsets", np.cumsum([0] + [p.dim_interaction for p in self.players])
         )
+        groups, start = [], 0
+        for dims in (self.strategy_dims, self.interaction_dims, self.coupling_dims,
+                     self.interaction_dims, self.coupling_dims):
+            blocks = []
+            for d in dims:
+                blocks.append(slice(start, start + d))
+                start += d
+            groups.append(tuple(blocks))
+        object.__setattr__(self, "_state_slices", tuple(groups))
+        object.__setattr__(self, "state_size", start)
+        object.__setattr__(self, "y_span", slice(groups[1][0].start, groups[1][-1].stop))
+        object.__setattr__(self, "_incidence", tuple(
+            tuple((k, c.maps[i]) for k, c in enumerate(self.couplings) if i in c.maps)
+            for i in range(len(self.players))
+        ))
 
     @property
     def num_players(self) -> int:
@@ -212,12 +243,22 @@ class Game:
     def stack_interaction(self, blocks) -> np.ndarray:
         return np.concatenate([np.asarray(b, dtype=float) for b in blocks])
 
+    def split_state(self, vec: np.ndarray) -> StateBlocks:
+        """Per-block views of a flat state vector (writes go through to it)."""
+        return StateBlocks(*(tuple(vec[s] for s in group) for group in self._state_slices))
+
     def coupling_mixture(self, k: int, strategies) -> np.ndarray:
         """Evaluate the mixture sum of coupling ``k`` over the given strategies."""
         blk = self.couplings[k]
         acc = np.zeros(blk.dim)
         for i in sorted(blk.maps):
             acc = acc + blk.maps[i].apply(strategies[i])
+        return acc
+
+    def coupling_pullback(self, i: int, acc: np.ndarray, duals) -> np.ndarray:
+        """``acc + sum_k L_ki^* duals[k]`` over player ``i``'s couplings, in increasing ``k``."""
+        for k, op in self._incidence[i]:
+            acc = acc + op.adjoint_apply(duals[k])
         return acc
 
 
@@ -345,12 +386,17 @@ def validate_problem(game: Game, samples: int = 25, seed: int = 0) -> list:
         return report
 
     dim_y = game.total_interaction_dim
-    probe = game.interaction.eval(np.zeros(dim_y))
-    probe = np.asarray(probe, dtype=float)
-    if probe.shape != (dim_y,):
-        report.append(
-            f"interaction gradient returned shape {probe.shape}, expected ({dim_y},)"
-        )
+    grads = [("interaction gradient", game.interaction.eval, dim_y)]
+    grads += [(f"player {i}: smooth gradient", p.smooth.grad, p.dim_strategy)
+              for i, p in enumerate(game.players)]
+    grads += [(f"coupling {k}: smooth gradient", c.smooth.grad, c.dim)
+              for k, c in enumerate(game.couplings)]
+    for name, grad, dim in grads:
+        shape = np.shape(grad(np.zeros(dim)))
+        if shape != (dim,):
+            report.append(f"{name} returned shape {shape}, expected ({dim},)")
+    if report:
+        # A wrong output shape would broadcast silently in the sampled checks.
         return report
 
     ops = [(f"player {i} mix", p.mix) for i, p in enumerate(game.players)]

@@ -98,11 +98,7 @@ def check_equilibrium(game: Game, x, u_star=None, v_star=None, *, coerce: bool =
 
     player_res = []
     for i, p in enumerate(game.players):
-        pull = p.smooth.grad(xs[i]) + p.mix.adjoint_apply(us[i])
-        for k, blk in enumerate(game.couplings):
-            op = blk.maps.get(i)
-            if op is not None:
-                pull = pull + op.adjoint_apply(vs[k])
+        pull = game.coupling_pullback(i, p.smooth.grad(xs[i]) + p.mix.adjoint_apply(us[i]), vs)
         target = prox(p.nonsmooth, _CERT_STEP, xs[i] - _CERT_STEP * pull)
         player_res.append(_norm(xs[i] - target))
 

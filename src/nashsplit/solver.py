@@ -7,12 +7,12 @@ underlying monotone operator, and relaxedly projects the full iterate
 ``(x, y, z, u*, v*)`` onto the half-space that the candidate pair
 separates from the solution set.
 
-Two execution modes share one contract. Simulated-async mode runs on a
-single logical thread with lags supplied by the schedule and is
-bit-reproducible. Parallel mode evaluates the activated block steps on
-worker threads that read immutable history snapshots; the coordinator
-alone mutates state and applies the projection serially in tick order.
-Parallel runs satisfy the same invariants but are not required to be
+Both execution modes run one tick path. Simulated-async mode maps the
+activated block steps in order on one thread, with lags supplied by the
+schedule, and is bit-reproducible. Parallel mode maps the same steps on
+worker threads that read read-only history rows; the coordinator alone
+mutates state and applies the projection serially in tick order. Each
+step depends only on its block and its history row, so parallel runs are
 bitwise equal to simulated runs.
 
 Arithmetic is double precision throughout; the scalar test and step size
@@ -22,12 +22,16 @@ dimensions make sufficient.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .model import Game, SolverParams, as_vector, validate_params, validate_problem
+from .model import (
+    Game, SolverParams, StateBlocks, as_vector, validate_params, validate_problem,
+)
 from .proximal import prox
 from .schedules import Schedule
 from . import oracle
@@ -64,27 +68,6 @@ class NumericalAbortError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Snapshot:
-    """Immutable copy of the full iterate at one tick."""
-
-    x: tuple
-    y: tuple
-    z: tuple
-    u_star: tuple
-    v_star: tuple
-    y_stacked: np.ndarray
-
-
-def _freeze(blocks) -> tuple:
-    out = []
-    for b in blocks:
-        c = np.array(b, dtype=float)
-        c.flags.writeable = False
-        out.append(c)
-    return tuple(out)
-
-
-@dataclass(frozen=True)
 class TickReport:
     """Per-tick record: scalar test, step, residual, and activation data."""
 
@@ -117,31 +100,30 @@ class SolveResult:
 class IterState:
     """Mutable iterate of the big-space algorithm plus its block caches.
 
-    Holds the current ``(x, y, z, u*, v*)`` tuple, the per-player candidate
-    cache ``(q, c*, a, s*, c)``, the per-coupling cache ``(b, e*, b*, e)``,
-    and a ring of the last ``max_lag + 1`` full tuples for lagged reads.
-    History snapshots are immutable and may be read concurrently; only the
-    coordinator mutates the live fields.
+    The current ``(x, y, z, u*, v*)`` tuple lives in one flat vector laid
+    out by the game; ``x``, ``y``, ``z``, ``u_star`` and ``v_star`` are
+    tuples of per-block views into it. The per-player candidate cache is
+    ``(q, c*, a, s*, c)`` and the per-coupling cache ``(b, e*, b*, e)``.
+    Tick ``n`` of the history is row ``n % (max_lag + 1)`` of a ring with
+    one row per retained tick; snapshots are read-only views of a row and
+    may be read concurrently; only the coordinator mutates the live state.
     """
 
     def __init__(self, game: Game, x=None, y=None, z=None, u_star=None, v_star=None,
                  max_lag: int = 0):
         self.game = game
-        self.max_lag = int(max_lag)
-
-        def init_blocks(given, dims, what):
+        self.flat = np.zeros(game.state_size)
+        live = game.split_state(self.flat)
+        for given, views, what in zip((x, y, z, u_star, v_star), live,
+                                      ("x0", "y0", "z0", "u0", "v0")):
             if given is None:
-                return [np.zeros(d) for d in dims]
+                continue
             blocks = list(given)
-            if len(blocks) != len(dims):
-                raise ValueError(f"{what}: expected {len(dims)} blocks, got {len(blocks)}")
-            return [as_vector(b, d, what) for b, d in zip(blocks, dims)]
-
-        self.x = init_blocks(x, game.strategy_dims, "x0")
-        self.y = init_blocks(y, game.interaction_dims, "y0")
-        self.z = init_blocks(z, game.coupling_dims, "z0")
-        self.u_star = init_blocks(u_star, game.interaction_dims, "u0")
-        self.v_star = init_blocks(v_star, game.coupling_dims, "v0")
+            if len(blocks) != len(views):
+                raise ValueError(f"{what}: expected {len(views)} blocks, got {len(blocks)}")
+            for view, b in zip(views, blocks):
+                view[:] = as_vector(b, view.shape[0], what)
+        self.x, self.y, self.z, self.u_star, self.v_star = live
 
         m, K = game.num_players, game.num_couplings
         self.cand_q = [None] * m
@@ -158,48 +140,46 @@ class IterState:
 
         self.n = 0
         self.pi: Optional[float] = None
-        self.history: dict = {}
-        self._interaction_memo: dict = {}
+        depth = int(max_lag) + 1
+        self._ring = np.empty((depth, game.state_size))
+        self._ring_stamps = [-1] * depth
+        frozen = self._ring.view()
+        frozen.flags.writeable = False
+        self._frozen = frozen
+        self._row_blocks = [game.split_state(row) for row in frozen]
         self._push_history(0)
 
     def _push_history(self, idx: int) -> None:
-        snap = Snapshot(
-            _freeze(self.x), _freeze(self.y), _freeze(self.z),
-            _freeze(self.u_star), _freeze(self.v_star),
-            np.concatenate(self.y) if self.y else np.zeros(0),
-        )
-        self.history[idx] = snap
-        for old in [j for j in self.history if j < idx - self.max_lag]:
-            del self.history[old]
+        row = idx % len(self._ring)
+        self._ring[row] = self.flat
+        self._ring_stamps[row] = idx
 
-    def snapshot_at(self, tick_index: int) -> Snapshot:
-        try:
-            return self.history[tick_index]
-        except KeyError:
+    def _row(self, tick_index: int) -> int:
+        row = tick_index % len(self._ring)
+        if self._ring_stamps[row] != tick_index:
+            held = sorted(t for t in self._ring_stamps if t >= 0)
             raise MissingHistoryError(
-                f"history has ticks {sorted(self.history)}, requested {tick_index}; "
+                f"history has ticks {held}, requested {tick_index}; "
                 f"schedule lags exceed the retained depth"
-            ) from None
+            )
+        return row
+
+    def snapshot_at(self, tick_index: int) -> StateBlocks:
+        """Read-only per-block views of the tuple at a retained tick.
+
+        The views alias a ring row, which is overwritten ``max_lag + 1``
+        ticks later; copy them to keep them longer.
+        """
+        return self._row_blocks[self._row(tick_index)]
 
     def lagged_interaction_grad(self, tick_index: int) -> np.ndarray:
-        """Stacked interaction gradient at a history tick, memoized per tick."""
-        got = self._interaction_memo.get(tick_index)
-        if got is None:
-            got = np.asarray(
-                self.game.interaction.eval(self.snapshot_at(tick_index).y_stacked), dtype=float
-            )
-            self._interaction_memo[tick_index] = got
-        return got
+        """Stacked interaction gradient at the ``y`` of a retained tick."""
+        y = self._frozen[self._row(tick_index), self.game.y_span]
+        return np.asarray(self.game.interaction.eval(y), dtype=float)
 
-    def current_tuple(self) -> tuple:
+    def current_tuple(self) -> StateBlocks:
         """Copies of the live ``(x, y, z, u*, v*)`` blocks."""
-        return (
-            tuple(np.array(b) for b in self.x),
-            tuple(np.array(b) for b in self.y),
-            tuple(np.array(b) for b in self.z),
-            tuple(np.array(b) for b in self.u_star),
-            tuple(np.array(b) for b in self.v_star),
-        )
+        return self.game.split_state(self.flat.copy())
 
 
 def tuple_distance(t1, t2) -> float:
@@ -212,27 +192,30 @@ def tuple_distance(t1, t2) -> float:
     return float(np.sqrt(acc))
 
 
-def player_local_step(game: Game, params: SolverParams, state: IterState, i: int, tau: int):
+def player_local_step(game: Game, params: SolverParams, state: IterState, i: int, tau: int,
+                      interaction_grad: Optional[np.ndarray] = None):
     """Candidate computation for player ``i`` reading history tick ``tau``.
 
     Returns ``(q_i, c*_i, a_i, s*_i, c_i)``. Step sizes are indexed at the
     lag time ``tau``, exactly as the iteration prescribes.
+    ``interaction_grad`` is the stacked interaction gradient at tick
+    ``tau`` when the caller already holds it; otherwise it is evaluated.
     """
     snap = state.snapshot_at(tau)
     p = game.players[i]
+    if interaction_grad is None:
+        interaction_grad = state.lagged_interaction_grad(tau)
     offs = game.interaction_offsets()
-    grad_y = state.lagged_interaction_grad(tau)[offs[i]:offs[i + 1]]
+    grad_y = interaction_grad[offs[i]:offs[i + 1]]
     step_y = params.interaction_step(i, tau)
     step_u = params.player_dual_step(i, tau)
     step_x = params.strategy_step(i, tau)
 
     q_i = snap.y[i] + step_y * (snap.u_star[i] - grad_y)
     c_star_i = snap.u_star[i] + step_u * (p.mix.apply(snap.x[i]) - snap.y[i])
-    pull = p.smooth.grad(snap.x[i]) + p.mix.adjoint_apply(snap.u_star[i])
-    for k, blk in enumerate(game.couplings):
-        op = blk.maps.get(i)
-        if op is not None:
-            pull = pull + op.adjoint_apply(snap.v_star[k])
+    pull = game.coupling_pullback(
+        i, p.smooth.grad(snap.x[i]) + p.mix.adjoint_apply(snap.u_star[i]), snap.v_star
+    )
     x_star = snap.x[i] - step_x * pull
     a_i = prox(p.nonsmooth, step_x, x_star)
     s_star_i = (x_star - a_i) / step_x + p.smooth.grad(a_i) + p.mix.adjoint_apply(c_star_i)
@@ -254,10 +237,7 @@ def coupling_local_step(game: Game, params: SolverParams, state: IterState, k: i
 
     d_star = snap.z[k] + step_z * (snap.v_star[k] - blk.smooth.grad(snap.z[k]))
     b_k = prox(blk.nonsmooth, step_z, d_star)
-    mixture = np.zeros(blk.dim)
-    for i in sorted(blk.maps):
-        mixture = mixture + blk.maps[i].apply(snap.x[i])
-    e_star_k = snap.v_star[k] + step_v * (mixture - snap.z[k])
+    e_star_k = snap.v_star[k] + step_v * (game.coupling_mixture(k, snap.x) - snap.z[k])
     b_star_k = (d_star - b_k) / step_z + blk.smooth.grad(b_k) - e_star_k
     return d_star, b_k, e_star_k, b_star_k
 
@@ -269,13 +249,8 @@ def refresh_e(game: Game, state: IterState) -> list:
     the freshest player candidates; carrying ``e_k`` forward instead would
     silently break the graph property of the candidate pair.
     """
-    out = []
-    for k, blk in enumerate(game.couplings):
-        mixture = np.zeros(blk.dim)
-        for i in sorted(blk.maps):
-            mixture = mixture + blk.maps[i].apply(state.cand_a[i])
-        out.append(state.cand_b[k] - mixture)
-    return out
+    return [state.cand_b[k] - game.coupling_mixture(k, state.cand_a)
+            for k in range(game.num_couplings)]
 
 
 def assemble_duals(game: Game, state: IterState):
@@ -285,18 +260,10 @@ def assemble_duals(game: Game, state: IterState):
     the stacked interaction gradient once at the full fresh candidate
     ``q`` (inactive players included) and subtracts ``c*_i``.
     """
-    q_stacked = np.concatenate(state.cand_q) if state.cand_q else np.zeros(0)
-    grads = np.asarray(game.interaction.eval(q_stacked), dtype=float)
-    offs = game.interaction_offsets()
-    a_star, q_star = [], []
-    for i in range(game.num_players):
-        acc = state.cand_s_star[i]
-        for k, blk in enumerate(game.couplings):
-            op = blk.maps.get(i)
-            if op is not None:
-                acc = acc + op.adjoint_apply(state.cand_e_star[k])
-        a_star.append(acc)
-        q_star.append(grads[offs[i]:offs[i + 1]] - state.cand_c_star[i])
+    grads = np.asarray(game.interaction.eval(np.concatenate(state.cand_q)), dtype=float)
+    a_star = [game.coupling_pullback(i, s_star, state.cand_e_star)
+              for i, s_star in enumerate(state.cand_s_star)]
+    q_star = [g - c_star for g, c_star in zip(game.split_interaction(grads), state.cand_c_star)]
     state.dual_a_star = a_star
     state.dual_q_star = q_star
     return a_star, q_star
@@ -320,6 +287,22 @@ def compute_pi(game: Game, state: IterState) -> float:
     return pi
 
 
+def _first_nonfinite(game: Game, state: IterState) -> str:
+    """Name the first block and field holding a non-finite candidate or dual."""
+    player_fields = (("q", state.cand_q), ("c*", state.cand_c_star), ("a", state.cand_a),
+                     ("s*", state.cand_s_star), ("c", state.cand_c),
+                     ("a*", state.dual_a_star), ("q*", state.dual_q_star))
+    coupling_fields = (("b", state.cand_b), ("e*", state.cand_e_star),
+                       ("b*", state.cand_b_star), ("e", state.cand_e))
+    for kind, count, fields in (("player", game.num_players, player_fields),
+                                ("coupling", game.num_couplings, coupling_fields)):
+        for j in range(count):
+            for name, blocks in fields:
+                if not np.all(np.isfinite(blocks[j])):
+                    return f"; first non-finite value: {kind} {j}, field {name}"
+    return ""
+
+
 def apply_update(game: Game, state: IterState, params: SolverParams):
     """Relaxed projection of the iterate onto the separating half-space.
 
@@ -327,7 +310,8 @@ def apply_update(game: Game, state: IterState, params: SolverParams):
     dual candidate direction by ``theta = relaxation * pi / ||dual||^2``;
     otherwise the state is left untouched. The history ring advances
     either way. A nonpositive denominator under a negative test is
-    mathematically impossible and aborts the run.
+    mathematically impossible and aborts the run; the abort message names
+    the first block whose candidate or dual is not finite.
     """
     if state.pi is None:
         raise RuntimeError("compute_pi must run before apply_update")
@@ -335,7 +319,9 @@ def apply_update(game: Game, state: IterState, params: SolverParams):
     state.pi = None
     n = state.n
     if not np.isfinite(pi):
-        raise NumericalAbortError(f"scalar test is not finite at tick {n}: {pi}")
+        raise NumericalAbortError(
+            f"scalar test is not finite at tick {n}: {pi}{_first_nonfinite(game, state)}"
+        )
     theta = None
     step_norm = 0.0
     if pi < 0.0:
@@ -354,15 +340,12 @@ def apply_update(game: Game, state: IterState, params: SolverParams):
         if not np.isfinite(den) or den <= 0.0:
             raise NumericalAbortError(
                 f"projection denominator {den} with negative scalar test at tick {n}"
+                f"{_first_nonfinite(game, state)}"
             )
         theta = params.relaxation_at(n) * pi / den
-        for i in range(game.num_players):
-            state.x[i] = state.x[i] + theta * state.dual_a_star[i]
-            state.y[i] = state.y[i] + theta * state.dual_q_star[i]
-            state.u_star[i] = state.u_star[i] + theta * state.cand_c[i]
-        for k in range(game.num_couplings):
-            state.z[k] = state.z[k] + theta * state.cand_b_star[k]
-            state.v_star[k] = state.v_star[k] + theta * state.cand_e[k]
+        # One pass over the flat [x | y | z | u* | v*] vector moves every block view.
+        state.flat += theta * np.concatenate([*state.dual_a_star, *state.dual_q_star,
+                                              *state.cand_b_star, *state.cand_c, *state.cand_e])
         step_norm = abs(theta) * float(np.sqrt(den))
     state._push_history(n + 1)
     return pi, theta, step_norm
@@ -372,46 +355,36 @@ def tick(game: Game, params: SolverParams, schedule: Schedule, state: IterState,
          executor=None) -> TickReport:
     """Run one full iteration and append its report data.
 
-    Queries the schedule, runs the local steps for the activated blocks
-    (concurrently when an executor is supplied), carries the inactive
-    caches forward, refreshes the coupling gaps and player duals, and
-    applies the half-space update. The reported residual certifies the
-    post-update iterate.
+    Queries the schedule, evaluates the interaction gradient once per
+    distinct lag of the activated players, runs the local steps for the
+    activated blocks (through ``executor.map`` when an executor is
+    supplied, else in order), carries the inactive caches forward,
+    refreshes the coupling gaps and player duals, and applies the
+    half-space update. The reported residual certifies the post-update
+    iterate.
     """
     n = state.n
     info = schedule.next_tick(n, game.num_players, game.num_couplings)
-    state._interaction_memo.clear()
+    grads = {tau: state.lagged_interaction_grad(tau)
+             for tau in sorted(set(info.player_lags.values()))}
 
-    if executor is not None:
-        for tau in sorted({*info.player_lags.values()}):
-            state.lagged_interaction_grad(tau)
-        player_jobs = {
-            i: executor.submit(player_local_step, game, params, state, i, info.player_lags[i])
-            for i in info.active_players
-        }
-        coupling_jobs = {
-            k: executor.submit(coupling_local_step, game, params, state, k, info.coupling_lags[k])
-            for k in info.active_couplings
-        }
-        player_results = {i: job.result() for i, job in player_jobs.items()}
-        coupling_results = {k: job.result() for k, job in coupling_jobs.items()}
-    else:
-        player_results = {
-            i: player_local_step(game, params, state, i, info.player_lags[i])
-            for i in info.active_players
-        }
-        coupling_results = {
-            k: coupling_local_step(game, params, state, k, info.coupling_lags[k])
-            for k in info.active_couplings
-        }
+    def step_player(i):
+        tau = info.player_lags[i]
+        return player_local_step(game, params, state, i, tau, grads[tau])
 
-    for i, (q_i, c_star_i, a_i, s_star_i, c_i) in player_results.items():
+    def step_coupling(k):
+        return coupling_local_step(game, params, state, k, info.coupling_lags[k])
+
+    run = map if executor is None else executor.map
+    player_results = run(step_player, info.active_players)
+    coupling_results = run(step_coupling, info.active_couplings)
+    for i, (q_i, c_star_i, a_i, s_star_i, c_i) in zip(info.active_players, player_results):
         state.cand_q[i] = q_i
         state.cand_c_star[i] = c_star_i
         state.cand_a[i] = a_i
         state.cand_s_star[i] = s_star_i
         state.cand_c[i] = c_i
-    for k, (_, b_k, e_star_k, b_star_k) in coupling_results.items():
+    for k, (_, b_k, e_star_k, b_star_k) in zip(info.active_couplings, coupling_results):
         state.cand_b[k] = b_k
         state.cand_e_star[k] = e_star_k
         state.cand_b_star[k] = b_star_k
@@ -470,8 +443,8 @@ def solve(game: Game, params: SolverParams, schedule: Schedule, x0=None, *,
         Initial strategies (per-player blocks); defaults to all zeros.
         Pass a prebuilt ``state`` instead to warm-start the full tuple.
     parallel
-        Evaluate activated block steps on worker threads. Same contract
-        and invariants, not bitwise equal to the simulated mode.
+        Evaluate activated block steps on worker threads. The tick path is
+        the same as in simulated mode, so results are bitwise equal to it.
     validate
         Run the desk-scale problem and parameter validations first and
         raise ValueError on any violation; pass False to override.
@@ -502,15 +475,11 @@ def solve(game: Game, params: SolverParams, schedule: Schedule, x0=None, *,
     elif x0 is not None:
         raise ValueError("pass either x0 or a prebuilt state, not both")
 
-    executor = None
-    if parallel:
-        from concurrent.futures import ThreadPoolExecutor
-
-        executor = ThreadPoolExecutor(max_workers=min(8, game.num_players + game.num_couplings))
+    workers = min(8, game.num_players + game.num_couplings)
     reports = []
     status = "max_iters"
     frozen_ticks = 0
-    try:
+    with ThreadPoolExecutor(max_workers=workers) if parallel else nullcontext() as executor:
         for _ in range(params.max_iters):
             report = tick(game, params, schedule, state, executor=executor)
             reports.append(report)
@@ -521,12 +490,8 @@ def solve(game: Game, params: SolverParams, schedule: Schedule, x0=None, *,
             if stall_window and frozen_ticks >= stall_window:
                 status = "stagnated"
                 break
-    finally:
-        if executor is not None:
-            executor.shutdown()
     certificate = oracle.check_equilibrium(game, state.x, state.u_star, state.v_star)
-    xs, ys, zs, us, vs = state.current_tuple()
-    return SolveResult(xs, ys, zs, us, vs, reports, certificate, status, state.n)
+    return SolveResult(*state.current_tuple(), reports, certificate, status, state.n)
 
 
 def validate_game_and_params(game: Game, params: SolverParams, samples: int = 16,

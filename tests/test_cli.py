@@ -137,6 +137,12 @@ class TestRun:
         assert main(["solve", "--config", str(path)]) == 1
         assert "bad configuration values" in capsys.readouterr().err
 
+    def test_bad_schedule_value_exits_1(self, tmp_path, capsys):
+        payload = consensus_payload(tmp_path, schedule={"kind": "random", "activation_prob": 0})
+        path = write_config(tmp_path, payload)
+        assert main(["solve", "--config", str(path)]) == 1
+        assert "activation_prob" in capsys.readouterr().err
+
     def test_wrong_length_step_list_exits_3(self, tmp_path, capsys):
         payload = consensus_payload(tmp_path, params={"gamma": [0.5]})
         path = write_config(tmp_path, payload)

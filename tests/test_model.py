@@ -107,6 +107,22 @@ def test_smooth_gradient_bound_flagged():
     assert any("exceeds Lipschitz bound" in line for line in report)
 
 
+def test_smooth_gradient_shape_mismatch_names_block():
+    from nashsplit.model import CouplingBlock, SmoothTerm
+
+    scalar_grad = SmoothTerm(lambda x: 0.0, lambda x: 0.5 * float(x[0]) + 0.3)
+    players = [
+        PlayerBlock(1, 1, proximal.zero(), zero_smooth(), 0.0, Identity(1), 1.0),
+        PlayerBlock(2, 2, proximal.zero(), scalar_grad, 0.5, Identity(2), 1.0),
+    ]
+    coup = CouplingBlock(2, proximal.zero(), scalar_grad, 0.5, {1: Identity(2)})
+    game = Game(players, InteractionGradient(lambda y: np.zeros_like(y), 1.0), [coup])
+    assert validate_problem(game) == [
+        "player 1: smooth gradient returned shape (), expected (2,)",
+        "coupling 0: smooth gradient returned shape (), expected (2,)",
+    ]
+
+
 def test_validate_params_accepts_inequality_example():
     # alpha = beta = chi = 1 across the board with the documented constants
     players = [

@@ -10,6 +10,7 @@ from nashsplit.model import (
     Game,
     InteractionGradient,
     PlayerBlock,
+    SmoothTerm,
     SolverParams,
     zero_smooth,
 )
@@ -287,10 +288,62 @@ class TestScalarTestAndUpdate:
         with pytest.raises(NumericalAbortError):
             apply_update(game, state, unit_params())
 
+    def test_nan_gradient_abort_names_block(self):
+        nan_grad = SmoothTerm(lambda x: 0.0, lambda x: np.full_like(x, np.nan))
+        players = [
+            PlayerBlock(1, 1, proximal.zero(), zero_smooth(), 0.0, Identity(1), 1.0),
+            PlayerBlock(1, 1, proximal.zero(), nan_grad, 0.0, Identity(1), 1.0),
+        ]
+        game = Game(players, InteractionGradient(lambda y: np.zeros_like(y), 1.0))
+        with pytest.raises(NumericalAbortError,
+                           match=r"at tick 0: nan; first non-finite value: player 1, field a$"):
+            tick(game, unit_params(), ns.synchronous(), IterState(game))
+
     def test_update_requires_pi(self):
         game, state = self.stage_scalar_toy()
         with pytest.raises(RuntimeError):
             apply_update(game, state, unit_params())
+
+
+class TestHistoryRing:
+    @pytest.mark.parametrize("max_lag", [0, 3])
+    def test_retains_exactly_the_last_max_lag_plus_one_ticks(self, max_lag):
+        game, _ = shared_constraint_instance()
+        params = SolverParams.for_game(game, max_lag=max_lag)
+        state = IterState(game, max_lag=max_lag)
+        seen = [state.current_tuple()]
+        n = 9
+        for _ in range(n):
+            tick(game, params, ns.synchronous(), state)
+            seen.append(state.current_tuple())
+        for j in range(n - max_lag, n + 1):
+            snap = state.snapshot_at(j)
+            assert np.array_equal(snap.x[1], seen[j].x[1])
+            assert np.array_equal(snap.v_star[0], seen[j].v_star[0])
+        assert not np.array_equal(seen[n - 1].x[1], seen[n].x[1])
+        for missing in (n - max_lag - 1, n + 1):
+            with pytest.raises(MissingHistoryError):
+                state.snapshot_at(missing)
+
+    def test_snapshot_blocks_are_read_only(self):
+        game, _ = shared_constraint_instance()
+        snap = IterState(game).snapshot_at(0)
+        with pytest.raises(ValueError):
+            snap.x[0][0] = 1.0
+        with pytest.raises(ValueError):
+            snap.v_star[0][0] = 1.0
+
+    def test_initial_blocks_are_copied_in(self):
+        game, _ = shared_constraint_instance()
+        x0 = [np.array([4.0]), np.array([1.0])]
+        y0 = [np.array([0.5]), np.array([2.5])]
+        kept = [b.copy() for b in x0 + y0]
+        state = IterState(game, x=x0, y=y0)
+        for _ in range(5):
+            tick(game, SolverParams.for_game(game), ns.synchronous(), state)
+        assert not np.array_equal(state.x[0], kept[0])
+        for given, before in zip(x0 + y0, kept):
+            assert np.array_equal(given, before)
 
 
 class TestTick:
@@ -528,13 +581,19 @@ class TestSolve:
 
     def test_parallel_mode_same_contract(self):
         game, _ = shared_constraint_instance()
-        params = SolverParams.for_game(game)
-        serial = ns.solve(game, params, ns.synchronous())
-        threaded = ns.solve(game, params, ns.synchronous(), parallel=True)
-        assert threaded.status == "converged"
-        assert np.linalg.norm(
-            np.concatenate(serial.x) - np.concatenate(threaded.x)
-        ) <= 1e-6
+        runs = [
+            (ns.synchronous(), SolverParams.for_game(game)),
+            (ns.randomized(seed=5, activation_prob=0.5, max_lag=5, window=4),
+             SolverParams.for_game(game, max_lag=5, window=4)),
+        ]
+        for schedule, params in runs:
+            serial = ns.solve(game, params, schedule)
+            threaded = ns.solve(game, params, schedule, parallel=True)
+            assert threaded.status == "converged"
+            for group in ("x", "y", "z", "u_star", "v_star"):
+                for a, b in zip(getattr(serial, group), getattr(threaded, group), strict=True):
+                    assert a.tobytes() == b.tobytes()
+            assert threaded.reports == serial.reports
 
     def test_warm_start_from_near_equilibrium(self):
         game, _ = consensus_instance([(2, 3), (0, 1)])
