@@ -176,8 +176,9 @@ class Game:
     """A full modular Nash game: players, couplings, interaction gradient.
 
     Construction fixes the flat state layout ``[x | y | z | u* | v*]``
-    (``state_size`` entries, the ``y`` part contiguous at ``y_span``) and,
-    per player, the couplings whose maps read that player's strategy.
+    (``state_size`` entries, per-block slices ``state_slices``, the ``y``
+    part contiguous at ``y_span``) and, per player, the couplings whose
+    maps read that player's strategy.
     """
 
     players: Sequence[PlayerBlock]
@@ -200,7 +201,7 @@ class Game:
                 blocks.append(slice(start, start + d))
                 start += d
             groups.append(tuple(blocks))
-        object.__setattr__(self, "_state_slices", tuple(groups))
+        object.__setattr__(self, "state_slices", StateBlocks(*groups))
         object.__setattr__(self, "state_size", start)
         object.__setattr__(self, "y_span", slice(groups[1][0].start, groups[1][-1].stop))
         object.__setattr__(self, "_incidence", tuple(
@@ -240,12 +241,9 @@ class Game:
         offs = self.interaction_offsets()
         return [stacked[offs[i]:offs[i + 1]] for i in range(self.num_players)]
 
-    def stack_interaction(self, blocks) -> np.ndarray:
-        return np.concatenate([np.asarray(b, dtype=float) for b in blocks])
-
     def split_state(self, vec: np.ndarray) -> StateBlocks:
         """Per-block views of a flat state vector (writes go through to it)."""
-        return StateBlocks(*(tuple(vec[s] for s in group) for group in self._state_slices))
+        return StateBlocks(*(tuple(vec[s] for s in group) for group in self.state_slices))
 
     def coupling_mixture(self, k: int, strategies) -> np.ndarray:
         """Evaluate the mixture sum of coupling ``k`` over the given strategies."""
@@ -473,9 +471,11 @@ def validate_problem(game: Game, samples: int = 25, seed: int = 0) -> list:
 def validate_params(game: Game, params: SolverParams, horizon: int = 1000) -> list:
     """Check the step-size schedules against their admissible intervals.
 
-    Evaluates every schedule for ticks ``0..horizon`` and reports interval
-    breaches; also checks the global coupling between ``epsilon``,
-    ``eta``, and the Lipschitz data.
+    Evaluates callable schedules at ticks ``0..horizon`` and constant or
+    per-block schedules once (their values cannot depend on the tick), and
+    reports the first interval breach of each schedule and block; also
+    checks the global coupling between ``epsilon``, ``eta``, and the
+    Lipschitz data.
     """
     report = []
     eps, eta = params.epsilon, params.eta
@@ -499,46 +499,32 @@ def validate_params(game: Game, params: SolverParams, horizon: int = 1000) -> li
     if not 1.0 / eps > cap:
         report.append(f"1/epsilon = {1.0 / eps:g} must exceed max(alpha+eta, beta+eta, chi+eta) = {cap:g}")
 
-    def check_interval(fetch, lo, hi, what, n):
-        try:
-            value = fetch()
-        except Exception as exc:  # malformed schedules are violations, not crashes
-            report.append(f"{what} at tick {n}: schedule evaluation failed ({exc})")
-            return False
-        if not (lo <= value <= hi):
-            report.append(f"{what} at tick {n}: {value:g} outside [{lo:g}, {hi:g}]")
-            return False
-        return True
-
-    for n in range(horizon + 1):
-        if not check_interval(lambda: params.relaxation_at(n), eps, 2.0 - eps, "relaxation", n):
-            break
-    for i, p in enumerate(game.players):
-        for n in range(horizon + 1):
-            ok = check_interval(
-                lambda: params.strategy_step(i, n), eps, 1.0 / (p.smooth_lipschitz + eta),
-                f"strategy step (player {i})", n,
-            )
-            ok &= check_interval(
-                lambda: params.interaction_step(i, n), eps, 1.0 / (p.interaction_bound + eta),
-                f"interaction step (player {i})", n,
-            )
-            ok &= check_interval(
-                lambda: params.player_dual_step(i, n), eps, 1.0 / eps,
-                f"player dual step (player {i})", n,
-            )
-            if not ok:
-                break
-    for k, c in enumerate(game.couplings):
-        for n in range(horizon + 1):
-            ok = check_interval(
-                lambda: params.coupling_step(k, n), eps, 1.0 / (c.smooth_lipschitz + eta),
-                f"coupling step (coupling {k})", n,
-            )
-            ok &= check_interval(
-                lambda: params.coupling_dual_step(k, n), eps, 1.0 / eps,
-                f"coupling dual step (coupling {k})", n,
-            )
-            if not ok:
-                break
+    players, couplings = game.players, game.couplings
+    # (label, schedule, value at (block, tick), upper bound per block)
+    table = (
+        ("relaxation", params.relaxation, lambda b, n: params.relaxation_at(n), [2.0 - eps]),
+        ("strategy step (player {})", params.strategy_steps, params.strategy_step,
+         [1.0 / (p.smooth_lipschitz + eta) for p in players]),
+        ("interaction step (player {})", params.interaction_steps, params.interaction_step,
+         [1.0 / (p.interaction_bound + eta) for p in players]),
+        ("player dual step (player {})", params.player_dual_steps, params.player_dual_step,
+         [1.0 / eps] * len(players)),
+        ("coupling step (coupling {})", params.coupling_steps, params.coupling_step,
+         [1.0 / (c.smooth_lipschitz + eta) for c in couplings]),
+        ("coupling dual step (coupling {})", params.coupling_dual_steps,
+         params.coupling_dual_step, [1.0 / eps] * len(couplings)),
+    )
+    for label, schedule, value_at, highs in table:
+        ticks = range(horizon + 1) if callable(schedule) else (0,)
+        for block, hi in enumerate(highs):
+            what = label.format(block)
+            for n in ticks:
+                try:
+                    value = value_at(block, n)
+                except Exception as exc:  # malformed schedules are violations, not crashes
+                    report.append(f"{what} at tick {n}: schedule evaluation failed ({exc})")
+                    break
+                if not eps <= value <= hi:
+                    report.append(f"{what} at tick {n}: {value:g} outside [{eps:g}, {hi:g}]")
+                    break
     return report

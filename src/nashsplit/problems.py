@@ -142,18 +142,11 @@ def build_quadratic_coupling(
             f"(symmetric part has eigenvalue {sym_eigs[0]:.6e})"
         )
 
+    # The game's interaction gradient is this matrix, which the meta also hands out.
+    grad_matrix.flags.writeable = False
+
     def interaction_eval(y):
-        blocks = [y[i * d:(i + 1) * d] for i in range(m)]
-        out = []
-        for i in range(m):
-            acc = np.zeros(d)
-            for kappa, omega in norm_weights[i]:
-                mixture = np.zeros(d)
-                for j, w in omega.items():
-                    mixture = mixture + w * blocks[j]
-                acc = acc + kappa * (blocks[i] - mixture)
-            out.append(acc)
-        return np.concatenate(out)
+        return grad_matrix @ y
 
     kappa_global = max(float(np.linalg.norm(grad_matrix, 2)), 1e-12)
     chis = [

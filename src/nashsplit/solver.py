@@ -98,12 +98,15 @@ class SolveResult:
 
 
 class IterState:
-    """Mutable iterate of the big-space algorithm plus its block caches.
+    """Mutable iterate of the big-space algorithm plus its candidate pair.
 
-    The current ``(x, y, z, u*, v*)`` tuple lives in one flat vector laid
-    out by the game; ``x``, ``y``, ``z``, ``u_star`` and ``v_star`` are
-    tuples of per-block views into it. The per-player candidate cache is
-    ``(q, c*, a, s*, c)`` and the per-coupling cache ``(b, e*, b*, e)``.
+    The iterate ``w = (x, y, z, u*, v*)``, the point ``p = (a, q, b, c*, e*)``
+    and the direction ``p* = (a*, q*, b*, c, e)`` are three flat vectors laid
+    out alike by the game (``flat``, ``point`` and ``direction``); the paper
+    names (``x``, ``cand_a``, ``dual_a_star``, ...) are tuples of per-block
+    views into them, and ``cand_s_star`` holds one array per player. The
+    pair and ``s*`` start at zero; a tick writes the activated blocks into
+    the views in place, so the inactive blocks keep their last values.
     Tick ``n`` of the history is row ``n % (max_lag + 1)`` of a ring with
     one row per retained tick; snapshots are read-only views of a row and
     may be read concurrently; only the coordinator mutates the live state.
@@ -125,18 +128,13 @@ class IterState:
                 view[:] = as_vector(b, view.shape[0], what)
         self.x, self.y, self.z, self.u_star, self.v_star = live
 
-        m, K = game.num_players, game.num_couplings
-        self.cand_q = [None] * m
-        self.cand_c_star = [None] * m
-        self.cand_a = [None] * m
-        self.cand_s_star = [None] * m
-        self.cand_c = [None] * m
-        self.cand_b = [None] * K
-        self.cand_e_star = [None] * K
-        self.cand_b_star = [None] * K
-        self.cand_e = [None] * K
-        self.dual_a_star = [None] * m
-        self.dual_q_star = [None] * m
+        self.point = np.zeros(game.state_size)
+        self.direction = np.zeros(game.state_size)
+        self.cand_a, self.cand_q, self.cand_b, self.cand_c_star, self.cand_e_star = (
+            game.split_state(self.point))
+        self.dual_a_star, self.dual_q_star, self.cand_b_star, self.cand_c, self.cand_e = (
+            game.split_state(self.direction))
+        self.cand_s_star = [np.zeros(d) for d in game.strategy_dims]
 
         self.n = 0
         self.pi: Optional[float] = None
@@ -242,63 +240,67 @@ def coupling_local_step(game: Game, params: SolverParams, state: IterState, k: i
     return d_star, b_k, e_star_k, b_star_k
 
 
-def refresh_e(game: Game, state: IterState) -> list:
-    """Recompute ``e_k = b_k - sum_i L_ki a_i`` for every coupling.
+def refresh_e(game: Game, state: IterState) -> tuple:
+    """Recompute ``e_k = b_k - sum_i L_ki a_i`` for every coupling, in place.
 
     Runs every tick for active and inactive couplings alike, always against
     the freshest player candidates; carrying ``e_k`` forward instead would
-    silently break the graph property of the candidate pair.
+    silently break the graph property of the candidate pair. Returns the
+    ``e`` views.
     """
-    return [state.cand_b[k] - game.coupling_mixture(k, state.cand_a)
-            for k in range(game.num_couplings)]
+    for k, e_k in enumerate(state.cand_e):
+        e_k[:] = state.cand_b[k] - game.coupling_mixture(k, state.cand_a)
+    return state.cand_e
 
 
 def assemble_duals(game: Game, state: IterState):
-    """Dual candidates for every player from the current caches.
+    """Write the dual candidates of every player from the current caches.
 
     ``a*_i`` adds the coupling pullbacks to ``s*_i``; ``q*_i`` evaluates
     the stacked interaction gradient once at the full fresh candidate
-    ``q`` (inactive players included) and subtracts ``c*_i``.
+    ``q`` (inactive players included) and subtracts ``c*_i``. Returns the
+    ``a*`` and ``q*`` views.
     """
-    grads = np.asarray(game.interaction.eval(np.concatenate(state.cand_q)), dtype=float)
-    a_star = [game.coupling_pullback(i, s_star, state.cand_e_star)
-              for i, s_star in enumerate(state.cand_s_star)]
-    q_star = [g - c_star for g, c_star in zip(game.split_interaction(grads), state.cand_c_star)]
-    state.dual_a_star = a_star
-    state.dual_q_star = q_star
-    return a_star, q_star
+    grads = game.split_interaction(
+        np.asarray(game.interaction.eval(state.point[game.y_span]), dtype=float)
+    )
+    for i, s_star in enumerate(state.cand_s_star):
+        state.dual_a_star[i][:] = game.coupling_pullback(i, s_star, state.cand_e_star)
+        state.dual_q_star[i][:] = grads[i] - state.cand_c_star[i]
+    return state.dual_a_star, state.dual_q_star
+
+
+def _block_inner(game: Game, left: np.ndarray, right: np.ndarray) -> float:
+    """Inner product of two flat state-layout vectors, accumulated block by block.
+
+    Sums each player's x, y and u* dots, then each coupling's z and v*
+    dots, in index order. The scalar test, the projection denominator and
+    the separation gap share this order, which the bitwise gates fix.
+    """
+    xs, ys, zs, us, vs = game.state_slices
+    acc = 0.0
+    for x, y, u in zip(xs, ys, us):
+        acc += (float(np.dot(left[x], right[x])) + float(np.dot(left[y], right[y]))
+                + float(np.dot(left[u], right[u])))
+    for z, v in zip(zs, vs):
+        acc += float(np.dot(left[z], right[z])) + float(np.dot(left[v], right[v]))
+    return acc
 
 
 def compute_pi(game: Game, state: IterState) -> float:
-    """Scalar separation test between the iterate and the candidate pair."""
-    pi = 0.0
-    for i in range(game.num_players):
-        pi += (
-            float(np.dot(state.cand_a[i] - state.x[i], state.dual_a_star[i]))
-            + float(np.dot(state.cand_q[i] - state.y[i], state.dual_q_star[i]))
-            + float(np.dot(state.cand_c[i], state.cand_c_star[i] - state.u_star[i]))
-        )
-    for k in range(game.num_couplings):
-        pi += (
-            float(np.dot(state.cand_b[k] - state.z[k], state.cand_b_star[k]))
-            + float(np.dot(state.cand_e[k], state.cand_e_star[k] - state.v_star[k]))
-        )
-    state.pi = pi
-    return pi
+    """Scalar separation test ``<p - w, p*>`` between the iterate and the candidate pair."""
+    state.pi = _block_inner(game, state.point - state.flat, state.direction)
+    return state.pi
 
 
 def _first_nonfinite(game: Game, state: IterState) -> str:
-    """Name the first block and field holding a non-finite candidate or dual."""
-    player_fields = (("q", state.cand_q), ("c*", state.cand_c_star), ("a", state.cand_a),
-                     ("s*", state.cand_s_star), ("c", state.cand_c),
-                     ("a*", state.dual_a_star), ("q*", state.dual_q_star))
-    coupling_fields = (("b", state.cand_b), ("e*", state.cand_e_star),
-                       ("b*", state.cand_b_star), ("e", state.cand_e))
-    for kind, count, fields in (("player", game.num_players, player_fields),
-                                ("coupling", game.num_couplings, coupling_fields)):
-        for j in range(count):
-            for name, blocks in fields:
-                if not np.all(np.isfinite(blocks[j])):
+    """Name the first block and field, in layout order of ``p`` then ``p*``, that is not finite."""
+    kinds = ("player", "player", "coupling", "player", "coupling")
+    for vec, names in ((state.point, ("a", "q", "b", "c*", "e*")),
+                       (state.direction, ("a*", "q*", "b*", "c", "e"))):
+        for views, name, kind in zip(game.split_state(vec), names, kinds):
+            for j, view in enumerate(views):
+                if not np.all(np.isfinite(view)):
                     return f"; first non-finite value: {kind} {j}, field {name}"
     return ""
 
@@ -306,12 +308,12 @@ def _first_nonfinite(game: Game, state: IterState) -> str:
 def apply_update(game: Game, state: IterState, params: SolverParams):
     """Relaxed projection of the iterate onto the separating half-space.
 
-    With a negative scalar test the update moves every block along the
-    dual candidate direction by ``theta = relaxation * pi / ||dual||^2``;
-    otherwise the state is left untouched. The history ring advances
-    either way. A nonpositive denominator under a negative test is
-    mathematically impossible and aborts the run; the abort message names
-    the first block whose candidate or dual is not finite.
+    With a negative scalar test the update moves the iterate along the
+    direction ``p*`` by ``theta = relaxation * pi / ||p*||^2``; otherwise
+    the state is left untouched. The history ring advances either way. A
+    nonpositive denominator under a negative test is mathematically
+    impossible and aborts the run; the abort message names the first
+    block whose candidate or dual is not finite.
     """
     if state.pi is None:
         raise RuntimeError("compute_pi must run before apply_update")
@@ -325,27 +327,14 @@ def apply_update(game: Game, state: IterState, params: SolverParams):
     theta = None
     step_norm = 0.0
     if pi < 0.0:
-        den = 0.0
-        for i in range(game.num_players):
-            den += (
-                float(np.dot(state.dual_a_star[i], state.dual_a_star[i]))
-                + float(np.dot(state.dual_q_star[i], state.dual_q_star[i]))
-                + float(np.dot(state.cand_c[i], state.cand_c[i]))
-            )
-        for k in range(game.num_couplings):
-            den += (
-                float(np.dot(state.cand_b_star[k], state.cand_b_star[k]))
-                + float(np.dot(state.cand_e[k], state.cand_e[k]))
-            )
+        den = _block_inner(game, state.direction, state.direction)
         if not np.isfinite(den) or den <= 0.0:
             raise NumericalAbortError(
                 f"projection denominator {den} with negative scalar test at tick {n}"
                 f"{_first_nonfinite(game, state)}"
             )
         theta = params.relaxation_at(n) * pi / den
-        # One pass over the flat [x | y | z | u* | v*] vector moves every block view.
-        state.flat += theta * np.concatenate([*state.dual_a_star, *state.dual_q_star,
-                                              *state.cand_b_star, *state.cand_c, *state.cand_e])
+        state.flat += theta * state.direction
         step_norm = abs(theta) * float(np.sqrt(den))
     state._push_history(n + 1)
     return pi, theta, step_norm
@@ -353,15 +342,17 @@ def apply_update(game: Game, state: IterState, params: SolverParams):
 
 def tick(game: Game, params: SolverParams, schedule: Schedule, state: IterState,
          executor=None) -> TickReport:
-    """Run one full iteration and append its report data.
+    """Run one full iteration and return its report.
 
     Queries the schedule, evaluates the interaction gradient once per
-    distinct lag of the activated players, runs the local steps for the
+    distinct lag of the activated players, and runs the local steps for the
     activated blocks (through ``executor.map`` when an executor is
-    supplied, else in order), carries the inactive caches forward,
-    refreshes the coupling gaps and player duals, and applies the
-    half-space update. The reported residual certifies the post-update
-    iterate.
+    supplied, else in order). Their results are written into the point
+    ``p`` and the direction ``p*``, whose inactive blocks carry their last
+    values forward. The coupling gaps ``e`` and the player duals ``a*``,
+    ``q*`` are then refreshed, and the iterate is projected onto the
+    half-space ``{w : <w - p, p*> <= 0}``. The reported residual certifies
+    the post-update iterate.
     """
     n = state.n
     info = schedule.next_tick(n, game.num_players, game.num_couplings)
@@ -378,18 +369,16 @@ def tick(game: Game, params: SolverParams, schedule: Schedule, state: IterState,
     run = map if executor is None else executor.map
     player_results = run(step_player, info.active_players)
     coupling_results = run(step_coupling, info.active_couplings)
-    for i, (q_i, c_star_i, a_i, s_star_i, c_i) in zip(info.active_players, player_results):
-        state.cand_q[i] = q_i
-        state.cand_c_star[i] = c_star_i
-        state.cand_a[i] = a_i
-        state.cand_s_star[i] = s_star_i
-        state.cand_c[i] = c_i
-    for k, (_, b_k, e_star_k, b_star_k) in zip(info.active_couplings, coupling_results):
-        state.cand_b[k] = b_k
-        state.cand_e_star[k] = e_star_k
-        state.cand_b_star[k] = b_star_k
+    player_caches = (state.cand_q, state.cand_c_star, state.cand_a, state.cand_s_star, state.cand_c)
+    coupling_caches = (state.cand_b, state.cand_e_star, state.cand_b_star)
+    for i, results in zip(info.active_players, player_results):
+        for cache, value in zip(player_caches, results):
+            cache[i][:] = value
+    for k, (_, *results) in zip(info.active_couplings, coupling_results):
+        for cache, value in zip(coupling_caches, results):
+            cache[k][:] = value
 
-    state.cand_e = refresh_e(game, state)
+    refresh_e(game, state)
     assemble_duals(game, state)
     compute_pi(game, state)
     pi, theta, step_norm = apply_update(game, state, params)
@@ -418,16 +407,8 @@ def candidate_gap(game: Game, state: IterState, reference) -> float:
     this to be nonpositive: the solution set lies inside the projection
     half-space.
     """
-    rx, ry, rz, ru, rv = reference
-    acc = 0.0
-    for i in range(game.num_players):
-        acc += float(np.dot(np.asarray(rx[i]) - state.cand_a[i], state.dual_a_star[i]))
-        acc += float(np.dot(np.asarray(ry[i]) - state.cand_q[i], state.dual_q_star[i]))
-        acc += float(np.dot(np.asarray(ru[i]) - state.cand_c_star[i], state.cand_c[i]))
-    for k in range(game.num_couplings):
-        acc += float(np.dot(np.asarray(rz[k]) - state.cand_b[k], state.cand_b_star[k]))
-        acc += float(np.dot(np.asarray(rv[k]) - state.cand_e_star[k], state.cand_e[k]))
-    return acc
+    ref = np.concatenate([np.asarray(b, dtype=float) for group in reference for b in group])
+    return _block_inner(game, ref - state.point, state.direction)
 
 
 def solve(game: Game, params: SolverParams, schedule: Schedule, x0=None, *,

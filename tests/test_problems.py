@@ -85,6 +85,26 @@ class TestQuadraticCoupling:
         assert game.players[0].interaction_bound == pytest.approx(2.0 * 1.5)
         assert game.players[1].interaction_bound == pytest.approx(1.0 * 2.0 + 3.0 * 1.25)
 
+    def test_gradient_matches_mismatch_sum(self):
+        # reference: sum_l kappa_l (y_i - sum_j omega_l[j] y_j), block by block
+        weights = [
+            [(2.0, {1: 0.25, 2: 0.25})],
+            [(1.0, {0: 0.5}), (3.0, {2: 0.25})],
+            [(1.5, {0: 0.25, 1: 0.5})],
+        ]
+        game, meta = build_quadratic_coupling([2, 2, 2], [None] * 3, weights)
+        y = np.random.default_rng(4).standard_normal(6)
+        blocks = [y[2 * i:2 * i + 2] for i in range(3)]
+        expected = np.concatenate([
+            sum(kappa * (blocks[i] - sum(w * blocks[j] for j, w in omega.items()))
+                for kappa, omega in terms)
+            for i, terms in enumerate(weights)
+        ])
+        got = game.interaction.eval(y)
+        assert np.allclose(got, expected, rtol=1e-13, atol=1e-13)
+        with pytest.raises(ValueError):
+            meta.extras["gradient_matrix"][0, 0] = 1.0
+
     def test_non_identity_mixes_solve_end_to_end(self):
         # players on R^2 whose coordinate sums chase each other inside boxes
         from nashsplit.linops import Dense

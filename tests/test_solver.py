@@ -184,23 +184,23 @@ class TestRefreshAndDuals:
     def test_refresh_with_zero_candidates(self):
         game, _ = shared_constraint_instance()
         state = IterState(game)
-        state.cand_a = [np.zeros(1), np.zeros(1)]
-        state.cand_b = [np.array([7.5])]
+        state.cand_b[0][:] = 7.5
         assert np.array_equal(refresh_e(game, state)[0], np.array([7.5]))
 
     def test_refresh_exact_cancellation(self):
         game, _ = shared_constraint_instance()
         state = IterState(game)
-        state.cand_a = [np.array([2.0]), np.array([3.0])]
-        state.cand_b = [np.array([5.0])]
+        state.cand_a[0][:] = 2.0
+        state.cand_a[1][:] = 3.0
+        state.cand_b[0][:] = 5.0
         assert np.array_equal(refresh_e(game, state)[0], np.zeros(1))
 
     def test_duals_without_couplings(self):
         game = free_scalar_game()
         state = IterState(game)
-        state.cand_q = [np.array([0.5])]
-        state.cand_s_star = [np.array([4.0])]
-        state.cand_c_star = [np.array([1.5])]
+        state.cand_q[0][:] = 0.5
+        state.cand_s_star[0][:] = 4.0
+        state.cand_c_star[0][:] = 1.5
         a_star, q_star = assemble_duals(game, state)
         assert np.array_equal(a_star[0], np.array([4.0]))       # a* = s*
         assert np.array_equal(q_star[0], np.array([-1.5]))      # q* = -c*
@@ -212,10 +212,8 @@ class TestRefreshAndDuals:
         coup = CouplingBlock(2, proximal.zero(), zero_smooth(), 0.0, {0: Identity(2)})
         game = Game(players, InteractionGradient(lambda y: np.zeros_like(y), 1.0), [coup])
         state = IterState(game)
-        state.cand_q = [np.zeros(2)]
-        state.cand_s_star = [np.array([1.0, 1.0])]
-        state.cand_c_star = [np.zeros(2)]
-        state.cand_e_star = [np.array([1.0, 0.0])]
+        state.cand_s_star[0][:] = [1.0, 1.0]
+        state.cand_e_star[0][:] = [1.0, 0.0]
         a_star, _ = assemble_duals(game, state)
         assert np.array_equal(a_star[0], np.array([2.0, 1.0]))
 
@@ -235,24 +233,16 @@ class TestScalarTestAndUpdate:
     def stage_scalar_toy(self):
         game = free_scalar_game()
         state = IterState(game)
-        state.cand_q = [np.zeros(1)]
-        state.cand_c_star = [np.zeros(1)]
-        state.cand_a = [np.array([1.0])]
-        state.cand_s_star = [np.array([-2.0])]
-        state.cand_c = [np.zeros(1)]
-        state.dual_a_star = [np.array([-2.0])]
-        state.dual_q_star = [np.zeros(1)]
+        state.cand_a[0][:] = 1.0
+        state.cand_s_star[0][:] = -2.0
+        state.dual_a_star[0][:] = -2.0
         return game, state
 
     def test_pi_zero_for_coincident_caches(self):
         game = free_scalar_game(2)
         state = IterState(game, x=[[1.0], [2.0]], y=[[3.0], [4.0]])
-        state.cand_a = [np.array(b) for b in state.x]
-        state.cand_q = [np.array(b) for b in state.y]
-        state.cand_c = [np.zeros(1), np.zeros(1)]
-        state.cand_c_star = [np.zeros(1), np.zeros(1)]
-        state.dual_a_star = [np.zeros(1), np.zeros(1)]
-        state.dual_q_star = [np.zeros(1), np.zeros(1)]
+        for cand, live in zip(state.cand_a + state.cand_q, state.x + state.y):
+            cand[:] = live
         assert compute_pi(game, state) == 0.0
 
     def test_pi_single_inner_product(self):
@@ -271,12 +261,7 @@ class TestScalarTestAndUpdate:
     def test_nonnegative_pi_freezes_state(self):
         game = free_scalar_game()
         state = IterState(game, x=[[0.7]])
-        state.cand_q = [np.zeros(1)]
-        state.cand_c_star = [np.zeros(1)]
-        state.cand_a = [np.array([0.7])]
-        state.cand_c = [np.zeros(1)]
-        state.dual_a_star = [np.zeros(1)]
-        state.dual_q_star = [np.zeros(1)]
+        state.cand_a[0][:] = 0.7
         compute_pi(game, state)
         pi, theta, step_norm = apply_update(game, state, unit_params())
         assert pi == 0.0 and theta is None and step_norm == 0.0
@@ -297,6 +282,17 @@ class TestScalarTestAndUpdate:
         game = Game(players, InteractionGradient(lambda y: np.zeros_like(y), 1.0))
         with pytest.raises(NumericalAbortError,
                            match=r"at tick 0: nan; first non-finite value: player 1, field a$"):
+            tick(game, unit_params(), ns.synchronous(), IterState(game))
+
+    def test_nan_coupling_gradient_abort_names_block(self):
+        from nashsplit.model import CouplingBlock
+
+        nan_grad = SmoothTerm(lambda z: 0.0, lambda z: np.full_like(z, np.nan))
+        players = [PlayerBlock(1, 1, proximal.zero(), zero_smooth(), 0.0, Identity(1), 1.0)]
+        coup = CouplingBlock(1, proximal.zero(), nan_grad, 0.0, {0: Identity(1)})
+        game = Game(players, InteractionGradient(lambda y: np.zeros_like(y), 1.0), [coup])
+        with pytest.raises(NumericalAbortError,
+                           match=r"at tick 0: nan; first non-finite value: coupling 0, field b$"):
             tick(game, unit_params(), ns.synchronous(), IterState(game))
 
     def test_update_requires_pi(self):
