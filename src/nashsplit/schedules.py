@@ -85,7 +85,8 @@ class Schedule:
             lo = max(0, n - self.max_lag)
             rng = _tick_rng(self.seed, n, "lags")
             all_p = rng.integers(lo, n + 1, size=num_players)
-            all_c = rng.integers(lo, n + 1, size=num_couplings)
+            # the stream's last draw, so skipping it when empty changes no value
+            all_c = rng.integers(lo, n + 1, size=num_couplings) if num_couplings else ()
             player_lags = {i: int(all_p[i]) for i in players}
             coupling_lags = {k: int(all_c[k]) for k in coups}
         else:

@@ -110,7 +110,27 @@ class IterState:
     Tick ``n`` of the history is row ``n % (max_lag + 1)`` of a ring with
     one row per retained tick; snapshots are read-only views of a row and
     may be read concurrently; only the coordinator mutates the live state.
+
+    The flat vectors and their views are bound once: rebinding one to
+    another object raises ``AttributeError``, because that object would be
+    detached from the layout that the tick reads. Write into them instead.
     """
+
+    _FLAT = ("flat", "point", "direction")
+    _BOUND = frozenset(_FLAT + (
+        "x", "y", "z", "u_star", "v_star",
+        "cand_a", "cand_q", "cand_b", "cand_c_star", "cand_e_star", "cand_s_star",
+        "dual_a_star", "dual_q_star", "cand_b_star", "cand_c", "cand_e",
+    ))
+
+    def __setattr__(self, name, value):
+        if name in self._BOUND and self.__dict__.get(name, value) is not value:
+            index = "[:]" if name in self._FLAT else "[i][:]"
+            raise AttributeError(
+                f"cannot rebind IterState.{name}, which is bound to the state layout; "
+                f"write into it instead: state.{name}{index} = ..."
+            )
+        object.__setattr__(self, name, value)
 
     def __init__(self, game: Game, x=None, y=None, z=None, u_star=None, v_star=None,
                  max_lag: int = 0):
@@ -134,10 +154,12 @@ class IterState:
             game.split_state(self.point))
         self.dual_a_star, self.dual_q_star, self.cand_b_star, self.cand_c, self.cand_e = (
             game.split_state(self.direction))
-        self.cand_s_star = [np.zeros(d) for d in game.strategy_dims]
+        self.cand_s_star = tuple(np.zeros(d) for d in game.strategy_dims)
 
         self.n = 0
         self.pi: Optional[float] = None
+        # (flat bytes, residual) of the last per-tick certificate; see tick().
+        self._certified = (None, None)
         depth = int(max_lag) + 1
         self._ring = np.empty((depth, game.state_size))
         self._ring_stamps = [-1] * depth
@@ -352,7 +374,11 @@ def tick(game: Game, params: SolverParams, schedule: Schedule, state: IterState,
     values forward. The coupling gaps ``e`` and the player duals ``a*``,
     ``q*`` are then refreshed, and the iterate is projected onto the
     half-space ``{w : <w - p, p*> <= 0}``. The reported residual certifies
-    the post-update iterate.
+    the post-update iterate. That certificate is the one step of a tick
+    that touches every block, so it is evaluated only when the iterate
+    differs bitwise from the one it last certified: a nonnegative scalar
+    test leaves the iterate in place and the previous residual, which is
+    a function of the iterate alone, is reported again.
     """
     n = state.n
     info = schedule.next_tick(n, game.num_players, game.num_couplings)
@@ -382,9 +408,13 @@ def tick(game: Game, params: SolverParams, schedule: Schedule, state: IterState,
     assemble_duals(game, state)
     compute_pi(game, state)
     pi, theta, step_norm = apply_update(game, state, params)
-    residual = oracle.check_equilibrium(
-        game, state.x, state.u_star, state.v_star, coerce=False
-    ).max_residual
+    key = state.flat.tobytes()
+    if state._certified[0] != key:
+        residual = oracle.check_equilibrium(
+            game, state.x, state.u_star, state.v_star, coerce=False
+        ).max_residual
+        state._certified = (key, residual)
+    residual = state._certified[1]
     report = TickReport(
         n=n,
         pi=pi,
