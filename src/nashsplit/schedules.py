@@ -8,12 +8,23 @@ consecutive ticks activates every block, and every lag stays within
 (forced activation), not statistical tendencies.
 
 Generation is a pure function of ``(kind, seed, tick)``, so simulated
-asynchronous runs are bit-reproducible and schedules can be queried
-concurrently.
+asynchronous runs are bit-reproducible and schedules can be queried in
+any order and concurrently. A random schedule draws tick ``n > 0`` from
+one generator per ``(seed, n, stream)``: the ``"activation"`` stream gives
+the Bernoulli draws (players, then couplings) and then, only when forced
+coverage leaves a set empty, the fallback block; the ``"lags"`` stream
+gives the player lags, then the coupling lags. Each generator is seeded
+with the words ``SeedSequence`` derives from ``(seed, n, tag)``. These
+draws are part of a run's reproducible trace and are pinned by SHA-256 in
+the tests. Forced coverage reads the raw draws of the previous ``window``
+ticks; they are memoized as bitmasks for the last ``window + 1`` ticks of
+each of the 64 streams used last, so memory is bounded by the window, not
+by the tick count.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -84,11 +95,11 @@ class Schedule:
         if self.kind == "random" and n > 0:
             lo = max(0, n - self.max_lag)
             rng = _tick_rng(self.seed, n, "lags")
-            all_p = rng.integers(lo, n + 1, size=num_players)
+            all_p = rng.integers(lo, n + 1, size=num_players).tolist()
             # the stream's last draw, so skipping it when empty changes no value
-            all_c = rng.integers(lo, n + 1, size=num_couplings) if num_couplings else ()
-            player_lags = {i: int(all_p[i]) for i in players}
-            coupling_lags = {k: int(all_c[k]) for k in coups}
+            all_c = rng.integers(lo, n + 1, size=num_couplings).tolist() if num_couplings else ()
+            player_lags = {i: all_p[i] for i in players}
+            coupling_lags = {k: all_c[k] for k in coups}
         else:
             player_lags = {i: n for i in players}
             coupling_lags = {k: n for k in coups}
@@ -118,20 +129,48 @@ def _rotation(n: int, size: int, block_size: int) -> tuple:
     return tuple(sorted((start + t) % size for t in range(take)))
 
 
+def _words(value: int) -> list:
+    """The uint32 words, least significant first, that ``SeedSequence`` makes of an int."""
+    words = [value & 0xFFFFFFFF]
+    while value := value >> 32:
+        words.append(value & 0xFFFFFFFF)
+    return words
+
+
 def _tick_rng(seed: int, n: int, stream: str) -> np.random.Generator:
+    """The generator of ``(seed, n, stream)``.
+
+    Equal to ``default_rng(SeedSequence(entropy=(seed, n, tag)))``, built
+    from the entropy words of that tuple as a ready uint32 array.
+    """
     tag = {"activation": 0, "lags": 1}[stream]
-    return np.random.default_rng(np.random.SeedSequence(entropy=(seed, n, tag)))
+    words = np.array([*_words(seed), *_words(n), tag], dtype=np.uint32)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
 
 
-@lru_cache(maxsize=65536)
-def _raw_active(seed: int, prob: float, n: int, num_players: int, num_couplings: int):
-    """Bernoulli draws for tick ``n`` (tick 0 counts as full activation)."""
-    if n == 0:
-        return frozenset(range(num_players)), frozenset(range(num_couplings))
-    rng = _tick_rng(seed, n, "activation")
-    draw_p = rng.random(num_players) < prob
-    draw_c = rng.random(num_couplings) < prob if num_couplings else np.zeros(0, dtype=bool)
-    return frozenset(np.flatnonzero(draw_p).tolist()), frozenset(np.flatnonzero(draw_c).tolist())
+@lru_cache(maxsize=64)
+def _raw_active(seed: int, prob: float, window: int, num_players: int, num_couplings: int):
+    """The raw activation masks of one random stream's last ``window + 1`` ticks.
+
+    Every caller gets the same ring: slot ``n % (window + 1)`` holds
+    ``(n, mask)`` once tick ``n`` is drawn (see ``_draw_mask``). A slot is
+    replaced by one store and checked against its tick when read, so
+    concurrent queries can at worst draw a tick twice.
+    """
+    return [None] * (window + 1)
+
+
+def _draw_mask(rng: np.random.Generator, prob: float, num_blocks: int) -> int:
+    """Bernoulli draws of one tick: bit ``i`` is player ``i``, then the couplings follow."""
+    mask = 0
+    for b, u in enumerate(rng.random(num_blocks).tolist()):
+        if u < prob:
+            mask |= 1 << b
+    return mask
+
+
+def _indices(mask: int, size: int) -> tuple:
+    return tuple(i for i in range(size) if mask >> i & 1)
 
 
 def _random_active(seed, prob, window, n, num_players, num_couplings):
@@ -139,26 +178,33 @@ def _random_active(seed, prob, window, n, num_players, num_couplings):
 
     A block missing from every raw draw of the last ``window`` ticks is
     force-activated, which makes every span of ``window + 1`` ticks cover
-    all blocks.
+    all blocks. Tick 0 counts as a full raw draw.
     """
-    raw_p, raw_c = _raw_active(seed, prob, n, num_players, num_couplings)
-    recent_p, recent_c = set(), set()
-    for j in range(max(0, n - window), n):
-        rp, rc = _raw_active(seed, prob, j, num_players, num_couplings)
-        recent_p |= rp
-        recent_c |= rc
-    players = set(raw_p) | (set(range(num_players)) - recent_p)
-    coups = set(raw_c) | (set(range(num_couplings)) - recent_c)
-    if not players or (num_couplings and not coups):
-        rng = _tick_rng(seed, n, "activation")
-        rng.random(num_players)
-        if num_couplings:
-            rng.random(num_couplings)
-        if not players:
-            players.add(int(rng.integers(num_players)))
-        if num_couplings and not coups:
-            coups.add(int(rng.integers(num_couplings)))
-    return tuple(sorted(players)), tuple(sorted(coups))
+    num_blocks = num_players + num_couplings
+    full = (1 << num_blocks) - 1
+    ring = _raw_active(seed, prob, window, num_players, num_couplings)
+    rng = _tick_rng(seed, n, "activation")
+    raw = _draw_mask(rng, prob, num_blocks)
+    ring[n % len(ring)] = (n, raw)
+    if n <= window:
+        recent = full  # the window holds tick 0
+    else:
+        recent = 0
+        for j in range(n - window, n):
+            slot = ring[j % len(ring)]
+            if slot is None or slot[0] != j:
+                slot = (j, _draw_mask(_tick_rng(seed, j, "activation"), prob, num_blocks))
+                ring[j % len(ring)] = slot
+            recent |= slot[1]
+    active = raw | (full & ~recent)
+    players = active & ((1 << num_players) - 1)
+    coups = active >> num_players
+    # the fallbacks continue the activation stream after the raw draws
+    if not players:
+        players = 1 << int(rng.integers(num_players))
+    if num_couplings and not coups:
+        coups = 1 << int(rng.integers(num_couplings))
+    return _indices(players, num_players), _indices(coups, num_couplings)
 
 
 def audit(schedule: Schedule, horizon: int, num_players: int, num_couplings: int) -> list:
@@ -170,7 +216,8 @@ def audit(schedule: Schedule, horizon: int, num_players: int, num_couplings: int
     over the horizon).
     """
     report = []
-    history_p, history_c = [], []
+    span = schedule.window + 1
+    recent_p, recent_c = deque(maxlen=span), deque(maxlen=span)
     for n in range(horizon + 1):
         tick = schedule.next_tick(n, num_players, num_couplings)
         if n == 0:
@@ -189,12 +236,11 @@ def audit(schedule: Schedule, horizon: int, num_players: int, num_couplings: int
         for k, delta in tick.coupling_lags.items():
             if not lo <= delta <= n:
                 report.append(f"tick {n}: coupling {k} lag {delta} outside [{lo}, {n}]")
-        history_p.append(set(tick.active_players))
-        history_c.append(set(tick.active_couplings))
-        span = schedule.window + 1
+        recent_p.append(set(tick.active_players))
+        recent_c.append(set(tick.active_couplings))
         if n + 1 >= span:
-            covered_p = set().union(*history_p[n + 1 - span:n + 1])
-            covered_c = set().union(*history_c[n + 1 - span:n + 1])
+            covered_p = set().union(*recent_p)
+            covered_c = set().union(*recent_c)
             if covered_p != set(range(num_players)):
                 missing = sorted(set(range(num_players)) - covered_p)
                 report.append(f"ticks {n + 1 - span}..{n}: players {missing} never activated")

@@ -114,6 +114,12 @@ class IterState:
     The flat vectors and their views are bound once: rebinding one to
     another object raises ``AttributeError``, because that object would be
     detached from the layout that the tick reads. Write into them instead.
+
+    A write between ticks reaches the scalar test, the projection and the
+    certificate of the next tick, but not its local steps: they read the
+    history row of the tick, pushed before the write. To warm-start, pass
+    the starting blocks to ``IterState(...)`` and the state to
+    ``solve(state=...)``.
     """
 
     _FLAT = ("flat", "point", "direction")

@@ -4,11 +4,14 @@ Everything here is deliberately written without importing the package
 under test (plain numpy only): a straight-line synchronous reference run
 of the half-space projection iteration, a finite-difference gradient, a
 grid-search simplex projection, an ISTA reference for the l1 least
-squares instance, and a closed-form mixed equilibrium for 2x2 zero-sum
-games.
+squares instance, a closed-form mixed equilibrium for 2x2 zero-sum
+games, and the random activation schedule as first written (one
+``SeedSequence`` built from a tuple per generator, frozenset draws).
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -335,3 +338,71 @@ def zero_sum_2x2_mixed(a_mat):
     v1 = (a_mat[1, 1] - a_mat[0, 1]) / den
     u1 = (a_mat[1, 1] - a_mat[1, 0]) / den
     return np.array([u1, 1.0 - u1]), np.array([v1, 1.0 - v1])
+
+
+# The random schedule's draws as first written: ``_tick_rng``,
+# ``_raw_active`` and ``_random_active`` are the original bodies, and
+# ``random_schedule_tick`` holds the lag part of ``Schedule.next_tick``.
+
+def _tick_rng(seed: int, n: int, stream: str) -> np.random.Generator:
+    tag = {"activation": 0, "lags": 1}[stream]
+    return np.random.default_rng(np.random.SeedSequence(entropy=(seed, n, tag)))
+
+
+@lru_cache(maxsize=65536)
+def _raw_active(seed: int, prob: float, n: int, num_players: int, num_couplings: int):
+    """Bernoulli draws for tick ``n`` (tick 0 counts as full activation)."""
+    if n == 0:
+        return frozenset(range(num_players)), frozenset(range(num_couplings))
+    rng = _tick_rng(seed, n, "activation")
+    draw_p = rng.random(num_players) < prob
+    draw_c = rng.random(num_couplings) < prob if num_couplings else np.zeros(0, dtype=bool)
+    return frozenset(np.flatnonzero(draw_p).tolist()), frozenset(np.flatnonzero(draw_c).tolist())
+
+
+def _random_active(seed, prob, window, n, num_players, num_couplings):
+    """Bernoulli activation plus constructive coverage and nonemptiness.
+
+    A block missing from every raw draw of the last ``window`` ticks is
+    force-activated, which makes every span of ``window + 1`` ticks cover
+    all blocks.
+    """
+    raw_p, raw_c = _raw_active(seed, prob, n, num_players, num_couplings)
+    recent_p, recent_c = set(), set()
+    for j in range(max(0, n - window), n):
+        rp, rc = _raw_active(seed, prob, j, num_players, num_couplings)
+        recent_p |= rp
+        recent_c |= rc
+    players = set(raw_p) | (set(range(num_players)) - recent_p)
+    coups = set(raw_c) | (set(range(num_couplings)) - recent_c)
+    if not players or (num_couplings and not coups):
+        rng = _tick_rng(seed, n, "activation")
+        rng.random(num_players)
+        if num_couplings:
+            rng.random(num_couplings)
+        if not players:
+            players.add(int(rng.integers(num_players)))
+        if num_couplings and not coups:
+            coups.add(int(rng.integers(num_couplings)))
+    return tuple(sorted(players)), tuple(sorted(coups))
+
+
+def random_schedule_tick(seed, prob, window, max_lag, n, num_players, num_couplings):
+    """``(active_players, active_couplings, player_lags, coupling_lags)`` of tick ``n``."""
+    if n == 0:
+        players = tuple(range(num_players))
+        coups = tuple(range(num_couplings))
+    else:
+        players, coups = _random_active(seed, prob, window, n, num_players, num_couplings)
+    if n > 0:
+        lo = max(0, n - max_lag)
+        rng = _tick_rng(seed, n, "lags")
+        all_p = rng.integers(lo, n + 1, size=num_players)
+        # the stream's last draw, so skipping it when empty changes no value
+        all_c = rng.integers(lo, n + 1, size=num_couplings) if num_couplings else ()
+        player_lags = {i: int(all_p[i]) for i in players}
+        coupling_lags = {k: int(all_c[k]) for k in coups}
+    else:
+        player_lags = {i: n for i in players}
+        coupling_lags = {k: n for k in coups}
+    return players, coups, player_lags, coupling_lags

@@ -1,9 +1,15 @@
 """Activation schedules: covering, lag bounds, determinism."""
 
+import gc
 import hashlib
+import random
+import sys
+import threading
+import tracemalloc
 
 import pytest
 
+from nashsplit import schedules
 from nashsplit.schedules import Schedule, audit, cyclic, randomized, synchronous
 
 
@@ -114,3 +120,56 @@ def test_random_schedule_draws_are_stable_across_versions(seed, sched_args, bloc
     prob, max_lag, window = sched_args
     sched = randomized(seed, prob, max_lag=max_lag, window=window)
     assert _draw_digest(sched, *blocks) == expected
+
+
+def test_random_schedule_memory_is_bounded_by_the_window():
+    # the activation memo keeps the raw draws of the last window + 1 ticks
+    # only, so what stays allocated does not grow with the tick count; a
+    # full collection before each reading empties the interpreter's free
+    # lists, which would otherwise count as allocated
+    sched = randomized(5, 0.3, max_lag=2, window=4)
+    schedules._raw_active.cache_clear()
+    tracemalloc.start()
+    try:
+        for n in range(2_000):
+            sched.next_tick(n, 6, 1)
+        gc.collect()
+        after_short = tracemalloc.get_traced_memory()[0]
+        for n in range(2_000, 20_000):
+            sched.next_tick(n, 6, 1)
+        gc.collect()
+        after_long = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after_long - after_short < 16_384
+
+
+def test_concurrent_queries_match_a_sequential_replay():
+    # more threads than cores share the activation memo and query ticks in
+    # their own orders, with frequent thread switches
+    sched = randomized(9, 0.2, max_lag=3, window=6)
+    ticks = range(300)
+    schedules._raw_active.cache_clear()
+    expected = [sched.next_tick(n, 5, 2) for n in ticks]
+    mismatches = []
+
+    def query(order):
+        for n in order:
+            if sched.next_tick(n, 5, 2) != expected[n]:
+                mismatches.append(n)
+
+    orders = [list(ticks), list(reversed(ticks))]
+    orders += [random.Random(s).sample(ticks, len(ticks)) for s in (1, 2)]
+    workers = [threading.Thread(target=query, args=(order,)) for order in orders]
+    schedules._raw_active.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert mismatches == []
