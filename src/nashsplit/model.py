@@ -176,9 +176,12 @@ class Game:
     """A full modular Nash game: players, couplings, interaction gradient.
 
     Construction fixes the flat state layout ``[x | y | z | u* | v*]``
-    (``state_size`` entries, per-block slices ``state_slices``, the ``y``
-    part contiguous at ``y_span``) and, per player, the couplings whose
-    maps read that player's strategy.
+    (``state_size`` entries, per-block slices ``state_slices``, the ``x``,
+    ``y`` and ``u*`` parts contiguous at ``x_span``, ``y_span`` and
+    ``u_span``, the start of every block in layout order ``block_starts``
+    and, per field, the slice of those blocks ``field_blocks``) and, per
+    player, the couplings whose maps read that player's strategy (the
+    players with at least one are ``coupled_players``).
     """
 
     players: Sequence[PlayerBlock]
@@ -193,21 +196,32 @@ class Game:
         object.__setattr__(
             self, "_offsets", np.cumsum([0] + [p.dim_interaction for p in self.players])
         )
-        groups, start = [], 0
+        groups, fields, start = [], [], 0
         for dims in (self.strategy_dims, self.interaction_dims, self.coupling_dims,
                      self.interaction_dims, self.coupling_dims):
             blocks = []
             for d in dims:
                 blocks.append(slice(start, start + d))
                 start += d
+            first = fields[-1].stop if fields else 0
+            fields.append(slice(first, first + len(blocks)))
             groups.append(tuple(blocks))
         object.__setattr__(self, "state_slices", StateBlocks(*groups))
         object.__setattr__(self, "state_size", start)
-        object.__setattr__(self, "y_span", slice(groups[1][0].start, groups[1][-1].stop))
+        for name, group in (("x_span", groups[0]), ("y_span", groups[1]), ("u_span", groups[3])):
+            object.__setattr__(self, name, slice(group[0].start, group[-1].stop))
+        # PlayerBlock and CouplingBlock reject zero widths, so no two starts
+        # coincide and np.add.reduceat over them sums exactly one block each.
+        starts = np.array([s.start for group in groups for s in group], dtype=np.intp)
+        starts.flags.writeable = False
+        object.__setattr__(self, "block_starts", starts)
+        object.__setattr__(self, "field_blocks", StateBlocks(*fields))
         object.__setattr__(self, "_incidence", tuple(
             tuple((k, c.maps[i]) for k, c in enumerate(self.couplings) if i in c.maps)
             for i in range(len(self.players))
         ))
+        object.__setattr__(self, "coupled_players",
+                           tuple(i for i, links in enumerate(self._incidence) if links))
 
     @property
     def num_players(self) -> int:

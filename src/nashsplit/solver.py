@@ -15,9 +15,13 @@ mutates state and applies the projection serially in tick order. Each
 step depends only on its block and its history row, so parallel runs are
 bitwise equal to simulated runs.
 
-Arithmetic is double precision throughout; the scalar test and step size
-accumulate in plain double without compensated summation, which desk-scale
-dimensions make sufficient.
+Arithmetic is double precision throughout. The scalar test, the step size
+and the separation gap share one inner product: per-block sums of the
+entrywise products, combined per player as ``(x + y) + u*`` and per
+coupling as ``z + v*``, then added strictly left to right from ``+0.0``
+over the players and then the couplings (``np.add.accumulate``). The
+bitwise gates fix that order; pairwise ``np.sum`` and compensated
+``sum()`` (Python 3.12 on) round differently and must not replace it.
 """
 
 from __future__ import annotations
@@ -102,11 +106,12 @@ class IterState:
 
     The iterate ``w = (x, y, z, u*, v*)``, the point ``p = (a, q, b, c*, e*)``
     and the direction ``p* = (a*, q*, b*, c, e)`` are three flat vectors laid
-    out alike by the game (``flat``, ``point`` and ``direction``); the paper
-    names (``x``, ``cand_a``, ``dual_a_star``, ...) are tuples of per-block
-    views into them, and ``cand_s_star`` holds one array per player. The
-    pair and ``s*`` start at zero; a tick writes the activated blocks into
-    the views in place, so the inactive blocks keep their last values.
+    out alike by the game (``flat``, ``point`` and ``direction``), and ``s*``
+    is a fourth, ``s_star``, laid out like the ``x`` part; the paper names
+    (``x``, ``cand_a``, ``dual_a_star``, ``cand_s_star``, ...) are tuples of
+    per-block views into them. The pair and ``s*`` start at zero; a tick
+    writes the activated blocks into the views in place, so the inactive
+    blocks keep their last values.
     Tick ``n`` of the history is row ``n % (max_lag + 1)`` of a ring with
     one row per retained tick; snapshots are read-only views of a row and
     may be read concurrently; only the coordinator mutates the live state.
@@ -122,7 +127,7 @@ class IterState:
     ``solve(state=...)``.
     """
 
-    _FLAT = ("flat", "point", "direction")
+    _FLAT = ("flat", "point", "direction", "s_star")
     _BOUND = frozenset(_FLAT + (
         "x", "y", "z", "u_star", "v_star",
         "cand_a", "cand_q", "cand_b", "cand_c_star", "cand_e_star", "cand_s_star",
@@ -160,7 +165,8 @@ class IterState:
             game.split_state(self.point))
         self.dual_a_star, self.dual_q_star, self.cand_b_star, self.cand_c, self.cand_e = (
             game.split_state(self.direction))
-        self.cand_s_star = tuple(np.zeros(d) for d in game.strategy_dims)
+        self.s_star = np.zeros(game.x_span.stop)
+        self.cand_s_star = tuple(self.s_star[s] for s in game.state_slices.x)
 
         self.n = 0
         self.pi: Optional[float] = None
@@ -284,35 +290,29 @@ def refresh_e(game: Game, state: IterState) -> tuple:
 def assemble_duals(game: Game, state: IterState):
     """Write the dual candidates of every player from the current caches.
 
-    ``a*_i`` adds the coupling pullbacks to ``s*_i``; ``q*_i`` evaluates
-    the stacked interaction gradient once at the full fresh candidate
-    ``q`` (inactive players included) and subtracts ``c*_i``. Returns the
-    ``a*`` and ``q*`` views.
+    ``q*`` is the stacked interaction gradient at the full fresh candidate
+    ``q`` (inactive players included) minus ``c*``, in one step over the
+    flat vectors; ``a*`` is a copy of ``s*`` to which each coupled player
+    adds its coupling pullbacks. Returns the ``a*`` and ``q*`` views.
     """
-    grads = game.split_interaction(
-        np.asarray(game.interaction.eval(state.point[game.y_span]), dtype=float)
-    )
-    for i, s_star in enumerate(state.cand_s_star):
-        state.dual_a_star[i][:] = game.coupling_pullback(i, s_star, state.cand_e_star)
-        state.dual_q_star[i][:] = grads[i] - state.cand_c_star[i]
+    grads = np.asarray(game.interaction.eval(state.point[game.y_span]), dtype=float)
+    state.direction[game.y_span] = grads - state.point[game.u_span]
+    state.direction[game.x_span] = state.s_star
+    for i in game.coupled_players:
+        state.dual_a_star[i][:] = game.coupling_pullback(i, state.cand_s_star[i], state.cand_e_star)
     return state.dual_a_star, state.dual_q_star
 
 
 def _block_inner(game: Game, left: np.ndarray, right: np.ndarray) -> float:
     """Inner product of two flat state-layout vectors, accumulated block by block.
 
-    Sums each player's x, y and u* dots, then each coupling's z and v*
-    dots, in index order. The scalar test, the projection denominator and
-    the separation gap share this order, which the bitwise gates fix.
+    Sums the entrywise products per block (``np.add.reduceat``) and adds the
+    block sums in the order that the module docstring fixes; the leading
+    ``+0.0`` turns a sum of ``-0.0`` terms into ``+0.0``, as the loop did.
     """
-    xs, ys, zs, us, vs = game.state_slices
-    acc = 0.0
-    for x, y, u in zip(xs, ys, us):
-        acc += (float(np.dot(left[x], right[x])) + float(np.dot(left[y], right[y]))
-                + float(np.dot(left[u], right[u])))
-    for z, v in zip(zs, vs):
-        acc += float(np.dot(left[z], right[z])) + float(np.dot(left[v], right[v]))
-    return acc
+    sums = np.add.reduceat(left * right, game.block_starts)
+    x, y, z, u, v = (sums[f] for f in game.field_blocks)
+    return float(np.add.accumulate(np.concatenate(([0.0], x + y + u, z + v)))[-1])
 
 
 def compute_pi(game: Game, state: IterState) -> float:

@@ -5,8 +5,10 @@ under test (plain numpy only): a straight-line synchronous reference run
 of the half-space projection iteration, a finite-difference gradient, a
 grid-search simplex projection, an ISTA reference for the l1 least
 squares instance, a closed-form mixed equilibrium for 2x2 zero-sum
-games, and the random activation schedule as first written (one
-``SeedSequence`` built from a tuple per generator, frozenset draws).
+games, the random activation schedule as first written (one
+``SeedSequence`` built from a tuple per generator, frozenset draws), and
+the solver's blockwise inner product as first written (a Python loop of
+per-block dots).
 """
 
 from __future__ import annotations
@@ -406,3 +408,24 @@ def random_schedule_tick(seed, prob, window, max_lag, n, num_players, num_coupli
         player_lags = {i: n for i in players}
         coupling_lags = {k: n for k in coups}
     return players, coups, player_lags, coupling_lags
+
+
+# The solver's blockwise inner product as first written: one ``np.dot`` per
+# block, accumulated in a Python float over the players, then the couplings.
+# ``Game`` stays an unevaluated annotation; the package is not imported.
+
+def _block_inner(game: Game, left: np.ndarray, right: np.ndarray) -> float:
+    """Inner product of two flat state-layout vectors, accumulated block by block.
+
+    Sums each player's x, y and u* dots, then each coupling's z and v*
+    dots, in index order. The scalar test, the projection denominator and
+    the separation gap share this order, which the bitwise gates fix.
+    """
+    xs, ys, zs, us, vs = game.state_slices
+    acc = 0.0
+    for x, y, u in zip(xs, ys, us):
+        acc += (float(np.dot(left[x], right[x])) + float(np.dot(left[y], right[y]))
+                + float(np.dot(left[u], right[u])))
+    for z, v in zip(zs, vs):
+        acc += float(np.dot(left[z], right[z])) + float(np.dot(left[v], right[v]))
+    return acc

@@ -1,12 +1,16 @@
 """Solver mechanics: local steps, scalar test, projection update, runs."""
 
+import hashlib
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import nashsplit as ns
 from nashsplit import proximal, solver
-from nashsplit.linops import Identity
+from nashsplit.linops import Identity, LinOp
 from nashsplit.model import (
+    CouplingBlock,
     Game,
     InteractionGradient,
     PlayerBlock,
@@ -16,6 +20,7 @@ from nashsplit.model import (
 )
 from nashsplit.problems import (
     consensus_instance,
+    lasso_instance,
     matching_pennies_instance,
     shared_constraint_instance,
 )
@@ -794,3 +799,130 @@ class TestCertificateReuse:
         fresh = ns.check_equilibrium(game, state.x, state.u_star, state.v_star).max_residual
         assert fresh > 0.0
         assert rep.kkt_residual == fresh
+
+
+def _lasso_4x8():
+    rng = np.random.default_rng(2)
+    return lasso_instance(rng.standard_normal((4, 8)) / 2.0, rng.standard_normal(4), 0.5)[0]
+
+
+def _consensus_10():
+    centres = np.linspace(-1.5, 1.5, 10)
+    return consensus_instance([(c - 0.5, c + 0.5) for c in centres])[0]
+
+
+@pytest.mark.parametrize("build, schedule, expected", [
+    (_lasso_4x8, ns.randomized(0, 0.1, max_lag=3, window=20),
+     "a4ef6b2930772a823744bc383ba7cdab229ca4d7b306d4306f0e8189506d92fa"),
+    (lambda: shared_constraint_instance()[0], ns.randomized(0, 0.5, max_lag=5, window=8),
+     "4d38a265c507c267838bb89372b6d50000ee0e067bc06d7841c9843f7ef7fe07"),
+    (_consensus_10, ns.synchronous(),
+     "aea4a7806ff25e766f46674a2d052c2c36fcb560727581de47f6618c81df2c57"),
+], ids=["lasso-4x8-p0.1", "shared-p0.5", "consensus-10-sync"])
+def test_trajectories_are_stable_across_versions(build, schedule, expected):
+    # pinned hashes of the first 300 ticks on one-entry blocks, where every
+    # rewrite of the tick's bookkeeping must reproduce each float exactly
+    game = build()
+    params = SolverParams.for_game(game, max_lag=schedule.max_lag, window=schedule.window)
+    state = IterState(game, max_lag=schedule.max_lag)
+    digest = hashlib.sha256()
+    for _ in range(300):
+        r = tick(game, params, schedule, state)
+        digest.update(repr((r.n, r.pi, r.theta, r.step_norm, r.kkt_residual)).encode())
+    assert digest.hexdigest() == expected
+
+
+class _Meter:
+    """Operator-call counts by key, paused while ``on`` is false."""
+
+    def __init__(self):
+        self.counts, self.on = Counter(), True
+
+    def hit(self, key):
+        self.counts[key] += self.on
+
+    def counted(self, fn, key):
+        def wrapper(*args, **kwargs):
+            self.hit(key)
+            return fn(*args, **kwargs)
+        return wrapper
+
+
+class _CountingOp(LinOp):
+    """Delegates to ``inner`` and counts its calls under ``(method, owner)``."""
+
+    def __init__(self, inner, owner, meter):
+        self.inner, self.owner, self.meter = inner, owner, meter
+        self.in_dim, self.out_dim = inner.in_dim, inner.out_dim
+
+    def apply(self, x):
+        self.meter.hit(("apply", self.owner))
+        return self.inner.apply(x)
+
+    def adjoint_apply(self, y):
+        self.meter.hit(("adjoint_apply", self.owner))
+        return self.inner.adjoint_apply(y)
+
+
+def test_inactive_blocks_do_no_operator_work(monkeypatch):
+    # players 0 and 1 share a constraint, player 1 has one of its own and
+    # player 2 is uncoupled; every operator counts its calls, except inside
+    # the per-tick certificate, which evaluates every block by design
+    meter = _Meter()
+    counts = meter.counts
+    targets = np.array([1.0, 2.0, -1.0])
+    players = [
+        PlayerBlock(1, 1, proximal.box([-5.0], [5.0]),
+                    SmoothTerm(lambda x: 0.5 * float(x @ x),
+                               meter.counted(lambda x: x, ("grad", i))),
+                    1.0, _CountingOp(Identity(1), ("mix", i), meter), 1.0)
+        for i in range(3)
+    ]
+    couplings = [
+        CouplingBlock(1, proximal.shifted_orthant([bound]),
+                      SmoothTerm(lambda z: 0.0, meter.counted(np.zeros_like, ("coupling grad", k))), 0.0,
+                      {i: _CountingOp(Identity(1), ("map", k, i), meter) for i in members})
+        for k, (bound, members) in enumerate(((4.0, (0, 1)), (-4.0, (1,))))
+    ]
+    game = Game(players, InteractionGradient(lambda y: y - targets, 1.0), couplings)
+    params = SolverParams.for_game(game, max_lag=2, window=4)
+    schedule = ns.randomized(3, 0.5, max_lag=2, window=4)
+    state = IterState(game, max_lag=2)
+
+    certify = solver.oracle.check_equilibrium
+
+    def uncounted_certificate(*args, **kwargs):
+        meter.on = False
+        try:
+            return certify(*args, **kwargs)
+        finally:
+            meter.on = True
+
+    pullback = Game.coupling_pullback
+
+    def counted_pullback(self, i, *rest):
+        meter.hit(("pullback", i))
+        return pullback(self, i, *rest)
+
+    monkeypatch.setattr(solver.oracle, "check_equilibrium", uncounted_certificate)
+    monkeypatch.setattr(solver, "prox", meter.counted(solver.prox, "prox"))
+    monkeypatch.setattr(Game, "coupling_pullback", counted_pullback)
+
+    idle_players, idle_couplings = set(), set()
+    for _ in range(30):
+        counts.clear()
+        rep = tick(game, params, schedule, state)
+        active = set(rep.active_players)
+        idle_players |= set(range(3)) - active
+        idle_couplings |= {0, 1} - set(rep.active_couplings)
+        assert counts["prox"] == len(active) + len(rep.active_couplings)
+        for k in (0, 1):
+            assert counts["coupling grad", k] == 2 * (k in rep.active_couplings)
+        for i in range(3):
+            work = 2 * (i in active)
+            assert counts["grad", i] == counts["apply", ("mix", i)] == work
+            assert counts["adjoint_apply", ("mix", i)] == work
+            # one pullback in the local step, one in the dual assembly if coupled
+            assert counts["pullback", i] == (i in active) + (i in (0, 1))
+    assert game.coupled_players == (0, 1)
+    assert idle_players == {0, 1, 2} and idle_couplings == {0, 1}
