@@ -1,13 +1,14 @@
 """Experiment runner: config in, trace CSV and summary out.
 
-Configs are JSON with four sections (``problem``, ``schedule``,
-``params``, ``output``); every field beyond the problem family has a
-default, and command-line flags override the file. The trace has one row
-per tick with columns ``n, pi, theta, step_norm, kkt_residual,
-activated_players, activated_couplings`` (theta empty when the scalar
-test was nonnegative), RFC-4180 quoting, LF line endings, and numbers at
-17 significant digits so repeated runs with one seed are byte-identical
-in simulated-async mode.
+Configs are JSON with four sections (``problem``, ``schedule``, ``params``,
+``output``) and a ``parallel`` switch; every field but the problem family
+defaults to its ``Schedule`` or ``SolverParams`` field default. Flags are
+written into their config keys before the one parse, so they get its checks.
+The trace has one row per tick with columns ``n, pi, theta, step_norm,
+kkt_residual, activated_players, activated_couplings`` (theta empty when
+the scalar test was nonnegative), RFC-4180 quoting, LF line endings, and
+numbers at 17 significant digits so repeated runs with one seed are
+byte-identical in simulated-async mode.
 
 Exit statuses: 0 tolerance reached, 2 tick limit (or stagnation), 3
 validation refusal, 4 numerical abort, 1 config errors.
@@ -20,7 +21,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Mapping, Optional
 
@@ -30,23 +31,33 @@ from .solver import NumericalAbortError, SolveResult, solve
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "build_instance", "run", "main"]
 
-_PARAM_DEFAULTS = {
-    "epsilon": 0.01,
-    "eta": 0.1,
-    "lambda": 1.8,
-    "sigma": 1.0,
-    "rho": 1.0,
-    "tol": 1e-8,
-    "max_iters": 100_000,
-}
 
-_SCHEDULE_DEFAULTS = {
-    "kind": "synchronous",
-    "seed": 0,
-    "max_lag": 0,
-    "window": 0,
-    "activation_prob": 0.5,
-    "block_size": 1,
+def _steps(value):
+    return tuple(value) if isinstance(value, list) else float(value)
+
+
+# config name -> (SolverParams field, conversion); gamma, mu and nu have no
+# config default, because SolverParams.for_game derives them from the game
+_PARAM_FIELDS = {
+    "epsilon": ("epsilon", float), "eta": ("eta", float), "lambda": ("relaxation", float),
+    "sigma": ("player_dual_steps", float), "rho": ("coupling_dual_steps", float),
+    "tol": ("tol", float), "max_iters": ("max_iters", int),
+    "gamma": ("strategy_steps", _steps), "mu": ("interaction_steps", _steps),
+    "nu": ("coupling_steps", _steps),
+}
+_FROM_GAME = ("gamma", "mu", "nu")
+_KIND_ALIASES = {"sync": "synchronous", **{kind: kind for kind in ("synchronous", "cyclic", "random")}}
+# flag -> (config section, or None for the top level; key; argparse options)
+_FLAGS = {
+    "--schedule": ("schedule", "kind", {"choices": ["sync", "cyclic", "random"]}),
+    "--seed": ("schedule", "seed", {"type": int}),
+    "--max-lag": ("schedule", "max_lag", {"type": int}),
+    "--window": ("schedule", "window", {"type": int}),
+    "--max-iters": ("params", "max_iters", {"type": int}),
+    "--tol": ("params", "tol", {"type": float}),
+    "--trace": ("output", "trace", {}),
+    "--summary": ("output", "summary", {}),
+    "--parallel": (None, "parallel", {"action": "store_const", "const": True}),
 }
 
 
@@ -77,23 +88,44 @@ class RunConfig:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-_KIND_ALIASES = {"sync": "synchronous", "synchronous": "synchronous",
-                 "cyclic": "cyclic", "random": "random"}
-
-
 def parse_config(text: str) -> RunConfig:
     """Parse a JSON config, applying defaults.
 
     Raises :class:`ConfigError` with the line and column of a syntax
     error, or with a description of the first semantic problem (unknown
-    family, unknown keys, bad dimensions).
+    family, unknown keys, badly typed values, bad dimensions).
     """
+    return _parse(_load(text))
+
+
+def _load(text: str) -> dict:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    return raw
+
+
+def _section(raw: dict, name: str, defaults: Mapping[str, Any], whole=(), optional=()) -> dict:
+    """A config section over its defaults; its ``whole`` keys become ints."""
+    given = raw.get(name, {})
+    if not isinstance(given, dict):
+        raise ConfigError(f"'{name}' must be an object")
+    unknown = set(given) - set(defaults) - set(optional)
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    section = {**defaults, **given}
+    for key in whole:
+        value = section[key]
+        if not (type(value) is int or type(value) is float and value.is_integer()):
+            raise ConfigError(f"bad configuration values: {name} {key} must be a whole number, got {value!r}")
+        section[key] = int(value)
+    return section
+
+
+def _parse(raw: dict) -> RunConfig:
     unknown = set(raw) - {"problem", "schedule", "params", "output", "parallel"}
     if unknown:
         raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
@@ -102,48 +134,25 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(problem, dict) or "family" not in problem:
         raise ConfigError("config needs a 'problem' object with a 'family'")
 
-    sched = dict(_SCHEDULE_DEFAULTS)
-    sched_in = raw.get("schedule", {})
-    if not isinstance(sched_in, dict):
-        raise ConfigError("'schedule' must be an object")
-    bad = set(sched_in) - set(_SCHEDULE_DEFAULTS)
-    if bad:
-        raise ConfigError(f"unknown schedule keys: {sorted(bad)}")
-    sched.update(sched_in)
+    counts = ("seed", "max_lag", "window", "block_size")
+    sched = _section(raw, "schedule", {f.name: f.default for f in fields(schedules.Schedule)}, counts)
     kind = _KIND_ALIASES.get(str(sched["kind"]))
     if kind is None:
         raise ConfigError(f"unknown schedule kind {sched['kind']!r}")
     sched["kind"] = kind
-    for key in ("seed", "max_lag", "window", "block_size"):
-        sched[key] = int(sched[key])
+    for key in counts:
         if sched[key] < 0:
             raise ConfigError(f"schedule {key} must be nonnegative")
 
-    params = dict(_PARAM_DEFAULTS)
-    params_in = raw.get("params", {})
-    if not isinstance(params_in, dict):
-        raise ConfigError("'params' must be an object")
-    bad = set(params_in) - (set(_PARAM_DEFAULTS) | {"gamma", "mu", "nu"})
-    if bad:
-        raise ConfigError(f"unknown params keys: {sorted(bad)}")
-    params.update(params_in)
-    params["max_iters"] = int(params["max_iters"])
+    solver = {f.name: f.default for f in fields(SolverParams)}
+    defaults = {key: solver[field] for key, (field, _) in _PARAM_FIELDS.items() if key not in _FROM_GAME}
+    params = _section(raw, "params", defaults, ("max_iters",), optional=_FROM_GAME)
 
-    output = raw.get("output", {})
-    if not isinstance(output, dict):
-        raise ConfigError("'output' must be an object")
-    bad = set(output) - {"trace", "summary"}
-    if bad:
-        raise ConfigError(f"unknown output keys: {sorted(bad)}")
-
-    return RunConfig(
-        problem=problem,
-        schedule=sched,
-        params=params,
-        trace_path=output.get("trace"),
-        summary_path=output.get("summary"),
-        parallel=bool(raw.get("parallel", False)),
-    )
+    output = _section(raw, "output", dict.fromkeys(("trace", "summary")))
+    parallel = raw.get("parallel", RunConfig.parallel)
+    if not isinstance(parallel, bool):
+        raise ConfigError(f"bad configuration values: parallel must be true or false, got {parallel!r}")
+    return RunConfig(problem, sched, params, output["trace"], output["summary"], parallel)
 
 
 def build_instance(problem: Mapping[str, Any]):
@@ -191,33 +200,13 @@ def build_instance(problem: Mapping[str, Any]):
 
 def build_solver_inputs(config: RunConfig, game: Game):
     """Schedule and solver parameters from a parsed config."""
-    sc = config.schedule
     schedule = schedules.Schedule(
-        kind=sc["kind"],
-        max_lag=sc["max_lag"],
-        window=sc["window"],
-        block_size=sc["block_size"],
-        seed=sc["seed"],
-        activation_prob=float(sc["activation_prob"]),
+        **dict(config.schedule, activation_prob=float(config.schedule["activation_prob"]))
     )
-    pr = dict(config.params)
-    overrides = {}
-    for key, name in (("gamma", "strategy_steps"), ("mu", "interaction_steps"), ("nu", "coupling_steps")):
-        if key in pr:
-            val = pr.pop(key)
-            overrides[name] = tuple(val) if isinstance(val, list) else float(val)
     params = SolverParams.for_game(
-        game,
-        epsilon=float(pr["epsilon"]),
-        eta=float(pr["eta"]),
-        max_lag=sc["max_lag"],
-        window=sc["window"],
-        relaxation=float(pr["lambda"]),
-        player_dual_steps=float(pr["sigma"]),
-        coupling_dual_steps=float(pr["rho"]),
-        max_iters=int(pr["max_iters"]),
-        tol=float(pr["tol"]),
-        **overrides,
+        game, max_lag=schedule.max_lag, window=schedule.window,
+        **{field: convert(config.params[key])
+           for key, (field, convert) in _PARAM_FIELDS.items() if key in config.params},
     )
     return schedule, params
 
@@ -319,60 +308,31 @@ def run(config: RunConfig, out=None, err=None) -> int:
     return 0 if result.status == "converged" else 2
 
 
-def _apply_flag_overrides(config: RunConfig, args) -> RunConfig:
-    sched = dict(config.schedule)
-    params = dict(config.params)
-    if args.schedule is not None:
-        sched["kind"] = _KIND_ALIASES.get(args.schedule, args.schedule)
-    if args.seed is not None:
-        sched["seed"] = args.seed
-    if args.max_lag is not None:
-        sched["max_lag"] = args.max_lag
-    if args.window is not None:
-        sched["window"] = args.window
-    if args.max_iters is not None:
-        params["max_iters"] = args.max_iters
-    if args.tol is not None:
-        params["tol"] = args.tol
-    return RunConfig(
-        problem=config.problem,
-        schedule=sched,
-        params=params,
-        trace_path=args.trace if args.trace is not None else config.trace_path,
-        summary_path=args.summary if args.summary is not None else config.summary_path,
-        parallel=config.parallel or args.parallel,
-    )
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="nashsplit", description="Block-iterative Nash equilibrium solver"
-    )
+    parser = argparse.ArgumentParser(prog="nashsplit", description="Block-iterative Nash equilibrium solver")
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("solve", help="run one experiment from a config file")
     run_p.add_argument("--config", required=True, help="path to a JSON config")
-    run_p.add_argument("--schedule", choices=["sync", "cyclic", "random"], default=None)
-    run_p.add_argument("--seed", type=int, default=None)
-    run_p.add_argument("--max-lag", dest="max_lag", type=int, default=None)
-    run_p.add_argument("--window", type=int, default=None)
-    run_p.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-    run_p.add_argument("--tol", type=float, default=None)
-    run_p.add_argument("--trace", default=None)
-    run_p.add_argument("--summary", default=None)
-    run_p.add_argument("--parallel", action="store_true")
-    args = parser.parse_args(argv)
+    for flag, (_, key, options) in _FLAGS.items():
+        run_p.add_argument(flag, dest=key, **options)
+    args = vars(parser.parse_args(argv))
 
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
+        text = Path(args["config"]).read_text(encoding="utf-8")
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
     try:
-        config = parse_config(text)
+        raw = _load(text)
+        for section, key, _ in _FLAGS.values():   # a flag is parsed as its file key
+            target = raw.setdefault(section, {}) if section else raw
+            if args[key] is not None and isinstance(target, dict):
+                target[key] = args[key]
+        config = _parse(raw)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return run(_apply_flag_overrides(config, args))
+    return run(config)
 
 
 if __name__ == "__main__":

@@ -335,16 +335,16 @@ class SolverParams:
         return float(self.relaxation)
 
     @staticmethod
-    def for_game(game: Game, epsilon: float = 0.01, eta: float = 0.1, **overrides) -> "SolverParams":
+    def for_game(game: Game, **overrides) -> "SolverParams":
         """Defaults for a game: largest admissible constant steps.
 
-        The dual steps default to 1.0; the theory only confines them to
+        The steps follow ``eta`` (its field default unless overridden). The
+        dual steps default to 1.0; the theory only confines them to
         ``[epsilon, 1/epsilon]`` and offers no guidance, so treat them as
         untuned knobs.
         """
+        eta = overrides.get("eta", SolverParams.eta)
         fields = dict(
-            epsilon=epsilon,
-            eta=eta,
             strategy_steps=tuple(1.0 / (p.smooth_lipschitz + eta) for p in game.players),
             interaction_steps=tuple(1.0 / (p.interaction_bound + eta) for p in game.players),
             coupling_steps=tuple(1.0 / (c.smooth_lipschitz + eta) for c in game.couplings) or 1.0,

@@ -120,11 +120,10 @@ class IterState:
     another object raises ``AttributeError``, because that object would be
     detached from the layout that the tick reads. Write into them instead.
 
-    A write between ticks reaches the scalar test, the projection and the
-    certificate of the next tick, but not its local steps: they read the
-    history row of the tick, pushed before the write. To warm-start, pass
-    the starting blocks to ``IterState(...)`` and the state to
-    ``solve(state=...)``.
+    A write into the views between ticks reaches all of the next tick:
+    the tick pushes its own history row from the live state before its
+    local steps read it. To warm-start a run, pass the starting blocks to
+    ``IterState(...)`` and the state to ``solve(state=...)``.
     """
 
     _FLAT = ("flat", "point", "direction", "s_star")
@@ -387,6 +386,7 @@ def tick(game: Game, params: SolverParams, schedule: Schedule, state: IterState,
     a function of the iterate alone, is reported again.
     """
     n = state.n
+    state._push_history(n)      # so a write into the views since the last tick is read
     info = schedule.next_tick(n, game.num_players, game.num_couplings)
     grads = {tau: state.lagged_interaction_grad(tau)
              for tau in sorted(set(info.player_lags.values()))}

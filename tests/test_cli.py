@@ -2,10 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from nashsplit.cli import ConfigError, main, parse_config
+from nashsplit.cli import ConfigError, build_instance, build_solver_inputs, main, parse_config
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -231,3 +235,100 @@ class TestRun:
         ):
             path = write_config(tmp_path, payload, name=f"{payload['problem']['family']}.json")
             assert main(["solve", "--config", str(path)]) == 0
+
+
+@pytest.mark.parametrize("extra", [
+    {"schedule": {"seed": "abc"}},
+    {"params": {"max_iters": None}},
+    {"schedule": {"max_lag": 2.7}},
+    {"parallel": "false"},
+], ids=["seed-string", "max_iters-null", "max_lag-fraction", "parallel-string"])
+def test_badly_typed_values_exit_1(tmp_path, capsys, extra):
+    payload = consensus_payload(tmp_path, **extra)
+    path = write_config(tmp_path, payload)
+    assert main(["solve", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad configuration values: ") and err.count("\n") == 1
+    assert not (tmp_path / "trace.csv").exists()
+
+
+MINIMAL = {"problem": {"family": "consensus", "boxes": [[2, 3], [0, 1]]}}
+EVERY_KEY = {
+    "problem": {"family": "consensus", "boxes": [[2, 3], [0, 1]]},
+    "schedule": {"kind": "random", "seed": 42, "max_lag": 3, "window": 4.0,
+                 "activation_prob": 0.25, "block_size": 2},
+    "params": {"epsilon": 0.02, "eta": 0.2, "lambda": 1.5, "sigma": 0.5, "rho": 2,
+               "tol": 1e-7, "max_iters": 5000, "gamma": [0.5, 0.4], "mu": 0.3, "nu": 0.5},
+    "output": {"trace": "trace.csv", "summary": "summary.txt"},
+    "parallel": True,
+}
+
+
+@pytest.mark.parametrize("payload, canonical, schedule, params", [
+    (MINIMAL,
+     {"output": {"summary": None, "trace": None}, "parallel": False,
+      "params": {"epsilon": 0.01, "eta": 0.1, "lambda": 1.8, "max_iters": 100000,
+                 "rho": 1.0, "sigma": 1.0, "tol": 1e-08},
+      "problem": MINIMAL["problem"],
+      "schedule": {"activation_prob": 0.5, "block_size": 1, "kind": "synchronous",
+                   "max_lag": 0, "seed": 0, "window": 0}},
+     "Schedule(kind='synchronous', max_lag=0, window=0, block_size=1, seed=0, activation_prob=0.5)",
+     "SolverParams(epsilon=0.01, eta=0.1, max_lag=0, window=0, relaxation=1.8, "
+     "strategy_steps=(10.0, 10.0), interaction_steps=(0.47619047619047616, 0.47619047619047616), "
+     "player_dual_steps=1.0, coupling_steps=1.0, coupling_dual_steps=1.0, max_iters=100000, "
+     "tol=1e-08)"),
+    (EVERY_KEY,
+     {"output": {"summary": "summary.txt", "trace": "trace.csv"}, "parallel": True,
+      "params": {"epsilon": 0.02, "eta": 0.2, "gamma": [0.5, 0.4], "lambda": 1.5,
+                 "max_iters": 5000, "mu": 0.3, "nu": 0.5, "rho": 2, "sigma": 0.5, "tol": 1e-07},
+      "problem": EVERY_KEY["problem"],
+      "schedule": {"activation_prob": 0.25, "block_size": 2, "kind": "random", "max_lag": 3,
+                   "seed": 42, "window": 4}},
+     "Schedule(kind='random', max_lag=3, window=4, block_size=2, seed=42, activation_prob=0.25)",
+     "SolverParams(epsilon=0.02, eta=0.2, max_lag=3, window=4, relaxation=1.5, "
+     "strategy_steps=(0.5, 0.4), interaction_steps=0.3, player_dual_steps=0.5, coupling_steps=0.5, "
+     "coupling_dual_steps=2.0, max_iters=5000, tol=1e-07)"),
+], ids=["minimal", "every-key"])
+def test_config_round_trip_is_pinned(payload, canonical, schedule, params):
+    # the dumps of a literal fixes every byte, ints and floats included:
+    # "window": 4.0 is stored as 4, "rho": 2 is echoed as 2 and solved as 2.0
+    config = parse_config(json.dumps(payload))
+    assert config.canonical() == json.dumps(canonical, indent=2, sort_keys=True)
+    assert parse_config(config.canonical()) == config
+    game, _ = build_instance(config.problem)
+    built = build_solver_inputs(config, game)
+    assert (repr(built[0]), repr(built[1])) == (schedule, params)
+
+
+def test_flags_and_file_keys_give_the_same_run(tmp_path, capsys):
+    trace, summary = tmp_path / "trace.csv", tmp_path / "summary.txt"
+    as_keys = write_config(tmp_path, {
+        "problem": MINIMAL["problem"],
+        "schedule": {"kind": "random", "seed": 3, "max_lag": 4, "window": 3},
+        "params": {"max_iters": 300, "tol": 1e-7},
+        "output": {"trace": str(trace), "summary": str(summary)},
+        "parallel": True,
+    }, name="keys.json")
+    as_flags = write_config(tmp_path, MINIMAL, name="flags.json")
+    runs = []
+    for argv in (
+        ["--config", str(as_keys)],
+        ["--config", str(as_flags), "--schedule", "random", "--seed", "3", "--max-lag", "4",
+         "--window", "3", "--max-iters", "300", "--tol", "1e-7", "--trace", str(trace),
+         "--summary", str(summary), "--parallel"],
+    ):
+        assert main(["solve", *argv]) == 2           # stops at the tick limit
+        runs.append((trace.read_bytes(), summary.read_text().split("config:")[1],
+                     capsys.readouterr().out))
+    assert runs[0] == runs[1]
+
+
+def test_entry_point_runs_as_a_module(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for payload, code in ((consensus_payload(tmp_path), 0),
+                          (consensus_payload(tmp_path, schedule={"seed": "abc"}), 1)):
+        path = write_config(tmp_path, payload)
+        done = subprocess.run([sys.executable, "-m", "nashsplit", "solve", "--config", str(path)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == code, done.stderr
+        assert "Traceback" not in done.stderr

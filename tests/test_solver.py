@@ -781,10 +781,27 @@ class TestCertificateReuse:
         assert frozen > 0
 
     def test_write_into_iterate_is_certified_afresh(self):
-        # the second tick's local steps read the history row pushed before
-        # the write, which holds the exact equilibrium, so p* vanishes: the
-        # scalar test is 0 and the written value stays in place, yet its
-        # residual must be certified anew
+        # the write lands in player 0, which the next cyclic tick leaves
+        # inactive; player 1 sits at its best response, so p* vanishes, the
+        # scalar test is 0 and the written value stays in place, yet the
+        # certificate, keyed on the iterate's bytes, must be evaluated anew
+        game, _ = consensus_instance([(2, 3), (0, 1)])
+        state = IterState(game, x=[[2.0], [1.0]], y=[[2.0], [1.0]], u_star=[[1.0], [-1.0]])
+        params = SolverParams.for_game(game, window=1)
+        schedule = ns.cyclic(block_size=1, window=1)
+        assert tick(game, params, schedule, state).kkt_residual == 0.0
+        state.x[0][:] = 2.5
+        rep = tick(game, params, schedule, state)
+        assert rep.active_players == (1,)
+        assert rep.pi == 0.0 and rep.theta is None
+        assert np.array_equal(state.x[0], np.array([2.5]))
+        fresh = ns.check_equilibrium(game, state.x, state.u_star, state.v_star).max_residual
+        assert fresh == 0.5
+        assert rep.kkt_residual == fresh
+
+    def test_write_into_iterate_reaches_next_local_steps(self):
+        # the tick pushes its own history row, so the local steps read the
+        # written value and the projection moves the iterate off it
         game, _ = shared_constraint_instance()
         state = IterState(
             game, x=[[2.0], [3.0]], y=[[2.0], [3.0]], z=[[5.0]],
@@ -794,11 +811,8 @@ class TestCertificateReuse:
         assert tick(game, params, ns.synchronous(), state).kkt_residual == 0.0
         state.x[0][:] = 2.5
         rep = tick(game, params, ns.synchronous(), state)
-        assert rep.pi == 0.0 and rep.theta is None
-        assert np.array_equal(state.x[0], np.array([2.5]))
-        fresh = ns.check_equilibrium(game, state.x, state.u_star, state.v_star).max_residual
-        assert fresh > 0.0
-        assert rep.kkt_residual == fresh
+        assert rep.pi < 0.0 and rep.theta is not None
+        assert not np.array_equal(state.x[0], np.array([2.5]))
 
 
 def _lasso_4x8():
