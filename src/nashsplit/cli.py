@@ -2,8 +2,10 @@
 
 Configs are JSON with four sections (``problem``, ``schedule``, ``params``,
 ``output``) and a ``parallel`` switch; every field but the problem family
-defaults to its ``Schedule`` or ``SolverParams`` field default. Flags are
-written into their config keys before the one parse, so they get its checks.
+defaults to its ``Schedule`` or ``SolverParams`` field default, and every
+problem key but the required ones to its builder's default. Flags are
+written into their config keys before the one parse, so they get its checks:
+whole-number keys must be whole, the other numeric keys JSON numbers.
 The trace has one row per tick with columns ``n, pi, theta, step_norm,
 kkt_residual, activated_players, activated_couplings`` (theta empty when
 the scalar test was nonnegative), RFC-4180 quoting, LF line endings, and
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import sys
 import time
@@ -36,6 +39,17 @@ def _steps(value):
     return tuple(value) if isinstance(value, list) else float(value)
 
 
+_NUMBER = (int, float)   # type(True) is bool, so a JSON boolean is no number
+# conversion of a config value -> (the check its raw value must pass, what it must be);
+# whole numbers are stored as ints, the rest as given and converted for the solve
+_CHECKS = {
+    int: (lambda v: type(v) is int or type(v) is float and v.is_integer(), "a whole number"),
+    float: (lambda v: type(v) in _NUMBER, "a number"),
+    _steps: (lambda v: type(v) in _NUMBER or type(v) is list and all(type(e) in _NUMBER for e in v),
+             "a number or a list of numbers"),
+}
+_SCHEDULE_TYPES = {"seed": int, "max_lag": int, "window": int, "block_size": int,
+                   "activation_prob": float}
 # config name -> (SolverParams field, conversion); gamma, mu and nu have no
 # config default, because SolverParams.for_game derives them from the game
 _PARAM_FIELDS = {
@@ -46,6 +60,27 @@ _PARAM_FIELDS = {
     "nu": ("coupling_steps", _steps),
 }
 _FROM_GAME = ("gamma", "mu", "nu")
+
+
+def _boxes(value):
+    if not isinstance(value, list) or not value:
+        raise ConfigError("consensus needs a nonempty 'boxes' list")
+    return [None if b is None else tuple(b) for b in value]
+
+
+def _as_given(value):
+    return value
+
+
+# family -> (builder, {config key: (builder keyword, conversion)})
+_FAMILIES = {
+    "consensus": (problems.consensus_instance, {"boxes": ("bounds", _boxes)}),
+    "matching_pennies": (problems.matching_pennies_instance, {"payoff": ("payoff", _as_given)}),
+    "shared_constraint": (problems.shared_constraint_instance, {
+        "targets": ("targets", tuple), "rhs": ("rhs", float), "box": ("box", tuple)}),
+    "lasso": (problems.lasso_instance, {
+        "design": ("design", _as_given), "rhs": ("rhs", _as_given), "l1_weight": ("weight", float)}),
+}
 _KIND_ALIASES = {"sync": "synchronous", **{kind: kind for kind in ("synchronous", "cyclic", "random")}}
 # flag -> (config section, or None for the top level; key; argparse options)
 _FLAGS = {
@@ -108,8 +143,9 @@ def _load(text: str) -> dict:
     return raw
 
 
-def _section(raw: dict, name: str, defaults: Mapping[str, Any], whole=(), optional=()) -> dict:
-    """A config section over its defaults; its ``whole`` keys become ints."""
+def _section(raw: dict, name: str, defaults: Mapping[str, Any], types: Mapping[str, Any],
+             optional=()) -> dict:
+    """A config section over its defaults, each value of ``types`` checked for its conversion."""
     given = raw.get(name, {})
     if not isinstance(given, dict):
         raise ConfigError(f"'{name}' must be an object")
@@ -117,11 +153,14 @@ def _section(raw: dict, name: str, defaults: Mapping[str, Any], whole=(), option
     if unknown:
         raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
     section = {**defaults, **given}
-    for key in whole:
-        value = section[key]
-        if not (type(value) is int or type(value) is float and value.is_integer()):
-            raise ConfigError(f"bad configuration values: {name} {key} must be a whole number, got {value!r}")
-        section[key] = int(value)
+    for key, convert in types.items():
+        if key not in section:
+            continue
+        value, (test, what) = section[key], _CHECKS[convert]
+        if not test(value):
+            raise ConfigError(f"bad configuration values: {name} {key} must be {what}, got {value!r}")
+        if convert is int:
+            section[key] = int(value)
     return section
 
 
@@ -134,21 +173,22 @@ def _parse(raw: dict) -> RunConfig:
     if not isinstance(problem, dict) or "family" not in problem:
         raise ConfigError("config needs a 'problem' object with a 'family'")
 
-    counts = ("seed", "max_lag", "window", "block_size")
-    sched = _section(raw, "schedule", {f.name: f.default for f in fields(schedules.Schedule)}, counts)
+    sched = _section(raw, "schedule", {f.name: f.default for f in fields(schedules.Schedule)},
+                     _SCHEDULE_TYPES)
     kind = _KIND_ALIASES.get(str(sched["kind"]))
     if kind is None:
         raise ConfigError(f"unknown schedule kind {sched['kind']!r}")
     sched["kind"] = kind
-    for key in counts:
-        if sched[key] < 0:
+    for key, convert in _SCHEDULE_TYPES.items():
+        if convert is int and sched[key] < 0:
             raise ConfigError(f"schedule {key} must be nonnegative")
 
     solver = {f.name: f.default for f in fields(SolverParams)}
     defaults = {key: solver[field] for key, (field, _) in _PARAM_FIELDS.items() if key not in _FROM_GAME}
-    params = _section(raw, "params", defaults, ("max_iters",), optional=_FROM_GAME)
+    types = {key: convert for key, (_, convert) in _PARAM_FIELDS.items()}
+    params = _section(raw, "params", defaults, types, optional=_FROM_GAME)
 
-    output = _section(raw, "output", dict.fromkeys(("trace", "summary")))
+    output = _section(raw, "output", dict.fromkeys(("trace", "summary")), {})
     parallel = raw.get("parallel", RunConfig.parallel)
     if not isinstance(parallel, bool):
         raise ConfigError(f"bad configuration values: parallel must be true or false, got {parallel!r}")
@@ -158,44 +198,30 @@ def _parse(raw: dict) -> RunConfig:
 def build_instance(problem: Mapping[str, Any]):
     """Build the game named by a config problem section.
 
-    Families: ``consensus`` (boxes), ``matching_pennies`` (payoff),
-    ``shared_constraint`` (targets, rhs, box), ``lasso`` (design, rhs,
-    l1_weight). Matrices are given as row-major lists of rows.
+    Each key of the section goes to its ``_FAMILIES`` builder keyword
+    through its conversion; a key the section leaves out takes the
+    builder's default, and one without a default must be given. Matrices
+    are given as row-major lists of rows.
     """
     family = problem.get("family")
+    if not isinstance(family, str) or family not in _FAMILIES:
+        raise ConfigError(f"unknown problem family {family!r}")
+    builder, keys = _FAMILIES[family]
     options = {k: v for k, v in problem.items() if k != "family"}
+    unknown = set(options) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown {family} keys: {sorted(unknown)}")
+    required = {name for name, p in inspect.signature(builder).parameters.items()
+                if p.default is inspect.Parameter.empty}
+    missing = [k for k, (kw, _) in keys.items() if kw in required and k not in options]
+    if missing:
+        raise ConfigError(f"bad problem parameters for family {family!r}: missing keys {missing}")
     try:
-        if family == "consensus":
-            bounds = options.pop("boxes")
-            if not isinstance(bounds, list) or not bounds:
-                raise ConfigError("consensus needs a nonempty 'boxes' list")
-            return problems.consensus_instance(
-                [None if b is None else tuple(b) for b in bounds], **options
-            )
-        if family == "matching_pennies":
-            payoff = options.pop("payoff", ((1.0, -1.0), (-1.0, 1.0)))
-            if options:
-                raise ConfigError(f"unknown matching_pennies keys: {sorted(options)}")
-            return problems.matching_pennies_instance(payoff)
-        if family == "shared_constraint":
-            targets = options.pop("targets", (1.0, 2.0))
-            rhs = options.pop("rhs", 5.0)
-            box = options.pop("box", (0.0, 10.0))
-            if options:
-                raise ConfigError(f"unknown shared_constraint keys: {sorted(options)}")
-            return problems.shared_constraint_instance(tuple(targets), float(rhs), tuple(box))
-        if family == "lasso":
-            design = options.pop("design")
-            rhs = options.pop("rhs")
-            weight = float(options.pop("l1_weight", 1.0))
-            if options:
-                raise ConfigError(f"unknown lasso keys: {sorted(options)}")
-            return problems.lasso_instance(design, rhs, weight)
+        return builder(**{keys[k][0]: keys[k][1](v) for k, v in options.items()})
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad problem parameters for family {family!r}: {exc}") from exc
-    raise ConfigError(f"unknown problem family {family!r}")
 
 
 def build_solver_inputs(config: RunConfig, game: Game):

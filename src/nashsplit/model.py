@@ -343,14 +343,21 @@ class SolverParams:
         ``[epsilon, 1/epsilon]`` and offers no guidance, so treat them as
         untuned knobs.
         """
-        eta = overrides.get("eta", SolverParams.eta)
-        fields = dict(
-            strategy_steps=tuple(1.0 / (p.smooth_lipschitz + eta) for p in game.players),
-            interaction_steps=tuple(1.0 / (p.interaction_bound + eta) for p in game.players),
-            coupling_steps=tuple(1.0 / (c.smooth_lipschitz + eta) for c in game.couplings) or 1.0,
-        )
+        strategy, interaction, coupling = _step_caps(game, overrides.get("eta", SolverParams.eta))
+        fields = dict(strategy_steps=strategy, interaction_steps=interaction,
+                      coupling_steps=coupling or 1.0)
         fields.update(overrides)
         return SolverParams(**fields)
+
+
+def _step_caps(game: Game, eta: float) -> tuple:
+    """Per-block upper ends ``1/(alpha_i + eta)``, ``1/(chi_i + eta)`` and
+    ``1/(beta_k + eta)`` of the strategy, interaction and coupling steps."""
+    return (
+        tuple(1.0 / (p.smooth_lipschitz + eta) for p in game.players),
+        tuple(1.0 / (p.interaction_bound + eta) for p in game.players),
+        tuple(1.0 / (c.smooth_lipschitz + eta) for c in game.couplings),
+    )
 
 
 def _sample_vec(rng, dim, scale=1.0):
@@ -506,10 +513,8 @@ def validate_params(game: Game, params: SolverParams, horizon: int = 1000) -> li
     if report:
         return report
 
-    caps = [p.smooth_lipschitz + eta for p in game.players]
-    caps += [p.interaction_bound + eta for p in game.players]
-    caps += [c.smooth_lipschitz + eta for c in game.couplings]
-    cap = max(caps)
+    strategy_caps, interaction_caps, coupling_caps = _step_caps(game, eta)
+    cap = 1.0 / min(strategy_caps + interaction_caps + coupling_caps)
     if not 1.0 / eps > cap:
         report.append(f"1/epsilon = {1.0 / eps:g} must exceed max(alpha+eta, beta+eta, chi+eta) = {cap:g}")
 
@@ -517,14 +522,12 @@ def validate_params(game: Game, params: SolverParams, horizon: int = 1000) -> li
     # (label, schedule, value at (block, tick), upper bound per block)
     table = (
         ("relaxation", params.relaxation, lambda b, n: params.relaxation_at(n), [2.0 - eps]),
-        ("strategy step (player {})", params.strategy_steps, params.strategy_step,
-         [1.0 / (p.smooth_lipschitz + eta) for p in players]),
+        ("strategy step (player {})", params.strategy_steps, params.strategy_step, strategy_caps),
         ("interaction step (player {})", params.interaction_steps, params.interaction_step,
-         [1.0 / (p.interaction_bound + eta) for p in players]),
+         interaction_caps),
         ("player dual step (player {})", params.player_dual_steps, params.player_dual_step,
          [1.0 / eps] * len(players)),
-        ("coupling step (coupling {})", params.coupling_steps, params.coupling_step,
-         [1.0 / (c.smooth_lipschitz + eta) for c in couplings]),
+        ("coupling step (coupling {})", params.coupling_steps, params.coupling_step, coupling_caps),
         ("coupling dual step (coupling {})", params.coupling_dual_steps,
          params.coupling_dual_step, [1.0 / eps] * len(couplings)),
     )

@@ -54,6 +54,23 @@ def _norm(v) -> float:
     return float(np.sqrt(np.dot(v, v)))
 
 
+def _blocks(blocks, dims, what: str, coerce: bool = True):
+    """Per-block inputs as checked vectors: zeros when absent, as given when not ``coerce``."""
+    if blocks is None:
+        return [np.zeros(d) for d in dims]
+    if not coerce:
+        return blocks
+    return [as_vector(b, d, f"{what}[{i}]") for i, (b, d) in enumerate(zip(blocks, dims))]
+
+
+def _first_order(game: Game, xs):
+    """The mixes ``M_i x_i``, the coupling mixtures ``L_k x`` and ``Q(Mx)``, per block."""
+    ys = [p.mix.apply(xs[i]) for i, p in enumerate(game.players)]
+    zs = [game.coupling_mixture(k, xs) for k in range(game.num_couplings)]
+    qs = game.split_interaction(np.asarray(game.interaction.eval(np.concatenate(ys)), dtype=float))
+    return ys, zs, qs
+
+
 def check_equilibrium(game: Game, x, u_star=None, v_star=None, *, coerce: bool = True) -> Certificate:
     """Evaluate the equilibrium residuals at ``(x, u*, v*)``.
 
@@ -63,60 +80,27 @@ def check_equilibrium(game: Game, x, u_star=None, v_star=None, *, coerce: bool =
     projection identity distance. ``coerce=False`` skips input coercion
     for callers that already hold validated blocks (the per-tick path).
     """
-    if coerce:
-        xs = [as_vector(b, p.dim_strategy, f"x[{i}]") for i, (b, p) in enumerate(zip(x, game.players))]
-    else:
-        xs = x
-    y_hat = [p.mix.apply(xs[i]) for i, p in enumerate(game.players)]
-    grads = game.split_interaction(
-        np.asarray(game.interaction.eval(np.concatenate(y_hat)), dtype=float)
-    )
-    if u_star is None:
-        us = [np.array(g) for g in grads]
-    elif coerce:
-        us = [as_vector(b, p.dim_interaction, f"u*[{i}]") for i, (b, p) in enumerate(zip(u_star, game.players))]
-    else:
-        us = u_star
-    if v_star is None:
-        vs = [np.zeros(c.dim) for c in game.couplings]
-    elif coerce:
-        vs = [as_vector(b, c.dim, f"v*[{k}]") for k, (b, c) in enumerate(zip(v_star, game.couplings))]
-    else:
-        vs = v_star
+    xs = _blocks(x, game.strategy_dims, "x", coerce)
+    _, zs, qs = _first_order(game, xs)
+    us = qs if u_star is None else _blocks(u_star, game.interaction_dims, "u*", coerce)
+    vs = _blocks(v_star, game.coupling_dims, "v*", coerce)
 
-    interaction_res = tuple(_norm(us[i] - grads[i]) for i in range(game.num_players))
-
-    coupling_res = []
-    mixtures = []
-    for k, blk in enumerate(game.couplings):
-        z_hat = game.coupling_mixture(k, xs)
-        mixtures.append(z_hat)
-        inward = vs[k] - blk.smooth.grad(z_hat)
-        coupling_res.append(
-            _norm(z_hat - prox(blk.nonsmooth, _CERT_STEP, z_hat + _CERT_STEP * inward))
-        )
-
-    player_res = []
+    interaction_res = [_norm(us[i] - qs[i]) for i in range(game.num_players)]
+    player_res, coupling_res, gaps = [], [], []
     for i, p in enumerate(game.players):
         pull = game.coupling_pullback(i, p.smooth.grad(xs[i]) + p.mix.adjoint_apply(us[i]), vs)
-        target = prox(p.nonsmooth, _CERT_STEP, xs[i] - _CERT_STEP * pull)
-        player_res.append(_norm(xs[i] - target))
-
-    gaps = []
-    for i, p in enumerate(game.players):
+        player_res.append(_norm(xs[i] - prox(p.nonsmooth, _CERT_STEP, xs[i] - _CERT_STEP * pull)))
         if is_indicator(p.nonsmooth):
             gaps.append(_norm(xs[i] - prox(p.nonsmooth, 1.0, xs[i])))
     for k, blk in enumerate(game.couplings):
+        inward = vs[k] - blk.smooth.grad(zs[k])
+        coupling_res.append(_norm(zs[k] - prox(blk.nonsmooth, _CERT_STEP, zs[k] + _CERT_STEP * inward)))
         if is_indicator(blk.nonsmooth):
-            gaps.append(_norm(mixtures[k] - prox(blk.nonsmooth, 1.0, mixtures[k])))
+            gaps.append(_norm(zs[k] - prox(blk.nonsmooth, 1.0, zs[k])))
 
-    everything = list(player_res) + list(interaction_res) + list(coupling_res) + list(gaps)
+    everything = player_res + interaction_res + coupling_res + gaps
     return Certificate(
-        tuple(player_res),
-        tuple(interaction_res),
-        tuple(coupling_res),
-        tuple(gaps),
-        max(everything),
+        tuple(player_res), tuple(interaction_res), tuple(coupling_res), tuple(gaps), max(everything)
     )
 
 
@@ -126,23 +110,10 @@ def equilibrium_tuple(game: Game, x, v_star=None):
     This is the reference point for the half-space and distance-monotone
     run invariants.
     """
-    xs = [as_vector(b, p.dim_strategy, f"x[{i}]") for i, (b, p) in enumerate(zip(x, game.players))]
-    ys = [p.mix.apply(xs[i]) for i, p in enumerate(game.players)]
-    zs = [game.coupling_mixture(k, xs) for k in range(game.num_couplings)]
-    us = game.split_interaction(
-        np.asarray(game.interaction.eval(np.concatenate(ys)), dtype=float)
-    )
-    if v_star is None:
-        vs = [np.zeros(c.dim) for c in game.couplings]
-    else:
-        vs = [as_vector(b, c.dim, f"v*[{k}]") for k, (b, c) in enumerate(zip(v_star, game.couplings))]
-    return (
-        tuple(np.array(b) for b in xs),
-        tuple(np.array(b) for b in ys),
-        tuple(np.array(b) for b in zs),
-        tuple(np.array(b) for b in us),
-        tuple(np.array(b) for b in vs),
-    )
+    xs = _blocks(x, game.strategy_dims, "x")
+    ys, zs, us = _first_order(game, xs)
+    vs = _blocks(v_star, game.coupling_dims, "v*")
+    return tuple(tuple(np.array(b) for b in group) for group in (xs, ys, zs, us, vs))
 
 
 @dataclass(frozen=True)

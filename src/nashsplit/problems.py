@@ -6,7 +6,7 @@ embedded through a skew interaction gradient, shared-constraint games
 with a single orthant coupling, and joint minimization instances where
 every player shares one smooth objective. Each builder returns a
 :class:`~nashsplit.model.Game` plus :class:`InstanceMeta` carrying the
-oracle hint and, when available in closed form, the known equilibrium.
+family, its data and, when available in closed form, the known equilibrium.
 Builders are pure and their outputs immutable.
 """
 
@@ -44,14 +44,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class InstanceMeta:
-    """Oracle guidance attached to a built instance.
+    """What a builder knows about its instance beyond the game.
 
-    ``equilibrium`` (and the matching duals) are only set when closed-form
-    values exist; they must pass the equilibrium certificate.
+    ``family`` names the builder. ``equilibrium`` (and the matching duals)
+    are only set when closed-form values exist; they must pass the
+    equilibrium certificate. ``extras`` holds the family's own data.
     """
 
     family: str
-    oracle_hint: str
     equilibrium: Optional[tuple] = None
     dual_u: Optional[tuple] = None
     dual_v: Optional[tuple] = None
@@ -166,12 +166,7 @@ def build_quadratic_coupling(
         for i in range(m)
     ]
     game = Game(players, InteractionGradient(interaction_eval, kappa_global))
-    meta = InstanceMeta(
-        family="quadratic_coupling",
-        oracle_hint="best_response",
-        extras={"gradient_matrix": grad_matrix},
-    )
-    return game, meta
+    return game, InstanceMeta("quadratic_coupling", extras={"gradient_matrix": grad_matrix})
 
 
 def consensus_instance(bounds: Sequence, neighbors: Optional[Mapping[int, Sequence[int]]] = None):
@@ -198,7 +193,6 @@ def consensus_instance(bounds: Sequence, neighbors: Optional[Mapping[int, Sequen
     game, meta = build_quadratic_coupling([1] * m, terms, weights, interaction_dim=1)
     return game, InstanceMeta(
         family="consensus",
-        oracle_hint="best_response",
         extras={"bounds": tuple(bounds), "neighbors": {i: tuple(neighbors[i]) for i in neighbors}},
     )
 
@@ -278,12 +272,7 @@ def build_minimax(
         for i in range(m)
     ]
     game = Game(players, InteractionGradient(interaction_eval, kappa))
-    meta = InstanceMeta(
-        family="minimax",
-        oracle_hint="analytic",
-        extras={"skew_matrix": skew, "num_min": p, "num_max": q},
-    )
-    return game, meta
+    return game, InstanceMeta("minimax", extras={"skew_matrix": skew, "num_min": p, "num_max": q})
 
 
 def matching_pennies_instance(payoff=((1.0, -1.0), (-1.0, 1.0))):
@@ -315,7 +304,6 @@ def matching_pennies_instance(payoff=((1.0, -1.0), (-1.0, 1.0))):
             dual_u = (a_mat @ v, -(a_mat.T @ u))
     return game, InstanceMeta(
         family="matching_pennies",
-        oracle_hint="analytic",
         equilibrium=equilibrium,
         dual_u=dual_u,
         extras={"payoff": a_mat, "skew_matrix": meta.extras["skew_matrix"]},
@@ -378,12 +366,7 @@ def build_shared_constraint(
         maps={i: Dense(rows[i]) for i in range(m)},
     )
     game = Game(players, InteractionGradient(interaction_eval, 1.0), [coupling])
-    meta = InstanceMeta(
-        family="shared_constraint",
-        oracle_hint="quadratic_exact",
-        extras={"targets": t_stacked, "rhs": rhs_vec},
-    )
-    return game, meta
+    return game, InstanceMeta("shared_constraint", extras={"targets": t_stacked, "rhs": rhs_vec})
 
 
 def shared_constraint_instance(targets=(1.0, 2.0), rhs=5.0, box=(0.0, 10.0)):
@@ -438,12 +421,7 @@ def build_minimization(
         InteractionGradient(lambda y: np.asarray(joint_grad(y), dtype=float), kappa),
         couplings,
     )
-    meta = InstanceMeta(
-        family="minimization",
-        oracle_hint="proximal_gradient",
-        extras={"joint_value": joint_value},
-    )
-    return game, meta
+    return game, InstanceMeta("minimization", extras={"joint_value": joint_value})
 
 
 def lasso_instance(design, rhs, weight: float = 1.0):
@@ -471,6 +449,5 @@ def lasso_instance(design, rhs, weight: float = 1.0):
     )
     return game, InstanceMeta(
         family="lasso",
-        oracle_hint="proximal_gradient",
         extras={"design": a_mat, "rhs": b_vec, "weight": float(weight), "objective": objective},
     )

@@ -110,12 +110,13 @@ def synchronous() -> Schedule:
     return Schedule("synchronous")
 
 
-def cyclic(block_size: int = 1, window: int = 0) -> Schedule:
+def cyclic(block_size: int = Schedule.block_size, window: int = Schedule.window) -> Schedule:
     """Round-robin schedule; ``window`` must be at least ceil(m / block_size) - 1."""
     return Schedule("cyclic", block_size=block_size, window=window)
 
 
-def randomized(seed: int, activation_prob: float = 0.5, max_lag: int = 0, window: int = 0) -> Schedule:
+def randomized(seed: int, activation_prob: float = Schedule.activation_prob,
+               max_lag: int = Schedule.max_lag, window: int = Schedule.window) -> Schedule:
     return Schedule(
         "random", max_lag=max_lag, window=window, seed=seed, activation_prob=activation_prob
     )

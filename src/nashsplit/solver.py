@@ -58,6 +58,10 @@ __all__ = [
     "tuple_distance",
 ]
 
+# The solve gate samples each analytic check 16 times from seed 0 and
+# evaluates callable step schedules at ticks 0..256.
+_GATE_SAMPLES, _GATE_SEED, _GATE_HORIZON = 16, 0, 256
+
 
 class MissingHistoryError(RuntimeError):
     """A lagged read asked for a tick outside the retained history.
@@ -122,8 +126,9 @@ class IterState:
 
     A write into the views between ticks reaches all of the next tick:
     the tick pushes its own history row from the live state before its
-    local steps read it. To warm-start a run, pass the starting blocks to
-    ``IterState(...)`` and the state to ``solve(state=...)``.
+    local steps read it. To warm-start a run, pass the starting blocks and
+    the schedule's ``max_lag`` to ``IterState(...)`` and the state to
+    ``solve(state=...)``.
     """
 
     _FLAT = ("flat", "point", "direction", "s_star")
@@ -458,7 +463,9 @@ def solve(game: Game, params: SolverParams, schedule: Schedule, x0=None, *,
         The problem, its step schedules, and the activation schedule.
     x0
         Initial strategies (per-player blocks); defaults to all zeros.
-        Pass a prebuilt ``state`` instead to warm-start the full tuple.
+        Pass a prebuilt ``state`` instead to warm-start the full tuple; its
+        history depth (``IterState(..., max_lag=...)``) must cover the
+        schedule's ``max_lag``.
     parallel
         Evaluate activated block steps on worker threads. The tick path is
         the same as in simulated mode, so results are bitwise equal to it.
@@ -477,20 +484,19 @@ def solve(game: Game, params: SolverParams, schedule: Schedule, x0=None, *,
         Final tuple, per-tick reports, closing certificate, and status
         ("converged", "max_iters", or "stagnated").
     """
-    if schedule.max_lag > params.max_lag:
+    if state is None:
+        state = IterState(game, x=x0, max_lag=params.max_lag)
+    elif x0 is not None:
+        raise ValueError("pass either x0 or a prebuilt state, not both")
+    depth = len(state._ring) - 1
+    if schedule.max_lag > depth:
         raise ValueError(
-            f"schedule lags up to {schedule.max_lag} exceed the retained history "
-            f"depth max_lag={params.max_lag}"
+            f"schedule lags up to {schedule.max_lag} exceed the retained history depth max_lag={depth}"
         )
     if validate:
         issues = validate_game_and_params(game, params)
         if issues:
             raise ValueError("validation failed:\n" + "\n".join(issues))
-
-    if state is None:
-        state = IterState(game, x=x0, max_lag=params.max_lag)
-    elif x0 is not None:
-        raise ValueError("pass either x0 or a prebuilt state, not both")
 
     workers = min(8, game.num_players + game.num_couplings)
     reports = []
@@ -511,9 +517,8 @@ def solve(game: Game, params: SolverParams, schedule: Schedule, x0=None, *,
     return SolveResult(*state.current_tuple(), reports, certificate, status, state.n)
 
 
-def validate_game_and_params(game: Game, params: SolverParams, samples: int = 16,
-                             seed: int = 0, horizon: int = 256) -> list:
+def validate_game_and_params(game: Game, params: SolverParams) -> list:
     """Combined advisory validation used as the solve() entry gate."""
-    return validate_problem(game, samples=samples, seed=seed) + validate_params(
-        game, params, horizon=horizon
+    return validate_problem(game, samples=_GATE_SAMPLES, seed=_GATE_SEED) + validate_params(
+        game, params, horizon=_GATE_HORIZON
     )

@@ -3,13 +3,20 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from nashsplit.cli import ConfigError, build_instance, build_solver_inputs, main, parse_config
+from nashsplit import problems
+from nashsplit.cli import (
+    ConfigError, build_instance, build_solver_inputs, main, parse_config, write_trace,
+)
+from nashsplit.model import SolverParams
+from nashsplit.schedules import Schedule
+from nashsplit.solver import solve
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -332,3 +339,62 @@ def test_entry_point_runs_as_a_module(tmp_path):
                               capture_output=True, text=True, env=env, timeout=60)
         assert done.returncode == code, done.stderr
         assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("extra", [
+    {"params": {"lambda": True}},
+    {"params": {"tol": "1e-6"}},
+    {"params": {"epsilon": None}},
+    {"params": {"eta": [0.1]}},
+    {"params": {"sigma": False}},
+    {"params": {"rho": "2"}},
+    {"schedule": {"activation_prob": True}},
+    {"params": {"gamma": True}},
+    {"params": {"mu": [0.5, "0.4"]}},
+    {"params": {"nu": {"k": 0.5}}},
+], ids=["lambda-true", "tol-string", "epsilon-null", "eta-list", "sigma-false", "rho-string",
+        "activation_prob-true", "gamma-true", "mu-string-entry", "nu-object"])
+def test_numeric_keys_refuse_booleans_and_strings(tmp_path, capsys, extra):
+    path = write_config(tmp_path, consensus_payload(tmp_path, **extra))
+    assert main(["solve", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad configuration values: ") and err.count("\n") == 1
+    assert not (tmp_path / "trace.csv").exists()
+
+
+LASSO_DESIGN = [[1.0, 0.2, 0.0], [0.0, 1.0, 0.3], [0.1, 0.0, 1.0]]
+
+
+@pytest.mark.parametrize("problem, builder, args", [
+    ({"family": "consensus", "boxes": [[2, 3], [0, 1]]},
+     problems.consensus_instance, ([(2, 3), (0, 1)],)),
+    ({"family": "matching_pennies"}, problems.matching_pennies_instance, ()),
+    ({"family": "shared_constraint"}, problems.shared_constraint_instance, ()),
+    ({"family": "lasso", "design": LASSO_DESIGN, "rhs": [1.0, -2.0, 0.5]},
+     problems.lasso_instance, (LASSO_DESIGN, [1.0, -2.0, 0.5])),
+], ids=["consensus", "matching_pennies", "shared_constraint", "lasso"])
+def test_required_keys_solve_with_the_builder_defaults(tmp_path, problem, builder, args):
+    trace, direct = tmp_path / "trace.csv", tmp_path / "direct.csv"
+    path = write_config(tmp_path, {"problem": problem, "output": {"trace": str(trace)}})
+    assert main(["solve", "--config", str(path)]) == 0
+    game, _ = builder(*args)
+    write_trace(str(direct), solve(game, SolverParams.for_game(game), Schedule()).reports)
+    assert trace.read_bytes() == direct.read_bytes()
+
+
+def test_unknown_consensus_key_is_refused(tmp_path, capsys):
+    problem = {"family": "consensus", "boxes": [[2, 3], [0, 1]], "radius": 1}
+    with pytest.raises(ConfigError, match=r"^unknown consensus keys: \['radius'\]$"):
+        build_instance(problem)
+    assert main(["solve", "--config", str(write_config(tmp_path, {"problem": problem}))]) == 1
+    assert capsys.readouterr().err == "error: unknown consensus keys: ['radius']\n"
+
+
+@pytest.mark.parametrize("problem, missing", [
+    ({"family": "consensus"}, ["boxes"]),
+    ({"family": "lasso", "rhs": [1.0]}, ["design"]),
+], ids=["consensus", "lasso"])
+def test_missing_problem_keys_are_named_by_their_config_keys(problem, missing):
+    with pytest.raises(ConfigError, match=r"bad problem parameters for family .*: missing keys "
+                       + re.escape(str(missing))):
+        build_instance(problem)

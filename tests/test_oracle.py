@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from nashsplit import proximal
-from nashsplit.linops import Identity
-from nashsplit.model import Game, InteractionGradient, PlayerBlock, zero_smooth
+from nashsplit.linops import Dense, Identity
+from nashsplit.model import (
+    CouplingBlock,
+    Game,
+    InteractionGradient,
+    PlayerBlock,
+    quadratic_smooth,
+    zero_smooth,
+)
 from nashsplit.oracle import (
     NoConsistentActiveSetError,
     best_response_fixed_point,
@@ -129,3 +136,110 @@ def test_equilibrium_tuple_assembly():
     assert np.array_equal(zs[0], [5.0])                      # constraint mixture
     assert np.array_equal(np.concatenate(us), [1.0, 1.0])    # interaction gradient
     assert np.array_equal(vs[0], [-1.0])
+
+
+def _mixed_coupling_game():
+    """Two players, an orthant coupling (an indicator) and an l1 coupling with a smooth part."""
+    players = [
+        PlayerBlock(2, 2, proximal.box([-1.0, -1.0], [1.0, 1.0]),
+                    quadratic_smooth(1.0, [0.5, -0.5]), 1.0, Identity(2), 1.0),
+        PlayerBlock(1, 1, proximal.zero(), zero_smooth(), 0.0, Identity(1), 1.0),
+    ]
+    shift = np.array([0.1, -0.2, 0.3])
+    couplings = [
+        CouplingBlock(1, proximal.shifted_orthant([0.5]), zero_smooth(), 0.0,
+                      {0: Dense([[1.0, 1.0]]), 1: Identity(1)}),
+        CouplingBlock(2, proximal.l1(0.3), quadratic_smooth(2.0, [1.0, 0.0]), 2.0,
+                      {0: Identity(2)}),
+    ]
+    return Game(players, InteractionGradient(lambda y: 0.5 * y + shift, 0.5), couplings)
+
+
+def _pin_case(name):
+    """(game, x, u*, v*), the blocks as lists as a caller would give them."""
+    lasso_design = np.random.default_rng(3).standard_normal((3, 5)).round(3)
+    return {
+        "consensus": lambda: (consensus_instance([(2, 3), (0, 1)])[0],
+                              [[2.5], [0.75]], [[0.3], [-0.2]], None),
+        "matching_pennies": lambda: (matching_pennies_instance()[0],
+                                     [[0.3, 0.7], [0.6, 0.4]], [[0.1, -0.1], [0.2, 0.05]], None),
+        "shared_constraint": lambda: (shared_constraint_instance()[0],
+                                      [[-4.0], [20.0]], [[1.0], [1.5]], [[-0.75]]),
+        "lasso_3x5": lambda: (build_minimization(
+            [proximal.l1(0.5) for _ in range(5)],
+            lambda y: lasso_design.T @ (lasso_design @ y - np.array([1.0, -0.5, 0.25])),
+            10.0, strategy_dims=[1] * 5)[0],
+            [[0.2], [-0.1], [0.0], [0.4], [-0.3]], [[0.1], [0.2], [0.3], [0.4], [0.5]], None),
+        "mixed_couplings": lambda: (_mixed_coupling_game(),
+                                    [[0.4, -1.5], [0.25]], [[0.2, 0.1], [-0.3]], [[-0.5], [0.2, -0.4]]),
+    }[name]()
+
+
+def _hexes(values) -> str:
+    return " ".join(float(v).hex() for v in values)
+
+
+def _cert_hexes(cert) -> str:
+    return " | ".join([_hexes(cert.player_residuals), _hexes(cert.interaction_residuals),
+                       _hexes(cert.coupling_residuals), _hexes(cert.feasibility_gaps),
+                       _hexes([cert.max_residual])])
+
+
+def _tuple_hexes(parts) -> str:
+    return " | ".join(_hexes(np.concatenate(group)) if group else "" for group in parts)
+
+
+def _pin_fingerprints(game, x, u, v):
+    """Certificates (with given and default u*, v*) and solution tuples, as float.hex."""
+    arrays = [[np.asarray(b, dtype=float) for b in blocks] if blocks is not None else None
+              for blocks in (x, u, v)]
+    certs = {}
+    for label, args in (("given", (x, u, v)), ("default", (x,))):
+        coerced = check_equilibrium(game, *args)
+        raw = check_equilibrium(game, *arrays[:len(args)], coerce=False)
+        assert _cert_hexes(raw) == _cert_hexes(coerced)
+        certs[label] = _cert_hexes(coerced)
+    return (certs["given"], certs["default"],
+            _tuple_hexes(equilibrium_tuple(game, x, v)), _tuple_hexes(equilibrium_tuple(game, x)))
+
+
+PINNED_FINGERPRINTS = {
+    'consensus': (
+        '0x1.3333333333330p-2 0x1.9999999999998p-3 | 0x1.7333333333333p+0 0x1.8cccccccccccdp+0 |  | 0x0.0p+0 0x0.0p+0 | 0x1.8cccccccccccdp+0',
+        '0x1.0000000000000p-1 0x1.0000000000000p-2 | 0x0.0p+0 0x0.0p+0 |  | 0x0.0p+0 0x0.0p+0 | 0x1.0000000000000p-1',
+        '0x1.4000000000000p+1 0x1.8000000000000p-1 | 0x1.4000000000000p+1 0x1.8000000000000p-1 |  | 0x1.c000000000000p+0 -0x1.c000000000000p+0 | ',
+        '0x1.4000000000000p+1 0x1.8000000000000p-1 | 0x1.4000000000000p+1 0x1.8000000000000p-1 |  | 0x1.c000000000000p+0 -0x1.c000000000000p+0 | ',
+    ),
+    'matching_pennies': (
+        '0x1.21a1851ff630bp-3 0x1.b27247aff1493p-4 | 0x1.21a1851ff6307p-3 0x1.f842f2f055703p-2 |  | 0x0.0p+0 0x0.0p+0 | 0x1.f842f2f055703p-2',
+        '0x1.21a1851ff6309p-2 0x1.21a1851ff630ap-1 | 0x0.0p+0 0x0.0p+0 |  | 0x0.0p+0 0x0.0p+0 | 0x1.21a1851ff630ap-1',
+        '0x1.3333333333333p-2 0x1.6666666666666p-1 0x1.3333333333333p-1 0x1.999999999999ap-2 | 0x1.3333333333333p-2 0x1.6666666666666p-1 0x1.3333333333333p-1 0x1.999999999999ap-2 |  | 0x1.9999999999998p-3 -0x1.9999999999998p-3 0x1.9999999999999p-2 -0x1.9999999999999p-2 | ',
+        '0x1.3333333333333p-2 0x1.6666666666666p-1 0x1.3333333333333p-1 0x1.999999999999ap-2 | 0x1.3333333333333p-2 0x1.6666666666666p-1 0x1.3333333333333p-1 0x1.999999999999ap-2 |  | 0x1.9999999999998p-3 -0x1.9999999999998p-3 0x1.9999999999999p-2 -0x1.9999999999999p-2 | ',
+    ),
+    'shared_constraint': (
+        '0x1.0000000000000p+2 0x1.4000000000000p+3 | 0x1.8000000000000p+2 0x1.0800000000000p+4 | 0x1.8000000000000p-1 | 0x1.0000000000000p+2 0x1.4000000000000p+3 0x0.0p+0 | 0x1.0800000000000p+4',
+        '0x1.4000000000000p+2 0x1.2000000000000p+4 | 0x0.0p+0 0x0.0p+0 | 0x0.0p+0 | 0x1.0000000000000p+2 0x1.4000000000000p+3 0x0.0p+0 | 0x1.2000000000000p+4',
+        '-0x1.0000000000000p+2 0x1.4000000000000p+4 | -0x1.0000000000000p+2 0x1.4000000000000p+4 | 0x1.0000000000000p+4 | -0x1.4000000000000p+2 0x1.2000000000000p+4 | -0x1.8000000000000p-1',
+        '-0x1.0000000000000p+2 0x1.4000000000000p+4 | -0x1.0000000000000p+2 0x1.4000000000000p+4 | 0x1.0000000000000p+4 | -0x1.4000000000000p+2 0x1.2000000000000p+4 | 0x0.0p+0',
+    ),
+    'lasso_3x5': (
+        '0x1.999999999999ap-3 0x1.999999999999ap-4 0x0.0p+0 0x1.999999999999ap-2 0x1.0000000000000p-54 | 0x1.b42fc9f226f96p-1 0x1.28938a8bdf9cap+1 0x1.25139ae77772fp-2 0x1.079bbe3707d40p-1 0x1.39f5367862116p+1 |  |  | 0x1.39f5367862116p+1',
+        '0x1.01f92d7de78c7p-2 0x1.022d242579364p+1 0x0.0p+0 0x1.a8d11607a941ap-2 0x1.73ea6cf0c422cp+0 | 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 |  |  | 0x1.022d242579364p+1',
+        '0x1.999999999999ap-3 -0x1.999999999999ap-4 0x0.0p+0 0x1.999999999999ap-2 -0x1.3333333333333p-2 | 0x1.999999999999ap-3 -0x1.999999999999ap-4 0x0.0p+0 0x1.999999999999ap-2 -0x1.3333333333333p-2 |  | -0x1.80fc96bef3c63p-1 0x1.422d242579364p+1 0x1.c3f309777807ap-7 0x1.d4688b03d4a0dp-1 -0x1.f3ea6cf0c422cp+0 | ',
+        '0x1.999999999999ap-3 -0x1.999999999999ap-4 0x0.0p+0 0x1.999999999999ap-2 -0x1.3333333333333p-2 | 0x1.999999999999ap-3 -0x1.999999999999ap-4 0x0.0p+0 0x1.999999999999ap-2 -0x1.3333333333333p-2 |  | -0x1.80fc96bef3c63p-1 0x1.422d242579364p+1 0x1.c3f309777807ap-7 0x1.d4688b03d4a0dp-1 -0x1.f3ea6cf0c422cp+0 | ',
+    ),
+    'mixed_couplings': (
+        '0x1.4ffc1955632b9p+1 0x1.999999999999ap-1 | 0x1.0e042bf63b85dp+0 0x1.7333333333333p-1 | 0x1.599999999999ap+0 0x1.522c09f9f97ccp+1 | 0x1.0000000000000p-1 0x1.599999999999ap+0 | 0x1.522c09f9f97ccp+1',
+        '0x1.62f4726276ccap+1 0x1.b333333333333p-2 | 0x0.0p+0 0x0.0p+0 | 0x1.599999999999ap+0 0x1.8b5a299c1670ap+1 | 0x1.0000000000000p-1 0x1.599999999999ap+0 | 0x1.8b5a299c1670ap+1',
+        '0x1.999999999999ap-2 -0x1.8000000000000p+0 0x1.0000000000000p-2 | 0x1.999999999999ap-2 -0x1.8000000000000p+0 0x1.0000000000000p-2 | -0x1.b333333333334p-1 0x1.999999999999ap-2 -0x1.8000000000000p+0 | 0x1.3333333333334p-2 -0x1.e666666666666p-1 0x1.b333333333333p-2 | -0x1.0000000000000p-1 0x1.999999999999ap-3 -0x1.999999999999ap-2',
+        '0x1.999999999999ap-2 -0x1.8000000000000p+0 0x1.0000000000000p-2 | 0x1.999999999999ap-2 -0x1.8000000000000p+0 0x1.0000000000000p-2 | -0x1.b333333333334p-1 0x1.999999999999ap-2 -0x1.8000000000000p+0 | 0x1.3333333333334p-2 -0x1.e666666666666p-1 0x1.b333333333333p-2 | 0x0.0p+0 0x0.0p+0 0x0.0p+0',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_FINGERPRINTS))
+def test_certificate_and_tuple_are_pinned(name):
+    # float.hex of every certificate residual and tuple entry, computed before
+    # the oracle evaluated the first-order system in one helper; both coerce
+    # paths must give the same bits
+    assert _pin_fingerprints(*_pin_case(name)) == PINNED_FINGERPRINTS[name]

@@ -658,6 +658,19 @@ class TestSolve:
         with pytest.raises(ValueError, match="exceed the retained history"):
             ns.solve(game, params, sched)
 
+    def test_warm_start_state_must_hold_the_schedule_lags(self):
+        # the run reads the history ring of the state it is given, so that
+        # ring, not params.max_lag, must be as deep as the schedule's lags
+        game, _ = shared_constraint_instance()
+        params = SolverParams.for_game(game, max_lag=5, window=4, max_iters=300)
+        sched = ns.randomized(7, 0.5, max_lag=5, window=4)
+        with pytest.raises(ValueError, match="exceed the retained history"):
+            ns.solve(game, params, sched, state=IterState(game, x=[[1.0], [2.0]]))
+        warm = ns.solve(game, params, sched, state=IterState(game, x=[[1.0], [2.0]], max_lag=5))
+        cold = ns.solve(game, params, sched, x0=[[1.0], [2.0]])
+        assert warm.ticks == cold.ticks == 300
+        assert np.array_equal(np.concatenate(warm.x), np.concatenate(cold.x))
+
     def test_stagnation_reported(self):
         # With a well-posed game a frozen state is provably a certified
         # solution, so persistent stagnation can only come from a breach of
