@@ -40,13 +40,32 @@ def _steps(value):
 
 
 _NUMBER = (int, float)   # type(True) is bool, so a JSON boolean is no number
+
+
+def _numbers(value) -> bool:
+    return type(value) is list and all(type(e) in _NUMBER for e in value)
+
+
+def _boxes(value):
+    if not value:
+        raise ConfigError("consensus needs a nonempty 'boxes' list")
+    return [None if b is None else tuple(b) for b in value]
+
+
+def _matrix(value):
+    return value
+
+
 # conversion of a config value -> (the check its raw value must pass, what it must be);
 # whole numbers are stored as ints, the rest as given and converted for the solve
 _CHECKS = {
     int: (lambda v: type(v) is int or type(v) is float and v.is_integer(), "a whole number"),
     float: (lambda v: type(v) in _NUMBER, "a number"),
-    _steps: (lambda v: type(v) in _NUMBER or type(v) is list and all(type(e) in _NUMBER for e in v),
-             "a number or a list of numbers"),
+    _steps: (lambda v: type(v) in _NUMBER or _numbers(v), "a number or a list of numbers"),
+    tuple: (_numbers, "a list of numbers"),
+    _matrix: (lambda v: type(v) is list and all(map(_numbers, v)), "a list of lists of numbers"),
+    _boxes: (lambda v: type(v) is list and all(b is None or _numbers(b) for b in v),
+             "a list of nulls and lists of numbers"),
 }
 _SCHEDULE_TYPES = {"seed": int, "max_lag": int, "window": int, "block_size": int,
                    "activation_prob": float}
@@ -62,24 +81,14 @@ _PARAM_FIELDS = {
 _FROM_GAME = ("gamma", "mu", "nu")
 
 
-def _boxes(value):
-    if not isinstance(value, list) or not value:
-        raise ConfigError("consensus needs a nonempty 'boxes' list")
-    return [None if b is None else tuple(b) for b in value]
-
-
-def _as_given(value):
-    return value
-
-
 # family -> (builder, {config key: (builder keyword, conversion)})
 _FAMILIES = {
     "consensus": (problems.consensus_instance, {"boxes": ("bounds", _boxes)}),
-    "matching_pennies": (problems.matching_pennies_instance, {"payoff": ("payoff", _as_given)}),
+    "matching_pennies": (problems.matching_pennies_instance, {"payoff": ("payoff", _matrix)}),
     "shared_constraint": (problems.shared_constraint_instance, {
         "targets": ("targets", tuple), "rhs": ("rhs", float), "box": ("box", tuple)}),
     "lasso": (problems.lasso_instance, {
-        "design": ("design", _as_given), "rhs": ("rhs", _as_given), "l1_weight": ("weight", float)}),
+        "design": ("design", _matrix), "rhs": ("rhs", tuple), "l1_weight": ("weight", float)}),
 }
 _KIND_ALIASES = {"sync": "synchronous", **{kind: kind for kind in ("synchronous", "cyclic", "random")}}
 # flag -> (config section, or None for the top level; key; argparse options)
@@ -154,14 +163,18 @@ def _section(raw: dict, name: str, defaults: Mapping[str, Any], types: Mapping[s
         raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
     section = {**defaults, **given}
     for key, convert in types.items():
-        if key not in section:
-            continue
-        value, (test, what) = section[key], _CHECKS[convert]
-        if not test(value):
-            raise ConfigError(f"bad configuration values: {name} {key} must be {what}, got {value!r}")
-        if convert is int:
-            section[key] = int(value)
+        if key in section:
+            _check(name, key, section[key], convert)
+            if convert is int:
+                section[key] = int(section[key])
     return section
+
+
+def _check(name: str, key: str, value, convert) -> None:
+    """Refuse a value of section ``name`` that fails the check of its conversion."""
+    test, what = _CHECKS[convert]
+    if not test(value):
+        raise ConfigError(f"bad configuration values: {name} {key} must be {what}, got {value!r}")
 
 
 def _parse(raw: dict) -> RunConfig:
@@ -200,8 +213,9 @@ def build_instance(problem: Mapping[str, Any]):
 
     Each key of the section goes to its ``_FAMILIES`` builder keyword
     through its conversion; a key the section leaves out takes the
-    builder's default, and one without a default must be given. Matrices
-    are given as row-major lists of rows.
+    builder's default, and one without a default must be given. Numbers,
+    list entries and matrix entries must be JSON numbers; matrices are
+    given as row-major lists of rows.
     """
     family = problem.get("family")
     if not isinstance(family, str) or family not in _FAMILIES:
@@ -216,6 +230,8 @@ def build_instance(problem: Mapping[str, Any]):
     missing = [k for k, (kw, _) in keys.items() if kw in required and k not in options]
     if missing:
         raise ConfigError(f"bad problem parameters for family {family!r}: missing keys {missing}")
+    for key, value in options.items():
+        _check("problem", key, value, keys[key][1])
     try:
         return builder(**{keys[k][0]: keys[k][1](v) for k, v in options.items()})
     except ConfigError:

@@ -13,13 +13,18 @@ any order and concurrently. A random schedule draws tick ``n > 0`` from
 one generator per ``(seed, n, stream)``: the ``"activation"`` stream gives
 the Bernoulli draws (players, then couplings) and then, only when forced
 coverage leaves a set empty, the fallback block; the ``"lags"`` stream
-gives the player lags, then the coupling lags. Each generator is seeded
-with the words ``SeedSequence`` derives from ``(seed, n, tag)``. These
-draws are part of a run's reproducible trace and are pinned by SHA-256 in
-the tests. Forced coverage reads the raw draws of the previous ``window``
-ticks; they are memoized as bitmasks for the last ``window + 1`` ticks of
-each of the 64 streams used last, so memory is bounded by the window, not
-by the tick count.
+gives the player lags, then the coupling lags. The generator is
+``Generator(PCG64(SeedSequence(entropy=(seed, n, tag))))`` with tag 0 for
+activation and 1 for lags. It is computed by a transcription, not built:
+the ``SeedSequence`` hash runs for a batch of aligned ticks at once as
+uint32 numpy arithmetic, and each tick steps PCG64 in Python ints. The
+numpy-built original in ``tests/_oracles.py`` and SHA-256 hashes pinned in
+the tests guard it, since these draws are part of a run's reproducible
+trace. Forced coverage reads the raw draws of the previous ``window``
+ticks. The memo of each of the 64 streams used last holds them as
+bitmasks for the last ``window + 1`` ticks, next to the one batch of
+hashed words drawn last, so memory is bounded by the window and the batch
+size, not by the tick count.
 """
 
 from __future__ import annotations
@@ -82,28 +87,25 @@ class Schedule:
         """
         if n < 0:
             raise ValueError("tick index must be nonnegative")
-        if self.kind == "synchronous" or n == 0:
-            players = tuple(range(num_players))
-            coups = tuple(range(num_couplings))
-        elif self.kind == "cyclic":
+        if self.kind == "random" and n > 0:
+            memo = _raw_active(self.seed, self.activation_prob, self.window,
+                               num_players, num_couplings)
+            players, coups = _random_active(memo, self.activation_prob, self.window, n,
+                                            num_players, num_couplings)
+            lo = max(0, n - self.max_lag)
+            lags = memo.stream(n, _LAGS)
+            all_p = lags.integers(n + 1 - lo, num_players)
+            all_c = lags.integers(n + 1 - lo, num_couplings)
+            player_lags = {i: lo + all_p[i] for i in players}
+            coupling_lags = {k: lo + all_c[k] for k in coups}
+            return Tick(players, coups, player_lags, coupling_lags)
+        if self.kind == "cyclic" and n > 0:
             players = _rotation(n, num_players, self.block_size)
             coups = _rotation(n, num_couplings, self.block_size)
         else:
-            players, coups = _random_active(
-                self.seed, self.activation_prob, self.window, n, num_players, num_couplings
-            )
-        if self.kind == "random" and n > 0:
-            lo = max(0, n - self.max_lag)
-            rng = _tick_rng(self.seed, n, "lags")
-            all_p = rng.integers(lo, n + 1, size=num_players).tolist()
-            # the stream's last draw, so skipping it when empty changes no value
-            all_c = rng.integers(lo, n + 1, size=num_couplings).tolist() if num_couplings else ()
-            player_lags = {i: all_p[i] for i in players}
-            coupling_lags = {k: all_c[k] for k in coups}
-        else:
-            player_lags = {i: n for i in players}
-            coupling_lags = {k: n for k in coups}
-        return Tick(players, coups, player_lags, coupling_lags)
+            players = tuple(range(num_players))
+            coups = tuple(range(num_couplings))
+        return Tick(players, coups, {i: n for i in players}, {k: n for k in coups})
 
 
 def synchronous() -> Schedule:
@@ -138,33 +140,165 @@ def _words(value: int) -> list:
     return words
 
 
-def _tick_rng(seed: int, n: int, stream: str) -> np.random.Generator:
-    """The generator of ``(seed, n, stream)``.
+# numpy's SeedSequence (O'Neill's seed_seq hash, pool of 4 words) and its
+# PCG64 bit generator (128-bit LCG, XSL-RR output), transcribed
+_ACTIVATION, _LAGS = 0, 1  # the stream tags
+_BATCH = 64  # ticks hashed at once; it divides 2**32, so a batch's ticks have equally many words
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-    Equal to ``default_rng(SeedSequence(entropy=(seed, n, tag)))``, built
-    from the entropy words of that tuple as a ready uint32 array.
+
+@lru_cache(maxsize=8)
+def _hash_consts(init: int, mult: int, count: int):
+    """The xor and multiply constants of ``count`` successive ``hashmix`` calls, as columns."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _M32)
+    consts = np.array(consts, dtype=np.uint32)[:, None]
+    return consts[:-1], consts[1:]
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    values = (values ^ xor) * mult
+    return values ^ values >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    values = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    return values ^ values >> 16
+
+
+def _hash_batch(seed: int, batch: int) -> list:
+    """The PCG64 seed words of both streams of ticks ``batch * _BATCH`` onwards.
+
+    ``rows[tag][i]`` is ``SeedSequence(entropy=(seed, n, tag))
+    .generate_state(4, np.uint64)`` as a list of ints, for tick
+    ``n = batch * _BATCH + i``. Row ``r`` of ``entropy`` holds the ``r``-th
+    entropy word of all ``2 * _BATCH`` tuples, and each step of the hash
+    runs on whole rows; the updates of the pool words that one source word
+    feeds are independent, so they run as one step too.
     """
-    tag = {"activation": 0, "lags": 1}[stream]
-    words = np.array([*_words(seed), *_words(n), tag], dtype=np.uint32)
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+    base = batch * _BATCH
+    ticks = np.arange(base & _M32, (base & _M32) + _BATCH)
+    high = _words(base >> 32) if base >> 32 else []
+    rows = [*_words(seed), ticks, *high, np.array([[_ACTIVATION], [_LAGS]])]
+    rows += [0] * (4 - len(rows))  # a pool word without entropy hashes a zero
+    entropy = np.empty((len(rows), 2, _BATCH), dtype=np.uint32)
+    for r, row in enumerate(rows):
+        entropy[r] = row
+    entropy = entropy.reshape(len(rows), 2 * _BATCH)
+    xor, mult = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * (len(entropy) - 4))
+    pool = _hashmix(entropy[:4], xor[:4], mult[:4])
+    k = 4
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[k:k + 3], mult[k:k + 3]))
+        k += 3
+    for word in entropy[4:]:
+        pool = _mix(pool, _hashmix(word, xor[k:k + 4], mult[k:k + 4]))
+        k += 4
+    xor, mult = _hash_consts(_INIT_B, _MULT_B, 8)
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], xor, mult).astype(np.uint64)
+    seeds = state[0::2] | state[1::2] << np.uint64(32)
+    return seeds.T.reshape(2, _BATCH, 4).tolist()
+
+
+class _Stream:
+    """One ``Generator(PCG64(...))`` from its four seed words, in Python ints.
+
+    Seeded as ``pcg64_set_seed`` does it; draws as numpy's ``Generator``
+    makes them, including the buffered upper half of a 64-bit output that
+    its 32-bit draws use.
+    """
+
+    __slots__ = ("state", "inc", "half")
+
+    def __init__(self, words):
+        s_hi, s_lo, i_hi, i_lo = words
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+        self.inc = inc
+        self.state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128
+        self.half = None
+
+    def next64(self) -> int:
+        state = self.state = (self.state * _PCG_MULT + self.inc) & _M128
+        value = (state >> 64 ^ state) & _M64
+        rot = state >> 122
+        return (value >> rot | value << (64 - rot)) & _M64
+
+    def next32(self) -> int:
+        half = self.half
+        if half is not None:
+            self.half = None
+            return half
+        value = self.next64()
+        self.half = value >> 32
+        return value & _M32
+
+    def random(self, size: int) -> list:
+        """``Generator.random(size)``."""
+        return [(self.next64() >> 11) * 2.0**-53 for _ in range(size)]
+
+    def integers(self, span: int, size: int) -> list:
+        """``Generator.integers(0, span, size)``.
+
+        Lemire's method with rejection, on 32-bit draws up to a span of
+        2**32 and on 64-bit draws beyond; a span of 1 draws nothing.
+        """
+        if span == 1:
+            return [0] * size
+        bits, draw = (32, self.next32) if span <= 1 << 32 else (64, self.next64)
+        low = (1 << bits) - 1
+        threshold = (1 << bits) % span
+        out = []
+        for _ in range(size):
+            m = draw() * span
+            while m & low < threshold:
+                m = draw() * span
+            out.append(m >> bits)
+        return out
+
+
+class _Memo:
+    """What one random stream keeps between queries.
+
+    ``ring`` slot ``n % (window + 1)`` holds ``(n, mask)`` once the raw
+    activation of tick ``n`` is drawn (see ``_draw_mask``); ``batch`` holds
+    ``(index, rows)`` of the last ``_hash_batch`` call. Each is replaced by
+    one store and checked against its tick or index when read, so
+    concurrent queries can at worst draw a tick or hash a batch twice.
+    """
+
+    __slots__ = ("seed", "ring", "batch")
+
+    def __init__(self, seed: int, window: int):
+        self.seed = seed
+        self.ring = [None] * (window + 1)
+        self.batch = (-1, None)
+
+    def stream(self, n: int, tag: int) -> _Stream:
+        """The generator of ``(seed, n, tag)``."""
+        index, i = divmod(n, _BATCH)
+        batch, rows = self.batch
+        if batch != index:
+            rows = _hash_batch(self.seed, index)
+            self.batch = (index, rows)
+        return _Stream(rows[tag][i])
 
 
 @lru_cache(maxsize=64)
 def _raw_active(seed: int, prob: float, window: int, num_players: int, num_couplings: int):
-    """The raw activation masks of one random stream's last ``window + 1`` ticks.
-
-    Every caller gets the same ring: slot ``n % (window + 1)`` holds
-    ``(n, mask)`` once tick ``n`` is drawn (see ``_draw_mask``). A slot is
-    replaced by one store and checked against its tick when read, so
-    concurrent queries can at worst draw a tick twice.
-    """
-    return [None] * (window + 1)
+    """The memo of one random stream; ``cache_clear()`` drops every draw and hash."""
+    return _Memo(seed, window)
 
 
-def _draw_mask(rng: np.random.Generator, prob: float, num_blocks: int) -> int:
+def _draw_mask(stream: _Stream, prob: float, num_blocks: int) -> int:
     """Bernoulli draws of one tick: bit ``i`` is player ``i``, then the couplings follow."""
     mask = 0
-    for b, u in enumerate(rng.random(num_blocks).tolist()):
+    for b, u in enumerate(stream.random(num_blocks)):
         if u < prob:
             mask |= 1 << b
     return mask
@@ -174,7 +308,7 @@ def _indices(mask: int, size: int) -> tuple:
     return tuple(i for i in range(size) if mask >> i & 1)
 
 
-def _random_active(seed, prob, window, n, num_players, num_couplings):
+def _random_active(memo, prob, window, n, num_players, num_couplings):
     """Bernoulli activation plus constructive coverage and nonemptiness.
 
     A block missing from every raw draw of the last ``window`` ticks is
@@ -183,9 +317,9 @@ def _random_active(seed, prob, window, n, num_players, num_couplings):
     """
     num_blocks = num_players + num_couplings
     full = (1 << num_blocks) - 1
-    ring = _raw_active(seed, prob, window, num_players, num_couplings)
-    rng = _tick_rng(seed, n, "activation")
-    raw = _draw_mask(rng, prob, num_blocks)
+    ring = memo.ring
+    stream = memo.stream(n, _ACTIVATION)
+    raw = _draw_mask(stream, prob, num_blocks)
     ring[n % len(ring)] = (n, raw)
     if n <= window:
         recent = full  # the window holds tick 0
@@ -194,7 +328,7 @@ def _random_active(seed, prob, window, n, num_players, num_couplings):
         for j in range(n - window, n):
             slot = ring[j % len(ring)]
             if slot is None or slot[0] != j:
-                slot = (j, _draw_mask(_tick_rng(seed, j, "activation"), prob, num_blocks))
+                slot = (j, _draw_mask(memo.stream(j, _ACTIVATION), prob, num_blocks))
                 ring[j % len(ring)] = slot
             recent |= slot[1]
     active = raw | (full & ~recent)
@@ -202,9 +336,9 @@ def _random_active(seed, prob, window, n, num_players, num_couplings):
     coups = active >> num_players
     # the fallbacks continue the activation stream after the raw draws
     if not players:
-        players = 1 << int(rng.integers(num_players))
+        players = 1 << stream.integers(num_players, 1)[0]
     if num_couplings and not coups:
-        coups = 1 << int(rng.integers(num_couplings))
+        coups = 1 << stream.integers(num_couplings, 1)[0]
     return _indices(players, num_players), _indices(coups, num_couplings)
 
 

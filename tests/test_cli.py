@@ -362,6 +362,25 @@ def test_numeric_keys_refuse_booleans_and_strings(tmp_path, capsys, extra):
     assert not (tmp_path / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("problem", [
+    {"family": "shared_constraint", "rhs": True, "targets": [1, 2]},
+    {"family": "shared_constraint", "targets": [True, 2]},
+    {"family": "shared_constraint", "box": ["0", 10]},
+    {"family": "consensus", "boxes": [[0, True], [0, 1]]},
+    {"family": "matching_pennies", "payoff": [[1, -1], [-1, False]]},
+    {"family": "lasso", "design": [[1, 0], [0, "1"]], "rhs": [1, 2]},
+    {"family": "lasso", "design": [[1, 0], [0, 1]], "rhs": [1, None]},
+    {"family": "lasso", "design": [[1, 0], [0, 1]], "rhs": [1, 2], "l1_weight": True},
+], ids=["rhs-true", "targets-true-entry", "box-string-entry", "boxes-true-entry",
+        "payoff-false-entry", "design-string-entry", "lasso-rhs-null-entry", "l1_weight-true"])
+def test_numeric_problem_keys_refuse_booleans_and_strings(tmp_path, capsys, problem):
+    path = write_config(tmp_path, consensus_payload(tmp_path, problem=problem))
+    assert main(["solve", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad configuration values: problem ") and err.count("\n") == 1
+    assert not (tmp_path / "trace.csv").exists()
+
+
 LASSO_DESIGN = [[1.0, 0.2, 0.0], [0.0, 1.0, 0.3], [0.1, 0.0, 1.0]]
 
 

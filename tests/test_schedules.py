@@ -7,10 +7,13 @@ import sys
 import threading
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from nashsplit import schedules
 from nashsplit.schedules import Schedule, audit, cyclic, randomized, synchronous
+
+from _oracles import _tick_rng as numpy_tick_rng
 
 
 def test_synchronous_full_activation_zero_lag():
@@ -120,6 +123,55 @@ def test_random_schedule_draws_are_stable_across_versions(seed, sched_args, bloc
     prob, max_lag, window = sched_args
     sched = randomized(seed, prob, max_lag=max_lag, window=window)
     assert _draw_digest(sched, *blocks) == expected
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64])
+def test_hashed_words_equal_the_seed_sequence_words(seed):
+    # batch edges, and ticks and seeds that grow a second or third uint32 word
+    for n in (0, 1, 63, 64, 65, 2**32 - 1, 2**32, 2**32 + 64, 2**64 - 1, 2**64):
+        rows = schedules._hash_batch(seed, n // schedules._BATCH)
+        for tag in (0, 1):
+            words = np.random.SeedSequence(entropy=(seed, n, tag)).generate_state(4, np.uint64)
+            assert rows[tag][n % schedules._BATCH] == words.tolist(), (n, tag)
+
+
+@pytest.mark.parametrize("seed", [3, 2**32 + 5])
+def test_transcribed_streams_equal_numpys_draws(seed):
+    # one memo queried across batch edges and across tick 2**32, as a schedule
+    # queries it; a 3 * 2**30-wide draw is rejected and redrawn one time in
+    # four, a 2**20 + 1-wide one about one time in 4000, and the odd sizes
+    # leave a buffered upper half for the next call to start with
+    memo = schedules._Memo(seed, window=0)
+    for n in (2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1, 62, 63, 64, 65):
+        for tag, name in enumerate(("activation", "lags")):
+            ours, ref = memo.stream(n, tag), numpy_tick_rng(seed, n, name)
+            assert ours.random(5) == ref.random(5).tolist()
+            for span, size in ((7, 9), (2**20 + 1, 5001), (3 * 2**30, 63), (3 * 2**40, 8)):
+                assert ours.integers(span, size) == ref.integers(0, span, size=size).tolist()
+            assert ours.integers(1, 1) == [ref.integers(1)]   # a range of 0 draws nothing
+            assert ours.integers(5, 1) == [ref.integers(5)]
+            assert ours.integers(3, 1) == [ref.integers(3)]
+            assert ours.random(2) == ref.random(2).tolist()
+
+
+def test_cache_clear_drops_the_hashed_words(monkeypatch):
+    # every timed benchmark solve starts from a cold memo, hashing included
+    hashed = []
+
+    def counting(seed, batch):
+        hashed.append(batch)
+        return hash_batch(seed, batch)
+
+    hash_batch = schedules._hash_batch
+    monkeypatch.setattr(schedules, "_hash_batch", counting)
+    sched = randomized(4, 0.3, max_lag=2, window=5)
+    schedules._raw_active.cache_clear()
+    for n in range(1, 70):
+        sched.next_tick(n, 3, 1)
+    assert hashed == [0, 1]
+    schedules._raw_active.cache_clear()
+    sched.next_tick(69, 3, 1)
+    assert hashed == [0, 1, 1]
 
 
 def test_random_schedule_memory_is_bounded_by_the_window():
