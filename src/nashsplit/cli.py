@@ -213,9 +213,11 @@ def build_instance(problem: Mapping[str, Any]):
 
     Each key of the section goes to its ``_FAMILIES`` builder keyword
     through its conversion; a key the section leaves out takes the
-    builder's default, and one without a default must be given. Numbers,
-    list entries and matrix entries must be JSON numbers; matrices are
-    given as row-major lists of rows.
+    builder's default, and one without a default must be given. Values
+    must be as JSON decodes them: numbers, list entries and matrix entries
+    are plain ``int``/``float`` (no ``bool``, string or numpy scalar), and
+    vectors and matrices are lists (matrices row-major lists of rows), not
+    tuples or arrays. Call the ``problems`` builders directly for those.
     """
     family = problem.get("family")
     if not isinstance(family, str) or family not in _FAMILIES:

@@ -24,7 +24,11 @@ trace. Forced coverage reads the raw draws of the previous ``window``
 ticks. The memo of each of the 64 streams used last holds them as
 bitmasks for the last ``window + 1`` ticks, next to the one batch of
 hashed words drawn last, so memory is bounded by the window and the batch
-size, not by the tick count.
+size, not by the tick count. The batch amortises only over in-order
+queries, as ``solve`` and ``audit`` make them: a query outside the last
+batch hashes a whole new one, so out-of-order or interleaved queries pay
+for a batch per tick, or up to three when the coverage window straddles
+batch edges.
 """
 
 from __future__ import annotations
@@ -270,6 +274,7 @@ class _Memo:
     ``(index, rows)`` of the last ``_hash_batch`` call. Each is replaced by
     one store and checked against its tick or index when read, so
     concurrent queries can at worst draw a tick or hash a batch twice.
+    One batch is kept, so the hash is shared only by ticks queried in order.
     """
 
     __slots__ = ("seed", "ring", "batch")

@@ -8,8 +8,7 @@ and consensus (10 players, synchronous). A rep queries ticks
 the median over ``REPS`` reps of the microseconds per call, one line per
 shape::
 
-    python tools/time_next_tick.py            # about 10 s on 2 vCPUs
-    python tools/time_next_tick.py --seed 7   # another schedule seed
+    python tools/time_next_tick.py   # about 10 s on 2 vCPUs
 
 The draws are the same for every version, so two versions compare by
 running this script in each checkout, interleaved, on the same machine.
@@ -17,7 +16,6 @@ running this script in each checkout, interleaved, on the same machine.
 
 from __future__ import annotations
 
-import argparse
 import statistics
 import sys
 import time
@@ -29,6 +27,7 @@ from nashsplit import schedules  # noqa: E402
 
 CALLS = 6000
 REPS = 7
+SEED = 20211
 
 
 def shapes(seed: int) -> dict:
@@ -52,11 +51,8 @@ def time_shape(schedule, num_players: int, num_couplings: int) -> float:
     return statistics.median(per_call)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=20211, help="schedule seed (default 20211)")
-    args = parser.parse_args(argv)
-    for name, (schedule, num_players, num_couplings) in shapes(args.seed).items():
+def main() -> int:
+    for name, (schedule, num_players, num_couplings) in shapes(SEED).items():
         print(f"{name}: {time_shape(schedule, num_players, num_couplings):.1f} us/call")
     return 0
 
