@@ -21,8 +21,9 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .linops import LinOp
-from .proximal import NonsmoothTerm
+from . import proximal
+from .linops import Identity, LinOp
+from .proximal import NonsmoothTerm, is_indicator
 
 __all__ = [
     "SmoothTerm",
@@ -32,6 +33,7 @@ __all__ = [
     "CouplingBlock",
     "InteractionGradient",
     "Game",
+    "ProxGroup",
     "StateBlocks",
     "SolverParams",
     "StepSchedule",
@@ -68,7 +70,7 @@ class SmoothTerm:
 
 
 def zero_smooth() -> SmoothTerm:
-    return SmoothTerm(lambda x: 0.0, lambda x: np.zeros_like(x))
+    return SmoothTerm(lambda x: 0.0, lambda x: np.zeros(np.shape(x)))
 
 
 def quadratic_smooth(curvature: float, linear) -> SmoothTerm:
@@ -171,6 +173,54 @@ class StateBlocks(NamedTuple):
     v_star: tuple
 
 
+class ProxGroup(NamedTuple):
+    """Players whose nonsmooth terms share one prox call on the stacked ``x``.
+
+    ``index`` holds the members' entries of the stacked strategies and
+    ``term`` acts on those entries: a single member's own term, or for
+    several members the same kind rebuilt from their concatenated data.
+    """
+
+    term: NonsmoothTerm
+    index: np.ndarray
+
+
+# Kinds whose prox acts entry by entry with per-entry data, so one term over
+# the concatenated data of several players gives each entry the bits of its
+# own player's prox: the vector data the ``proximal`` constructor takes, and
+# the scalar that the members of a group must share (passed first).
+_ENTRYWISE = {
+    "zero": ((), None),
+    "box": (("lower", "upper"), None),
+    "shifted_orthant": (("offset",), None),
+    "singleton": (("point",), None),
+    "l1": ((), "weight"),
+    "quadratic": (("linear",), "curvature"),
+}
+
+
+def _group_key(term: NonsmoothTerm, dim: int):
+    """The key of the entrywise group of a player's term, or None to keep it alone.
+
+    A term whose intrinsic dimension differs from the player's stays alone,
+    so that its prox raises the dimension error it always raised.
+    """
+    if term.kind not in _ENTRYWISE or term.dim not in (None, dim):
+        return None
+    vectors, scalar = _ENTRYWISE[term.kind]
+    if not all(name in term.meta for name in vectors + ((scalar,) if scalar else ())):
+        return None
+    return (term.kind, term.meta[scalar]) if scalar else (term.kind,)
+
+
+def _stacked_term(terms: list) -> NonsmoothTerm:
+    """One term of the shared kind over the concatenated data of ``terms``."""
+    vectors, scalar = _ENTRYWISE[terms[0].kind]
+    args = [terms[0].meta[scalar]] if scalar else []
+    args += [np.concatenate([t.meta[name] for t in terms]) for name in vectors]
+    return getattr(proximal, terms[0].kind)(*args)
+
+
 @dataclass(frozen=True)
 class Game:
     """A full modular Nash game: players, couplings, interaction gradient.
@@ -182,6 +232,13 @@ class Game:
     and, per field, the slice of those blocks ``field_blocks``) and, per
     player, the couplings whose maps read that player's strategy (the
     players with at least one are ``coupled_players``).
+
+    For the stacked certificate, ``prox_groups`` puts every player in one
+    group: those whose nonsmooth terms act entry by entry share one
+    (``zero``, ``box``, ``shifted_orthant`` and ``singleton`` by kind,
+    ``l1`` by weight, ``quadratic`` by curvature), any other term is a
+    group of one. ``mixed_players`` have a mix that is not an ``Identity``
+    of their widths; ``indicator_players`` have an indicator term.
     """
 
     players: Sequence[PlayerBlock]
@@ -216,6 +273,25 @@ class Game:
         starts.flags.writeable = False
         object.__setattr__(self, "block_starts", starts)
         object.__setattr__(self, "field_blocks", StateBlocks(*fields))
+        members = {}
+        for i, p in enumerate(self.players):
+            key = _group_key(p.nonsmooth, p.dim_strategy)
+            members.setdefault(i if key is None else key, []).append(i)
+        xs, prox_groups = groups[0], []
+        for idx in members.values():
+            terms = [self.players[i].nonsmooth for i in idx]
+            term = terms[0] if len(idx) == 1 else _stacked_term(terms)
+            index = np.concatenate([np.arange(xs[i].start, xs[i].stop) for i in idx])
+            index.flags.writeable = False
+            prox_groups.append(ProxGroup(term, index))
+        object.__setattr__(self, "prox_groups", tuple(prox_groups))
+        object.__setattr__(self, "mixed_players", tuple(
+            i for i, p in enumerate(self.players)
+            if not (type(p.mix) is Identity and p.mix.in_dim == p.dim_strategy == p.dim_interaction)
+        ))
+        object.__setattr__(self, "indicator_players", tuple(
+            i for i, p in enumerate(self.players) if is_indicator(p.nonsmooth)
+        ))
         object.__setattr__(self, "_incidence", tuple(
             tuple((k, c.maps[i]) for k, c in enumerate(self.couplings) if i in c.maps)
             for i in range(len(self.players))

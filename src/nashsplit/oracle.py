@@ -8,6 +8,19 @@ be at a prox fixed point of its own stationarity condition. All three
 lines vanish exactly at solutions, so the maximum residual doubles as the
 solver's stopping rule.
 
+The certificate runs after every tick that moves the iterate, so it works
+on stacked vectors. The game groups the players whose nonsmooth terms act
+entry by entry (``Game.prox_groups``), and each group takes one prox call
+on its entries of the stacked strategies. Every other term, every smooth
+gradient and every mix that is not an ``Identity`` is evaluated per
+player (``Identity`` mixes are skipped), and each coupling on its own.
+The player and interaction residuals are per-block sums of squares
+(``np.add.reduceat``), and the maximum runs over the player, interaction
+and coupling residuals and then the gaps (players, then couplings). So on
+one-entry blocks every residual has the bits of the per-player
+evaluation (``tests/_oracles.py`` keeps it as the reference); on wider
+blocks the sums of squares agree with its dot products to rounding.
+
 The reference solvers are diagnostic and deliberately independent of the
 main iteration: a Gauss-Seidel best-response sweep (which is expected to
 cycle on minimax instances) and an active-set enumerator for quadratic
@@ -54,24 +67,41 @@ def _norm(v) -> float:
     return float(np.sqrt(np.dot(v, v)))
 
 
-def _blocks(blocks, dims, what: str, coerce: bool = True):
-    """Per-block inputs as checked vectors: zeros when absent, as given when not ``coerce``."""
+def _blocks(blocks, layout, what: str, coerce: bool = True):
+    """Per-block inputs checked against ``layout``: zeros when absent, as given when not ``coerce``."""
     if blocks is None:
-        return [np.zeros(d) for d in dims]
+        return [np.zeros(s.stop - s.start) for s in layout]
     if not coerce:
         return blocks
-    return [as_vector(b, d, f"{what}[{i}]") for i, (b, d) in enumerate(zip(blocks, dims))]
+    return [as_vector(b, s.stop - s.start, f"{what}[{i}]")
+            for i, (b, s) in enumerate(zip(blocks, layout))]
 
 
-def _first_order(game: Game, xs):
-    """The mixes ``M_i x_i``, the coupling mixtures ``L_k x`` and ``Q(Mx)``, per block."""
-    ys = [p.mix.apply(xs[i]) for i, p in enumerate(game.players)]
-    zs = [game.coupling_mixture(k, xs) for k in range(game.num_couplings)]
-    qs = game.split_interaction(np.asarray(game.interaction.eval(np.concatenate(ys)), dtype=float))
-    return ys, zs, qs
+def _stacked(blocks, layout, what: str) -> np.ndarray:
+    """Concatenate one output per player, checked against the block widths of ``layout``.
+
+    A wrong total shape names the first player whose output has the wrong
+    shape, instead of misaligning the blocks after it or failing inside numpy.
+    """
+    try:
+        flat = np.concatenate(blocks)
+    except ValueError:
+        flat = None
+    if flat is None or flat.shape != (layout[-1].stop - layout[0].start,):
+        for i, (b, s) in enumerate(zip(blocks, layout)):
+            if np.shape(b) != (s.stop - s.start,):
+                raise ValueError(f"player {i}: {what} returned shape {np.shape(b)}, "
+                                 f"expected ({s.stop - s.start},)")
+    return flat
 
 
-def check_equilibrium(game: Game, x, u_star=None, v_star=None, *, coerce: bool = True) -> Certificate:
+def _block_norms(d: np.ndarray, starts) -> np.ndarray:
+    """The Euclidean norm of each block of ``d``, blocks starting at ``starts``."""
+    return np.sqrt(np.add.reduceat(d * d, starts))
+
+
+def check_equilibrium(game: Game, x, u_star=None, v_star=None, *,
+                      coerce: bool = True) -> Certificate:
     """Evaluate the equilibrium residuals at ``(x, u*, v*)``.
 
     ``u_star`` defaults to the stacked interaction gradient at the mixed
@@ -79,24 +109,67 @@ def check_equilibrium(game: Game, x, u_star=None, v_star=None, *, coerce: bool =
     zeros. For indicator coupling terms the dual-inclusion residual is the
     projection identity distance. ``coerce=False`` skips input coercion
     for callers that already hold validated blocks (the per-tick path).
-    """
-    xs = _blocks(x, game.strategy_dims, "x", coerce)
-    _, zs, qs = _first_order(game, xs)
-    us = qs if u_star is None else _blocks(u_star, game.interaction_dims, "u*", coerce)
-    vs = _blocks(v_star, game.coupling_dims, "v*", coerce)
 
-    interaction_res = [_norm(us[i] - qs[i]) for i in range(game.num_players)]
-    player_res, coupling_res, gaps = [], [], []
-    for i, p in enumerate(game.players):
-        pull = game.coupling_pullback(i, p.smooth.grad(xs[i]) + p.mix.adjoint_apply(us[i]), vs)
-        player_res.append(_norm(xs[i] - prox(p.nonsmooth, _CERT_STEP, xs[i] - _CERT_STEP * pull)))
-        if is_indicator(p.nonsmooth):
-            gaps.append(_norm(xs[i] - prox(p.nonsmooth, 1.0, xs[i])))
+    The player lines run on the stacked ``x`` and ``u*`` as the module
+    docstring says: one prox call per group of ``game.prox_groups`` for
+    the residuals and one per indicator group for the gaps, the groups
+    built from each term's kind and ``meta`` as the ``proximal``
+    constructors set them. An output of the wrong shape from a smooth
+    gradient, a mix or the interaction gradient raises ValueError naming
+    the operator and, for the first two, the first such player.
+    """
+    players, layout = game.players, game.state_slices
+    xs = _blocks(x, layout.x, "x", coerce)
+    x_flat = np.concatenate(xs)
+    mixed = game.mixed_players
+    if mixed:
+        ys = list(xs)
+        for i in mixed:
+            ys[i] = players[i].mix.apply(xs[i])
+        y_flat = _stacked(ys, layout.y, "mix")
+    else:
+        y_flat = x_flat
+    q = np.asarray(game.interaction.eval(y_flat), dtype=float)
+    if q.shape != y_flat.shape:
+        raise ValueError(
+            f"interaction gradient returned shape {q.shape}, expected {y_flat.shape}"
+        )
+    u = q if u_star is None else np.concatenate(_blocks(u_star, layout.u_star, "u*", coerce))
+    vs = _blocks(v_star, layout.v_star, "v*", coerce)
+
+    grad = _stacked([p.smooth.grad(xs[i]) for i, p in enumerate(players)], layout.x,
+                    "smooth gradient")
+    if mixed:
+        back = game.split_interaction(u)
+        for i in mixed:
+            back[i] = players[i].mix.adjoint_apply(back[i])
+        pull = grad + _stacked(back, layout.x, "mix adjoint")
+    else:
+        pull = grad + u
+    for i in game.coupled_players:
+        pull[layout.x[i]] = game.coupling_pullback(i, pull[layout.x[i]], vs)
+    step = x_flat - _CERT_STEP * pull
+    out = np.empty_like(x_flat)
+    for term, index in game.prox_groups:
+        out[index] = prox(term, _CERT_STEP, step[index])
+    starts = game.block_starts[game.field_blocks.x]
+    player_res = _block_norms(x_flat - out, starts).tolist()
+    interaction_res = _block_norms(u - q, game.interaction_offsets()[:-1]).tolist()
+
+    gaps = []
+    if game.indicator_players:
+        out = x_flat.copy()
+        for term, index in game.prox_groups:
+            if is_indicator(term):
+                out[index] = prox(term, 1.0, x_flat[index])
+        gaps = _block_norms(x_flat - out, starts).take(game.indicator_players).tolist()
+    coupling_res = []
     for k, blk in enumerate(game.couplings):
-        inward = vs[k] - blk.smooth.grad(zs[k])
-        coupling_res.append(_norm(zs[k] - prox(blk.nonsmooth, _CERT_STEP, zs[k] + _CERT_STEP * inward)))
+        z = game.coupling_mixture(k, xs)
+        inward = vs[k] - blk.smooth.grad(z)
+        coupling_res.append(_norm(z - prox(blk.nonsmooth, _CERT_STEP, z + _CERT_STEP * inward)))
         if is_indicator(blk.nonsmooth):
-            gaps.append(_norm(zs[k] - prox(blk.nonsmooth, 1.0, zs[k])))
+            gaps.append(_norm(z - prox(blk.nonsmooth, 1.0, z)))
 
     everything = player_res + interaction_res + coupling_res + gaps
     return Certificate(
@@ -110,9 +183,11 @@ def equilibrium_tuple(game: Game, x, v_star=None):
     This is the reference point for the half-space and distance-monotone
     run invariants.
     """
-    xs = _blocks(x, game.strategy_dims, "x")
-    ys, zs, us = _first_order(game, xs)
-    vs = _blocks(v_star, game.coupling_dims, "v*")
+    xs = _blocks(x, game.state_slices.x, "x")
+    ys = [p.mix.apply(xs[i]) for i, p in enumerate(game.players)]
+    zs = [game.coupling_mixture(k, xs) for k in range(game.num_couplings)]
+    us = game.split_interaction(np.asarray(game.interaction.eval(np.concatenate(ys)), dtype=float))
+    vs = _blocks(v_star, game.state_slices.v_star, "v*")
     return tuple(tuple(np.array(b) for b in group) for group in (xs, ys, zs, us, vs))
 
 

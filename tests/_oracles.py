@@ -1,14 +1,18 @@
 """Independent reference computations used by the tests.
 
-Everything here is deliberately written without importing the package
-under test (plain numpy only): a straight-line synchronous reference run
-of the half-space projection iteration, a finite-difference gradient, a
-grid-search simplex projection, an ISTA reference for the l1 least
-squares instance, a closed-form mixed equilibrium for 2x2 zero-sum
-games, the random activation schedule as first written (one
-``SeedSequence`` built from a tuple per generator, frozenset draws), and
-the solver's blockwise inner product as first written (a Python loop of
-per-block dots).
+Everything here but the last item is deliberately written without
+importing the package under test (plain numpy only): a straight-line
+synchronous reference run of the half-space projection iteration, a
+finite-difference gradient, a grid-search simplex projection, an ISTA
+reference for the l1 least squares instance, a closed-form mixed
+equilibrium for 2x2 zero-sum games, the random activation schedule as
+first written (one ``SeedSequence`` built from a tuple per generator,
+frozenset draws), and the solver's blockwise inner product as first
+written (a Python loop of per-block dots). The last item is the
+equilibrium certificate as first written (per player: mix, gradient,
+adjoint, pullback, prox and one dot per residual); it calls the
+package's ``prox``, ``as_vector`` and ``Certificate``, because what it
+checks is the stacking of the certificate, not those.
 """
 
 from __future__ import annotations
@@ -16,6 +20,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+
+from nashsplit.model import as_vector
+from nashsplit.oracle import Certificate
+from nashsplit.proximal import is_indicator, prox
 
 
 def reference_run(init, players, couplings, interaction_grad, relaxation, n_ticks):
@@ -412,7 +420,7 @@ def random_schedule_tick(seed, prob, window, max_lag, n, num_players, num_coupli
 
 # The solver's blockwise inner product as first written: one ``np.dot`` per
 # block, accumulated in a Python float over the players, then the couplings.
-# ``Game`` stays an unevaluated annotation; the package is not imported.
+# ``Game`` stays an unevaluated annotation.
 
 def _block_inner(game: Game, left: np.ndarray, right: np.ndarray) -> float:
     """Inner product of two flat state-layout vectors, accumulated block by block.
@@ -429,3 +437,66 @@ def _block_inner(game: Game, left: np.ndarray, right: np.ndarray) -> float:
     for z, v in zip(zs, vs):
         acc += float(np.dot(left[z], right[z])) + float(np.dot(left[v], right[v]))
     return acc
+
+
+# The equilibrium certificate as first written: one player at a time, one
+# ``np.dot`` per residual.
+
+# The certificate evaluates prox residuals at unit step. Any fixed positive
+# step has the same zero set; this one is unrelated to the solver's
+# per-block step schedules.
+_CERT_STEP = 1.0
+
+
+def _norm(v) -> float:
+    return float(np.sqrt(np.dot(v, v)))
+
+
+def _blocks(blocks, dims, what: str, coerce: bool = True):
+    """Per-block inputs as checked vectors: zeros when absent, as given when not ``coerce``."""
+    if blocks is None:
+        return [np.zeros(d) for d in dims]
+    if not coerce:
+        return blocks
+    return [as_vector(b, d, f"{what}[{i}]") for i, (b, d) in enumerate(zip(blocks, dims))]
+
+
+def _first_order(game: Game, xs):
+    """The mixes ``M_i x_i``, the coupling mixtures ``L_k x`` and ``Q(Mx)``, per block."""
+    ys = [p.mix.apply(xs[i]) for i, p in enumerate(game.players)]
+    zs = [game.coupling_mixture(k, xs) for k in range(game.num_couplings)]
+    qs = game.split_interaction(np.asarray(game.interaction.eval(np.concatenate(ys)), dtype=float))
+    return ys, zs, qs
+
+
+def check_equilibrium(game: Game, x, u_star=None, v_star=None, *, coerce: bool = True) -> Certificate:
+    """Evaluate the equilibrium residuals at ``(x, u*, v*)``.
+
+    ``u_star`` defaults to the stacked interaction gradient at the mixed
+    strategies (making the first line exact); ``v_star`` defaults to
+    zeros. For indicator coupling terms the dual-inclusion residual is the
+    projection identity distance. ``coerce=False`` skips input coercion
+    for callers that already hold validated blocks (the per-tick path).
+    """
+    xs = _blocks(x, game.strategy_dims, "x", coerce)
+    _, zs, qs = _first_order(game, xs)
+    us = qs if u_star is None else _blocks(u_star, game.interaction_dims, "u*", coerce)
+    vs = _blocks(v_star, game.coupling_dims, "v*", coerce)
+
+    interaction_res = [_norm(us[i] - qs[i]) for i in range(game.num_players)]
+    player_res, coupling_res, gaps = [], [], []
+    for i, p in enumerate(game.players):
+        pull = game.coupling_pullback(i, p.smooth.grad(xs[i]) + p.mix.adjoint_apply(us[i]), vs)
+        player_res.append(_norm(xs[i] - prox(p.nonsmooth, _CERT_STEP, xs[i] - _CERT_STEP * pull)))
+        if is_indicator(p.nonsmooth):
+            gaps.append(_norm(xs[i] - prox(p.nonsmooth, 1.0, xs[i])))
+    for k, blk in enumerate(game.couplings):
+        inward = vs[k] - blk.smooth.grad(zs[k])
+        coupling_res.append(_norm(zs[k] - prox(blk.nonsmooth, _CERT_STEP, zs[k] + _CERT_STEP * inward)))
+        if is_indicator(blk.nonsmooth):
+            gaps.append(_norm(zs[k] - prox(blk.nonsmooth, 1.0, zs[k])))
+
+    everything = player_res + interaction_res + coupling_res + gaps
+    return Certificate(
+        tuple(player_res), tuple(interaction_res), tuple(coupling_res), tuple(gaps), max(everything)
+    )

@@ -63,6 +63,14 @@ def test_coupling_map_dimension_mismatch_reported():
     assert len(report) == 1 and "coupling 0" in report[0]
 
 
+def test_zero_smooth_gradient_is_fresh_float64_zeros():
+    x = np.array([1.5, -2.0, 3.0])
+    g = zero_smooth().grad(x)
+    assert g.dtype == np.float64 and g.shape == x.shape and not g.any()
+    assert not np.shares_memory(g, x)
+    assert zero_smooth().grad(np.array([7], dtype=np.int64)).dtype == np.float64
+
+
 def test_as_vector_contract():
     from nashsplit.model import as_vector
 

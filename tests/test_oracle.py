@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from nashsplit import proximal
+from nashsplit import oracle, proximal
 from nashsplit.linops import Dense, Identity
 from nashsplit.model import (
     CouplingBlock,
     Game,
     InteractionGradient,
     PlayerBlock,
+    SmoothTerm,
+    SolverParams,
     quadratic_smooth,
     zero_smooth,
 )
@@ -26,6 +28,8 @@ from nashsplit.problems import (
     matching_pennies_instance,
     shared_constraint_instance,
 )
+from nashsplit.schedules import synchronous
+from nashsplit.solver import solve
 
 
 class TestCheckEquilibrium:
@@ -53,6 +57,87 @@ class TestCheckEquilibrium:
         game, _ = shared_constraint_instance()
         cert = check_equilibrium(game, [[2.0], [3.0]], [[1.0], [1.0]], [[1.0]])
         assert cert.max_residual > 0.5
+
+
+def test_certificate_calls_prox_once_per_group(monkeypatch):
+    # boxes group by kind, l1 terms by weight; the simplex stays alone, and
+    # the box and simplex groups take one more call each for the gaps
+    terms = [proximal.box([-1.0], [1.0]), proximal.box([0.0], [2.0]), proximal.l1(0.5),
+             proximal.l1(2.0), proximal.l1(0.5), proximal.simplex(), proximal.zero()]
+    widths = [1, 1, 1, 1, 1, 2, 1]
+    players = [PlayerBlock(d, d, t, zero_smooth(), 0.0, Identity(d), 1.0)
+               for t, d in zip(terms, widths)]
+    game = Game(players, InteractionGradient(lambda y: 0.5 * y, 1.0))
+    assert [(g.term.kind, g.index.tolist()) for g in game.prox_groups] == [
+        ("box", [0, 1]), ("l1", [2, 4]), ("l1", [3]), ("simplex", [5, 6]), ("zero", [7])]
+    calls = []
+    monkeypatch.setattr(oracle, "prox", lambda *args: calls.append(args) or proximal.prox(*args))
+    cert = check_equilibrium(game, [[0.5], [3.0], [1.0], [-3.0], [0.2], [0.3, 0.3], [4.0]])
+    assert len(calls) == 5 + 2
+    assert len(cert.player_residuals) == 7 and len(cert.feasibility_gaps) == 3
+
+
+class _LongMix(Identity):
+    """A one-entry identity that appends a stray entry to the output of ``method``."""
+
+    def __init__(self, method):
+        super().__init__(1)
+        self.method = method
+
+    def apply(self, x):
+        out = super().apply(x)
+        return np.append(out, 0.0) if self.method == "apply" else out
+
+    def adjoint_apply(self, y):
+        out = super().adjoint_apply(y)
+        return np.append(out, 0.0) if self.method == "adjoint_apply" else out
+
+
+def _two_box_players(bad_grad=None, bad_mix=None,
+                     interaction=lambda y: y - np.array([0.5, -0.5])):
+    players = [
+        PlayerBlock(1, 1, proximal.box([-1.0], [1.0]), zero_smooth(), 0.0, Identity(1), 1.0),
+        PlayerBlock(1, 1, proximal.box([-1.0], [1.0]),
+                    zero_smooth() if bad_grad is None else SmoothTerm(lambda x: 0.0, bad_grad),
+                    0.0, Identity(1) if bad_mix is None else bad_mix, 1.0),
+    ]
+    return Game(players, InteractionGradient(interaction, 1.0))
+
+
+@pytest.mark.parametrize("game, message", [
+    (_two_box_players(bad_grad=lambda x: np.zeros(2)),
+     r"player 1: smooth gradient returned shape \(2,\), expected \(1,\)"),
+    (_two_box_players(bad_grad=lambda x: 0.0),
+     r"player 1: smooth gradient returned shape \(\), expected \(1,\)"),
+    (_two_box_players(bad_grad=lambda x: np.zeros((1, 1))),
+     r"player 1: smooth gradient returned shape \(1, 1\), expected \(1,\)"),
+    (_two_box_players(bad_mix=_LongMix("apply")),
+     r"player 1: mix returned shape \(2,\), expected \(1,\)"),
+    (_two_box_players(bad_mix=_LongMix("adjoint_apply")),
+     r"player 1: mix adjoint returned shape \(2,\), expected \(1,\)"),
+    (_two_box_players(interaction=lambda y: y[:1]),
+     r"interaction gradient returned shape \(1,\), expected \(2,\)"),
+])
+def test_certificate_names_a_wrong_output_shape(game, message):
+    with pytest.raises(ValueError, match=message):
+        check_equilibrium(game, [[0.0], [0.0]])
+    with pytest.raises(ValueError, match=message):
+        check_equilibrium(game, [np.zeros(1), np.zeros(1)], coerce=False)
+
+
+def test_solve_names_a_wrong_gradient_shape_in_the_certificate():
+    # the gradient of player 1 goes wrong after the two calls of its tick-0
+    # step, so the certificate of tick 0 is the first to see a wrong shape
+    calls = []
+
+    def grad(x):
+        calls.append(None)
+        return np.zeros(1 if len(calls) <= 2 else 2)
+
+    game = _two_box_players(bad_grad=grad)
+    with pytest.raises(ValueError, match=r"player 1: smooth gradient returned shape \(2,\)"):
+        solve(game, SolverParams.for_game(game), synchronous(), validate=False)
+    assert len(calls) == 3
 
 
 class TestBestResponse:

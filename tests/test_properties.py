@@ -1,4 +1,4 @@
-"""Property-based checks over randomly drawn schedules.
+"""Property-based checks over randomly drawn schedules, layouts and games.
 
 The examples are bounded and derandomized by the profile that
 ``conftest.py`` loads.
@@ -14,14 +14,16 @@ from hypothesis import given, strategies as st  # noqa: E402
 
 import nashsplit as ns  # noqa: E402
 from nashsplit import proximal, schedules, solver  # noqa: E402
-from nashsplit.linops import Dense  # noqa: E402
+from nashsplit.linops import Dense, Identity, ScaledIdentity  # noqa: E402
 from nashsplit.model import (  # noqa: E402
-    CouplingBlock, Game, InteractionGradient, PlayerBlock, SolverParams, zero_smooth,
+    CouplingBlock, Game, InteractionGradient, PlayerBlock, SolverParams, quadratic_smooth,
+    zero_smooth,
 )
 from nashsplit.problems import lasso_instance, shared_constraint_instance  # noqa: E402
 from nashsplit.solver import IterState, tick  # noqa: E402
 
 from _oracles import _block_inner as loop_block_inner, random_schedule_tick  # noqa: E402
+from _oracles import check_equilibrium as per_block_check_equilibrium  # noqa: E402
 
 _RNG = np.random.default_rng(8)
 INSTANCES = {
@@ -168,3 +170,96 @@ def test_block_inner_of_negative_zero_products_is_positive_zero():
     assert np.all(np.signbit(left * right))
     assert solver._block_inner(game, left, right).hex() == (0.0).hex()
     assert loop_block_inner(game, left, right).hex() == (0.0).hex()
+
+
+# Every nonsmooth kind once per weight or curvature, so that each drawn game
+# has two l1 weights, two quadratic curvatures and several indicator gaps.
+CERT_KINDS = ("zero", "box", "shifted_orthant", "singleton", "l1 0.5", "l1 2.0",
+              "quadratic 0.5", "quadratic 3.0", "simplex", "ball", "custom")
+
+
+def _cert_term(kind: str, d: int, rng) -> proximal.NonsmoothTerm:
+    name, _, scalar = kind.partition(" ")
+    if name == "box":
+        lo = rng.uniform(-1.5, 0.0, d)
+        return proximal.box(lo, lo + rng.uniform(0.0, 2.0, d))
+    if name in ("shifted_orthant", "singleton"):
+        return getattr(proximal, name)(rng.standard_normal(d))
+    if name == "l1":
+        return proximal.l1(float(scalar))
+    if name == "quadratic":
+        return proximal.quadratic(float(scalar), rng.standard_normal(d))
+    if name == "ball":
+        return proximal.ball(rng.standard_normal(d), 0.5)
+    if name == "custom":
+        return proximal.custom_resolvent(lambda g, x: np.tanh(x) / (1.0 + g))
+    return getattr(proximal, name)()
+
+
+def _cert_mix(kind: str, ds: int, di: int, rng):
+    if kind == "identity":
+        return Identity(ds)
+    if kind == "scaled":
+        return ScaledIdentity(ds, float(rng.uniform(0.5, 2.0)))
+    return Dense(rng.standard_normal((di, ds)))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    max_width=st.sampled_from((1, 3)),
+    shuffle=st.booleans(),
+    num_couplings=st.integers(0, 2),
+    given_u=st.booleans(),
+    given_v=st.booleans(),
+    coerce=st.booleans(),
+    data=st.data(),
+)
+def test_certificate_equals_the_per_block_certificate(seed, max_width, shuffle, num_couplings,
+                                                     given_u, given_v, coerce, data):
+    # each kind twice, so that groups of several players are built, of
+    # neighbouring players in kind order and of scattered ones when shuffled
+    kinds = list(CERT_KINDS) * 2
+    if shuffle:
+        kinds = data.draw(st.permutations(kinds), label="kinds")
+    mixes = data.draw(st.lists(st.sampled_from(("identity", "scaled", "dense")),
+                               min_size=len(kinds), max_size=len(kinds)), label="mixes")
+    rng = np.random.default_rng(seed)
+    players = []
+    for kind, mix in zip(kinds, mixes):
+        ds = int(rng.integers(1, max_width + 1))
+        di = ds if mix != "dense" else int(rng.integers(1, max_width + 1))
+        smooth = (quadratic_smooth(float(rng.uniform(0.0, 2.0)), rng.standard_normal(ds))
+                  if rng.random() < 0.5 else zero_smooth())
+        players.append(PlayerBlock(ds, di, _cert_term(kind, ds, rng), smooth, 2.0,
+                                   _cert_mix(mix, ds, di, rng), 1.0))
+    couplings = []
+    for _ in range(num_couplings):
+        dc = int(rng.integers(1, 3))
+        members = rng.choice(len(players), size=int(rng.integers(1, 4)), replace=False)
+        term = (proximal.shifted_orthant(rng.standard_normal(dc)) if rng.random() < 0.5
+                else proximal.zero())
+        couplings.append(CouplingBlock(
+            dc, term, quadratic_smooth(1.0, rng.standard_normal(dc)), 1.0,
+            {int(i): Dense(rng.standard_normal((dc, players[i].dim_strategy))) for i in members},
+        ))
+    ny = sum(p.dim_interaction for p in players)
+    a_mat, b_vec = rng.standard_normal((ny, ny)), rng.standard_normal(ny)
+    game = Game(players, InteractionGradient(lambda y: a_mat @ y + b_vec, 1.0), couplings)
+
+    x = [2.0 * rng.standard_normal(p.dim_strategy) for p in players]
+    u = [rng.standard_normal(p.dim_interaction) for p in players] if given_u else None
+    v = [rng.standard_normal(c.dim) for c in couplings] if given_v else None
+    got = ns.check_equilibrium(game, x, u, v, coerce=coerce)
+    want = per_block_check_equilibrium(game, x, u, v, coerce=coerce)
+    fields = ("player_residuals", "interaction_residuals", "coupling_residuals",
+              "feasibility_gaps")
+    got_all = [*(r for f in fields for r in getattr(got, f)), got.max_residual]
+    want_all = [*(r for f in fields for r in getattr(want, f)), want.max_residual]
+    assert [len(getattr(got, f)) for f in fields] == [len(getattr(want, f)) for f in fields]
+    assert all(type(r) is float for r in got_all)
+    if max_width == 1:
+        # one-entry blocks: the same entrywise arithmetic, one product per norm
+        assert [r.hex() for r in got_all] == [r.hex() for r in want_all]
+    else:
+        # a per-block sum of squares may round otherwise than a BLAS dot
+        assert all(math.isclose(g, w, rel_tol=1e-12) for g, w in zip(got_all, want_all))
