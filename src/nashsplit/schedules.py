@@ -15,24 +15,26 @@ the Bernoulli draws (players, then couplings) and then, only when forced
 coverage leaves a set empty, the fallback block; the ``"lags"`` stream
 gives the player lags, then the coupling lags. The generator is
 ``Generator(PCG64(SeedSequence(entropy=(seed, n, tag))))`` with tag 0 for
-activation and 1 for lags. It is computed by a transcription, not built:
-the ``SeedSequence`` hash runs for a batch of aligned ticks at once as
-uint32 numpy arithmetic, and each tick steps PCG64 in Python ints. The
-numpy-built original in ``tests/_oracles.py`` and SHA-256 hashes pinned in
-the tests guard it, since these draws are part of a run's reproducible
-trace. Forced coverage reads the raw draws of the previous ``window``
-ticks. The memo of each of the 64 streams used last holds them as
-bitmasks for the last ``window + 1`` ticks, next to the one batch of
-hashed words drawn last, so memory is bounded by the window and the batch
-size, not by the tick count. The batch amortises only over in-order
-queries, as ``solve`` and ``audit`` make them: a query outside the last
-batch hashes a whole new one, so out-of-order or interleaved queries pay
-for a batch per tick, or up to three when the coverage window straddles
-batch edges.
+activation and 1 for lags. It is transcribed, not built, for 64 aligned
+ticks at once: the ``SeedSequence`` hash runs as uint32 numpy arithmetic,
+PCG64's jump-ahead gives each output as one 128-bit multiply-add in uint64
+arrays, and coverage, fallbacks and lags are array operations. A tick
+whose fallback or lag draw Lemire's method rejects (about one in 10**9)
+replays through ``_Stream``, PCG64 in Python ints. The numpy-built
+original in ``tests/_oracles.py`` and SHA-256 hashes pinned in the tests
+guard it, since these draws are part of a run's reproducible trace.
+Forced coverage reads the raw draws of the previous ``window`` ticks; the
+memo of each of the 64 streams used last holds the batches that one
+window reaches, so memory is bounded by the window and the batch size,
+not by the tick count. The batch amortises only over in-order queries, as
+``solve`` and ``audit`` make them: out-of-order or interleaved queries pay
+for a batch per tick, or more when the window reaches into batches not
+held.
 """
 
 from __future__ import annotations
 
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -72,6 +74,11 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in ("synchronous", "cyclic", "random"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
+        for name in ("max_lag", "window", "block_size", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+            object.__setattr__(self, name, int(value))  # numpy integers wrap in tick arithmetic
         if self.max_lag < 0 or self.window < 0:
             raise ValueError("max_lag and window must be nonnegative")
         if self.block_size < 1:
@@ -92,17 +99,14 @@ class Schedule:
         if n < 0:
             raise ValueError("tick index must be nonnegative")
         if self.kind == "random" and n > 0:
-            memo = _raw_active(self.seed, self.activation_prob, self.window,
+            memo = _raw_active(self.seed, self.activation_prob, self.window, self.max_lag,
                                num_players, num_couplings)
-            players, coups = _random_active(memo, self.activation_prob, self.window, n,
-                                            num_players, num_couplings)
-            lo = max(0, n - self.max_lag)
-            lags = memo.stream(n, _LAGS)
-            all_p = lags.integers(n + 1 - lo, num_players)
-            all_c = lags.integers(n + 1 - lo, num_couplings)
-            player_lags = {i: lo + all_p[i] for i in players}
-            coupling_lags = {k: lo + all_c[k] for k in coups}
-            return Tick(players, coups, player_lags, coupling_lags)
+            slot = memo.held(n // _BATCH)
+            if slot is None or slot[2] > n:
+                slot = _resolve(memo, self, n, num_players, num_couplings)
+            players, coups, lo, p_offs, c_offs = slot[3][n - slot[2]]
+            return Tick(players, coups, {i: lo + d for i, d in zip(players, p_offs)},
+                        {k: lo + d for k, d in zip(coups, c_offs)})
         if self.kind == "cyclic" and n > 0:
             players = _rotation(n, num_players, self.block_size)
             coups = _rotation(n, num_couplings, self.block_size)
@@ -266,85 +270,161 @@ class _Stream:
         return out
 
 
-class _Memo:
-    """What one random stream keeps between queries.
+@lru_cache(maxsize=8)
+def _jumps(count: int) -> tuple:
+    """The multipliers of ``s`` and ``inc`` in the PCG64 states of outputs 1..count.
 
-    ``ring`` slot ``n % (window + 1)`` holds ``(n, mask)`` once the raw
-    activation of tick ``n`` is drawn (see ``_draw_mask``); ``batch`` holds
-    ``(index, rows)`` of the last ``_hash_batch`` call. Each is replaced by
-    one store and checked against its tick or index when read, so
-    concurrent queries can at worst draw a tick or hash a batch twice.
-    One batch is kept, so the hash is shared only by ticks queried in order.
+    Seeding sets the state to ``a*(s + inc) + inc`` and each output steps it
+    first, so output ``k`` reads ``a**(k+1)*s + (a**(k+1) + a**k + 1 + ... +
+    a**(k-1))*inc`` mod 2**128; as uint64 halves, shape ``(2, 1, count)``.
+    """
+    coefs, power, total = [], _PCG_MULT, 1
+    for _ in range(count):
+        step = power * _PCG_MULT & _M128
+        coefs.append((step, step + power + total & _M128))
+        power, total = step, total + power & _M128
+    coefs = np.array(coefs, dtype=object).T[:, None]
+    lo = (coefs & _M64).astype(np.uint64)
+    return (coefs >> 64).astype(np.uint64), lo, lo & _M32, lo >> 32
+
+
+def _outputs(words: np.ndarray, count: int) -> np.ndarray:
+    """``next64()`` outputs 1..count of the stream of each row of seed ``words``, as columns.
+
+    In uint64 halves, only the product of low halves needs its high word, from 32-bit limbs.
+    """
+    s_hi, s_lo, i_hi, i_lo = words.reshape(-1, 4).T
+    x_hi = np.stack((s_hi, i_hi << 1 | i_lo >> 63))[:, :, None]  # s and inc, as rows
+    x_lo = np.stack((s_lo, i_lo << 1 | 1))[:, :, None]
+    c_hi, c_lo, c0, c1 = _jumps(count)
+    x0, x1 = x_lo & _M32, x_lo >> 32
+    p01, p10 = c0 * x1, c1 * x0
+    mid = (c0 * x0 >> 32) + (p01 & _M32) + (p10 & _M32)
+    hi = c_hi * x_lo + c_lo * x_hi + c1 * x1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    lo = c_lo * x_lo
+    state_lo = lo[0] + lo[1]
+    state_hi = hi[0] + hi[1] + (state_lo < lo[1])
+    value, rot = state_hi ^ state_lo, state_hi >> 58  # XSL-RR
+    return (value >> rot | value << (64 - rot & 63)).reshape(*words.shape[:-1], count)
+
+
+def _lemire(draws: np.ndarray, span) -> tuple:
+    """``Generator.integers(0, span)`` of each 32-bit draw, and where Lemire's method rejects it."""
+    m = draws * span
+    return m >> 32, (m & _M32) < (1 << 32) % span
+
+
+def _draw_batch(seed: int, index: int, prob: float, num_blocks: int) -> tuple:
+    """Words, Bernoulli draws, fallback output and 32-bit lag draws of batch ``index``.
+
+    One row per tick, in stream order; tick 0's Bernoulli draws are full.
+    """
+    words = np.array(_hash_batch(seed, index), dtype=np.uint64)
+    out = _outputs(words, num_blocks + 1)
+    raw = (out[_ACTIVATION, :, :num_blocks] >> 11) * 2.0**-53 < prob
+    raw[0] |= index == 0
+    lags = out[_LAGS, :, :(num_blocks + 1) // 2]
+    halves = np.stack((lags & _M32, lags >> 32), axis=2).reshape(_BATCH, -1)[:, :num_blocks]
+    return words, raw, out[_ACTIVATION, :, num_blocks], halves
+
+
+class _Memo:
+    """What one random stream keeps between queries: a slot per batch that one window reaches.
+
+    Slot ``index % len(slots)`` holds ``(index, draws, start, ticks)``, the
+    ``_draw_batch`` of batch ``index`` and its ticks from ``start`` on, as
+    ``_resolve`` makes them. A slot is replaced by one store and checked
+    against its index when read, so concurrent queries at worst draw twice.
     """
 
-    __slots__ = ("seed", "ring", "batch")
+    __slots__ = ("seed", "slots")
 
     def __init__(self, seed: int, window: int):
         self.seed = seed
-        self.ring = [None] * (window + 1)
-        self.batch = (-1, None)
+        self.slots = [None] * (-(-window // _BATCH) + 1)
+
+    def held(self, index: int):
+        slot = self.slots[index % len(self.slots)]
+        return slot if slot is not None and slot[0] == index else None
+
+    def store(self, slot: tuple) -> tuple:
+        self.slots[slot[0] % len(self.slots)] = slot
+        return slot
 
     def stream(self, n: int, tag: int) -> _Stream:
         """The generator of ``(seed, n, tag)``."""
         index, i = divmod(n, _BATCH)
-        batch, rows = self.batch
-        if batch != index:
-            rows = _hash_batch(self.seed, index)
-            self.batch = (index, rows)
-        return _Stream(rows[tag][i])
+        slot = self.held(index)
+        return _Stream(slot[1][0][tag, i].tolist() if slot else _hash_batch(self.seed, index)[tag][i])
 
 
 @lru_cache(maxsize=64)
-def _raw_active(seed: int, prob: float, window: int, num_players: int, num_couplings: int):
+def _raw_active(seed, prob, window, max_lag, num_players, num_couplings) -> _Memo:
     """The memo of one random stream; ``cache_clear()`` drops every draw and hash."""
     return _Memo(seed, window)
 
 
-def _draw_mask(stream: _Stream, prob: float, num_blocks: int) -> int:
-    """Bernoulli draws of one tick: bit ``i`` is player ``i``, then the couplings follow."""
-    mask = 0
-    for b, u in enumerate(stream.random(num_blocks)):
-        if u < prob:
-            mask |= 1 << b
-    return mask
+def _resolve(memo: _Memo, sched: Schedule, n: int, num_players: int, num_couplings: int):
+    """Store and return the slot of ticks ``n`` to the end of their batch, resolved as arrays.
 
-
-def _indices(mask: int, size: int) -> tuple:
-    return tuple(i for i in range(size) if mask >> i & 1)
-
-
-def _random_active(memo, prob, window, n, num_players, num_couplings):
-    """Bernoulli activation plus constructive coverage and nonemptiness.
-
-    A block missing from every raw draw of the last ``window`` ticks is
-    force-activated, which makes every span of ``window + 1`` ticks cover
-    all blocks. Tick 0 counts as a full raw draw.
+    A tick is ``(players, couplings, lo, player lag offsets, coupling lag
+    offsets)``. A block missing from every raw draw of the last ``window``
+    ticks is force-activated, so every ``window + 1`` ticks cover all blocks.
     """
-    num_blocks = num_players + num_couplings
-    full = (1 << num_blocks) - 1
-    ring = memo.ring
+    num_blocks, window = num_players + num_couplings, sched.window
+    index, first = divmod(n, _BATCH)
+    oldest, stop = n - window, (index + 1) * _BATCH
+    held = {b: (memo.held(b) or memo.store(
+        (b, _draw_batch(memo.seed, b, sched.activation_prob, num_blocks), (b + 1) * _BATCH, ())))[1]
+        for b in range(max(oldest, 0) // _BATCH, index + 1)}
+    # the raw rows of ticks n - window onwards after a zero row; a window
+    # that reaches before tick 0 holds tick 0, whose row is full
+    rows = [np.zeros((1 + max(-oldest, 0), num_blocks), dtype=bool)]
+    rows += [draws[1][max(oldest - b * _BATCH, 0):] for b, draws in held.items()]
+    seen = np.add.accumulate(np.concatenate(rows), axis=0, dtype=np.intp)
+    _, raw, fallback, halves = held[index]
+    active = raw[first:] | (seen[window:-1] == seen[:_BATCH - first])
+    players, coups = active[:, :num_players], active[:, num_players:]
+    # the fallbacks continue the activation stream: the player's, then the coupling's half
+    low, high = fallback[first:] & _M32, fallback[first:] >> 32
+    empty_p, empty_c = ~players.any(axis=1), ~coups.any(axis=1) & (num_couplings > 0)
+    pick_p, bad_p = _lemire(low, num_players)
+    pick_c, bad_c = _lemire(np.where(empty_p & (num_players > 1), high, low), max(num_couplings, 1))
+    players[empty_p, pick_p[empty_p]] = True
+    coups[empty_c, pick_c[empty_c]] = True
+    cap = min(sched.max_lag, 1 << 32)  # a span over 2**32 draws 64 bits, so it replays
+    back = np.minimum(np.arange(first, _BATCH) + min(stop - _BATCH, cap), cap)
+    offsets, bad = _lemire(halves[first:], back[:, None].astype(np.uint64) + 1)
+    replay = empty_p & bad_p | empty_c & bad_c | bad.any(axis=1) | (back >= 1 << 32)
+    ticks = [(ps, cs, t - reach, po, co) for t, reach, (ps, po), (cs, co) in zip(
+        range(n, stop), back.tolist(), _per_tick(players, offsets[:, :num_players]),
+        _per_tick(coups, offsets[:, num_players:]))]
+    for j in np.flatnonzero(replay).tolist():
+        t, (ps, cs) = n + j, ticks[j][:2]
+        ticks[j] = _replay(memo, t, max(0, t - sched.max_lag), () if empty_p[j] else ps,
+                           () if empty_c[j] else cs, num_players, num_couplings)
+    return memo.store((index, held[index], n, ticks))
+
+
+def _per_tick(active: np.ndarray, offsets: np.ndarray) -> list:
+    """``(indices, offsets)`` of the true entries of each row of ``active``, as Python values."""
+    rows, cols = np.nonzero(active)
+    ends = np.add.accumulate(active.sum(axis=1)).tolist()
+    cols, offsets = cols.tolist(), offsets[rows, cols].tolist()
+    return [(tuple(cols[a:b]), offsets[a:b]) for a, b in zip([0, *ends], ends)]
+
+
+def _replay(memo, n, lo, players, coups, num_players, num_couplings):
+    """Tick ``n``'s entry with its fallbacks and lags drawn one at a time from ``_Stream``."""
     stream = memo.stream(n, _ACTIVATION)
-    raw = _draw_mask(stream, prob, num_blocks)
-    ring[n % len(ring)] = (n, raw)
-    if n <= window:
-        recent = full  # the window holds tick 0
-    else:
-        recent = 0
-        for j in range(n - window, n):
-            slot = ring[j % len(ring)]
-            if slot is None or slot[0] != j:
-                slot = (j, _draw_mask(memo.stream(j, _ACTIVATION), prob, num_blocks))
-                ring[j % len(ring)] = slot
-            recent |= slot[1]
-    active = raw | (full & ~recent)
-    players = active & ((1 << num_players) - 1)
-    coups = active >> num_players
-    # the fallbacks continue the activation stream after the raw draws
+    stream.random(num_players + num_couplings)
     if not players:
-        players = 1 << stream.integers(num_players, 1)[0]
+        players = (stream.integers(num_players, 1)[0],)
     if num_couplings and not coups:
-        coups = 1 << stream.integers(num_couplings, 1)[0]
-    return _indices(players, num_players), _indices(coups, num_couplings)
+        coups = (stream.integers(num_couplings, 1)[0],)
+    lags = memo.stream(n, _LAGS)
+    all_p, all_c = lags.integers(n + 1 - lo, num_players), lags.integers(n + 1 - lo, num_couplings)
+    return players, coups, lo, [all_p[i] for i in players], [all_c[k] for k in coups]
 
 
 def audit(schedule: Schedule, horizon: int, num_players: int, num_couplings: int) -> list:

@@ -14,6 +14,7 @@ from nashsplit import schedules
 from nashsplit.schedules import Schedule, audit, cyclic, randomized, synchronous
 
 from _oracles import _tick_rng as numpy_tick_rng
+from _oracles import random_schedule_tick
 
 
 def test_synchronous_full_activation_zero_lag():
@@ -102,6 +103,31 @@ def test_schedule_rejects_bad_fields():
         Schedule("cyclic", block_size=0)
 
 
+@pytest.mark.parametrize("make, field", [
+    (lambda: randomized(seed=1.5), "seed"),
+    (lambda: randomized(3, max_lag=1.5), "max_lag"),
+    (lambda: randomized(3, window=2.5), "window"),
+    (lambda: cyclic(block_size=1.5), "block_size"),
+    (lambda: Schedule("random", seed=3.0), "seed"),
+    (lambda: Schedule("random", window="4"), "window"),
+    (lambda: Schedule("random", seed=True), "seed"),
+    (lambda: Schedule("cyclic", max_lag=False), "max_lag"),
+], ids=lambda x: x if isinstance(x, str) else "")
+def test_schedule_rejects_non_integer_fields(make, field):
+    # without the check these fail only at the first tick that uses the field
+    with pytest.raises(ValueError, match=field):
+        make()
+
+
+def test_schedule_accepts_numpy_integers():
+    sched = Schedule("random", max_lag=np.int64(2), window=np.uint8(5), seed=np.uint64(2**40),
+                     activation_prob=0.3)
+    plain = randomized(2**40, 0.3, max_lag=2, window=5)
+    for n in range(80):
+        assert sched.next_tick(n, 3, 1) == plain.next_tick(n, 3, 1)
+    assert cyclic(block_size=np.int32(2), window=1).next_tick(3, 4, 0).active_players == (2, 3)
+
+
 def _draw_digest(sched, num_players, num_couplings, horizon=500):
     h = hashlib.sha256()
     for n in range(horizon):
@@ -116,6 +142,7 @@ def _draw_digest(sched, num_players, num_couplings, horizon=500):
     (7, (0.1, 3, 20), (8, 0), "72fa3b3f6fb071990ae04a694f35172624ec738fbca8fe1e7e631d796ad017bf"),
     (0, (0.5, 5, 8), (2, 1), "9c0428b9f802d9eb64e829a3a2fc9a1790cc9f30192a2368b792d2ad8194cc7d"),
     (7, (0.5, 5, 8), (2, 1), "54b7985b975be4f3b35de42e9e3f990a4e795d8ed8fb5f558dc698d229279541"),
+    (0, (0.1, 3, 20), (100, 2), "4a6e374f307cc5904975281749b923a03f448eab14e000a6baa1000329e39506"),
 ])
 def test_random_schedule_draws_are_stable_across_versions(seed, sched_args, blocks, expected):
     # pinned hashes of the first 500 ticks: activation sets and lags are
@@ -133,6 +160,60 @@ def test_hashed_words_equal_the_seed_sequence_words(seed):
         for tag in (0, 1):
             words = np.random.SeedSequence(entropy=(seed, n, tag)).generate_state(4, np.uint64)
             assert rows[tag][n % schedules._BATCH] == words.tolist(), (n, tag)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32, 2**64])
+@pytest.mark.parametrize("batch", [0, 2**32 // schedules._BATCH - 1, 2**32 // schedules._BATCH])
+def test_jump_ahead_equals_stepping_each_stream(seed, batch):
+    # every output that a batch computes at once, for batches on both sides
+    # of tick 2**32, against a stream stepped one output at a time
+    rows = schedules._hash_batch(seed, batch)
+    outputs = schedules._outputs(np.array(rows, dtype=np.uint64), 130).tolist()
+    for tag in (0, 1):
+        for words, ours in zip(rows[tag], outputs[tag]):
+            stream = schedules._Stream(words)
+            assert ours == [stream.next64() for _ in range(130)]
+
+
+def test_rejected_draws_replay_through_the_stream(monkeypatch):
+    # Lemire's method rejects about one 32-bit draw in 10**9 at these spans;
+    # marking every draw rejected sends every tick down the replay path, and
+    # the short window and even odds empty both sets now and then
+    lemire, replay, replayed = schedules._lemire, schedules._replay, {}
+
+    def rejecting(draws, span):
+        return lemire(draws, span)[0], np.ones(np.shape(draws), dtype=bool)
+
+    def counting(memo, n, lo, players, coups, *args):
+        replayed[n] = (not players, not coups)
+        return replay(memo, n, lo, players, coups, *args)
+
+    monkeypatch.setattr(schedules, "_lemire", rejecting)
+    monkeypatch.setattr(schedules, "_replay", counting)
+    seed, prob, window, max_lag, num_players, num_couplings = 6, 0.5, 2, 3, 3, 2
+    sched = randomized(seed, prob, max_lag=max_lag, window=window)
+    schedules._raw_active.cache_clear()
+    try:
+        for n in range(201):
+            expected = random_schedule_tick(seed, prob, window, max_lag, n, num_players,
+                                            num_couplings)
+            assert sched.next_tick(n, num_players, num_couplings) == schedules.Tick(*expected), n
+    finally:
+        schedules._raw_active.cache_clear()
+    assert set(range(1, 201)) <= set(replayed)
+    empty_players, empty_couplings = (any(flags) for flags in zip(*replayed.values()))
+    assert empty_players and empty_couplings
+
+
+def test_lag_spans_beyond_32_bits_equal_the_original_draws():
+    # a lag span over 2**32 makes numpy draw 64-bit lags, which only the
+    # replay path does; its ticks still read back to tick 0
+    seed, prob, window, max_lag = 8, 0.4, 9, 2**33
+    sched = randomized(seed, prob, max_lag=max_lag, window=window)
+    schedules._raw_active.cache_clear()
+    for n in range(2**32 - 3, 2**32 + 3):
+        expected = random_schedule_tick(seed, prob, window, max_lag, n, 3, 1)
+        assert sched.next_tick(n, 3, 1) == schedules.Tick(*expected), n
 
 
 @pytest.mark.parametrize("seed", [3, 2**32 + 5])

@@ -1,14 +1,15 @@
-"""Time ``Schedule.next_tick`` in one process on the three benchmark schedule shapes.
+"""Time ``Schedule.next_tick`` in one process on the benchmark schedule shapes.
 
 Each shape is the schedule and block count of a ``perfbench`` workload:
 lasso (8 players, ``randomized(p=0.1, max_lag=3, window=20)``), shared
 (2 players and 1 coupling, ``randomized(p=0.5, max_lag=5, window=8)``)
-and consensus (10 players, synchronous). A rep queries ticks
-``0..CALLS-1`` in order from a cold activation cache; the script prints
-the median over ``REPS`` reps of the microseconds per call, one line per
-shape::
+and consensus (10 players, synchronous); lasso100 is the lasso schedule
+over 100 players, where drawing every block dominates. A rep queries
+ticks ``0..CALLS-1`` in order from a cold activation cache; the script
+prints the median over ``REPS`` reps of the microseconds per call, one
+line per shape::
 
-    python tools/time_next_tick.py   # about 10 s on 2 vCPUs
+    python tools/time_next_tick.py   # about 3 s on 2 vCPUs
 
 The draws are the same for every version, so two versions compare by
 running this script in each checkout, interleaved, on the same machine.
@@ -35,6 +36,7 @@ def shapes(seed: int) -> dict:
     return {
         "lasso": (schedules.randomized(seed, 0.1, max_lag=3, window=20), 8, 0),
         "shared": (schedules.randomized(seed, 0.5, max_lag=5, window=8), 2, 1),
+        "lasso100": (schedules.randomized(seed, 0.1, max_lag=3, window=20), 100, 0),
         "consensus": (schedules.synchronous(), 10, 0),
     }
 
