@@ -21,7 +21,6 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from . import proximal
 from .linops import Identity, LinOp
 from .proximal import NonsmoothTerm, is_indicator
 
@@ -178,47 +177,12 @@ class ProxGroup(NamedTuple):
 
     ``index`` holds the members' entries of the stacked strategies and
     ``term`` acts on those entries: a single member's own term, or for
-    several members the same kind rebuilt from their concatenated data.
+    several members the term that their shared ``stack`` constructor
+    rebuilds from their concatenated vectors.
     """
 
     term: NonsmoothTerm
     index: np.ndarray
-
-
-# Kinds whose prox acts entry by entry with per-entry data, so one term over
-# the concatenated data of several players gives each entry the bits of its
-# own player's prox: the vector data the ``proximal`` constructor takes, and
-# the scalar that the members of a group must share (passed first).
-_ENTRYWISE = {
-    "zero": ((), None),
-    "box": (("lower", "upper"), None),
-    "shifted_orthant": (("offset",), None),
-    "singleton": (("point",), None),
-    "l1": ((), "weight"),
-    "quadratic": (("linear",), "curvature"),
-}
-
-
-def _group_key(term: NonsmoothTerm, dim: int):
-    """The key of the entrywise group of a player's term, or None to keep it alone.
-
-    A term whose intrinsic dimension differs from the player's stays alone,
-    so that its prox raises the dimension error it always raised.
-    """
-    if term.kind not in _ENTRYWISE or term.dim not in (None, dim):
-        return None
-    vectors, scalar = _ENTRYWISE[term.kind]
-    if not all(name in term.meta for name in vectors + ((scalar,) if scalar else ())):
-        return None
-    return (term.kind, term.meta[scalar]) if scalar else (term.kind,)
-
-
-def _stacked_term(terms: list) -> NonsmoothTerm:
-    """One term of the shared kind over the concatenated data of ``terms``."""
-    vectors, scalar = _ENTRYWISE[terms[0].kind]
-    args = [terms[0].meta[scalar]] if scalar else []
-    args += [np.concatenate([t.meta[name] for t in terms]) for name in vectors]
-    return getattr(proximal, terms[0].kind)(*args)
 
 
 @dataclass(frozen=True)
@@ -234,11 +198,13 @@ class Game:
     players with at least one are ``coupled_players``).
 
     For the stacked certificate, ``prox_groups`` puts every player in one
-    group: those whose nonsmooth terms act entry by entry share one
-    (``zero``, ``box``, ``shifted_orthant`` and ``singleton`` by kind,
-    ``l1`` by weight, ``quadratic`` by curvature), any other term is a
-    group of one. ``mixed_players`` have a mix that is not an ``Identity``
-    of their widths; ``indicator_players`` have an indicator term.
+    group: players whose terms declare the same constructor and scalars in
+    ``NonsmoothTerm.stack`` share one, whose term that constructor rebuilds
+    from their concatenated vectors; a term without a ``stack`` (a
+    hand-made one, whatever its ``kind``) or whose intrinsic dimension is
+    not the player's is a group of one. ``mixed_players`` have a mix that
+    is not an ``Identity`` of their widths; ``indicator_players`` have an
+    indicator term.
     """
 
     players: Sequence[PlayerBlock]
@@ -275,12 +241,17 @@ class Game:
         object.__setattr__(self, "field_blocks", StateBlocks(*fields))
         members = {}
         for i, p in enumerate(self.players):
-            key = _group_key(p.nonsmooth, p.dim_strategy)
-            members.setdefault(i if key is None else key, []).append(i)
+            stack = p.nonsmooth.stack
+            # a term of another width stays alone, so its prox raises the dimension error
+            key = stack[:2] if stack and p.nonsmooth.dim in (None, p.dim_strategy) else i
+            members.setdefault(key, []).append(i)
         xs, prox_groups = groups[0], []
         for idx in members.values():
-            terms = [self.players[i].nonsmooth for i in idx]
-            term = terms[0] if len(idx) == 1 else _stacked_term(terms)
+            term = self.players[idx[0]].nonsmooth
+            if len(idx) > 1:
+                constructor, scalars, _ = term.stack
+                vectors = zip(*(self.players[i].nonsmooth.stack[2] for i in idx))
+                term = constructor(*scalars, *map(np.concatenate, vectors))
             index = np.concatenate([np.arange(xs[i].start, xs[i].stop) for i in idx])
             index.flags.writeable = False
             prox_groups.append(ProxGroup(term, index))

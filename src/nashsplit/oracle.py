@@ -9,9 +9,10 @@ lines vanish exactly at solutions, so the maximum residual doubles as the
 solver's stopping rule.
 
 The certificate runs after every tick that moves the iterate, so it works
-on stacked vectors. The game groups the players whose nonsmooth terms act
-entry by entry (``Game.prox_groups``), and each group takes one prox call
-on its entries of the stacked strategies. Every other term, every smooth
+on stacked vectors. The game groups the players whose nonsmooth terms
+declare the same entrywise ``stack`` (``Game.prox_groups``), and each
+group takes one prox call on its entries of the stacked strategies. Every
+other term (a hand-made one stays alone, whatever its kind), every smooth
 gradient and every mix that is not an ``Identity`` is evaluated per
 player (``Identity`` mixes are skipped), and each coupling on its own.
 The player and interaction residuals are per-block sums of squares
@@ -113,10 +114,11 @@ def check_equilibrium(game: Game, x, u_star=None, v_star=None, *,
     The player lines run on the stacked ``x`` and ``u*`` as the module
     docstring says: one prox call per group of ``game.prox_groups`` for
     the residuals and one per indicator group for the gaps, the groups
-    built from each term's kind and ``meta`` as the ``proximal``
-    constructors set them. An output of the wrong shape from a smooth
-    gradient, a mix or the interaction gradient raises ValueError naming
-    the operator and, for the first two, the first such player.
+    built from the ``stack`` that the ``proximal`` constructors declare,
+    so a term built by hand is evaluated alone with its own prox. An
+    output of the wrong shape from a smooth gradient, a mix or the
+    interaction gradient raises ValueError naming the operator and, for
+    the first two, the first such player.
     """
     players, layout = game.players, game.state_slices
     xs = _blocks(x, layout.x, "x", coerce)

@@ -57,6 +57,13 @@ class NonsmoothTerm:
         ``x -> f(x)``; returns ``inf`` outside the domain.
     meta : mapping
         Construction data (bounds, offsets, weights) for oracles.
+    stack : tuple or None
+        ``(constructor, scalars, vectors)`` when the prox acts entry by
+        entry with per-entry data: ``constructor(*scalars, *vectors)``
+        builds the term, and terms with the same constructor and scalars
+        make one term over their concatenated vectors that gives each
+        entry the bits of its own term's prox. ``Game`` stacks players'
+        terms by it; None keeps a term alone.
     """
 
     kind: str
@@ -64,6 +71,7 @@ class NonsmoothTerm:
     prox_fn: Callable[[float, np.ndarray], np.ndarray]
     value_fn: Callable[[np.ndarray], float]
     meta: Mapping[str, Any] = field(default_factory=dict)
+    stack: Optional[tuple] = None
 
 
 def is_indicator(term: NonsmoothTerm) -> bool:
@@ -139,7 +147,7 @@ def _indicator_value(member_fn):
 
 def zero() -> NonsmoothTerm:
     """The identically-zero term; its prox is the identity."""
-    return NonsmoothTerm("zero", None, lambda g, x: x, lambda v: 0.0)
+    return NonsmoothTerm("zero", None, lambda g, x: x, lambda v: 0.0, stack=(zero, (), ()))
 
 
 def box(lower, upper) -> NonsmoothTerm:
@@ -162,6 +170,7 @@ def box(lower, upper) -> NonsmoothTerm:
         lambda g, x: np.minimum(np.maximum(x, lo), hi),
         _indicator_value(member),
         {"lower": lo, "upper": hi},
+        (box, (), (lo, hi)),
     )
 
 
@@ -199,6 +208,7 @@ def shifted_orthant(offset) -> NonsmoothTerm:
         lambda g, x: np.maximum(x, r),
         _indicator_value(member),
         {"offset": r},
+        (shifted_orthant, (), (r,)),
     )
 
 
@@ -218,7 +228,8 @@ def singleton(point) -> NonsmoothTerm:
     def member(v):
         return float(np.max(np.abs(v - a), initial=0.0)) <= _MEMBER_TOL * (1.0 + float(np.max(np.abs(a))))
 
-    return NonsmoothTerm("singleton", int(a.shape[0]), lambda g, x: np.array(a), _indicator_value(member), {"point": a})
+    return NonsmoothTerm("singleton", int(a.shape[0]), lambda g, x: np.array(a),
+                         _indicator_value(member), {"point": a}, (singleton, (), (a,)))
 
 
 def l1(weight: float = 1.0) -> NonsmoothTerm:
@@ -231,7 +242,8 @@ def l1(weight: float = 1.0) -> NonsmoothTerm:
         t = g * w
         return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
-    return NonsmoothTerm("l1", None, soft, lambda v: w * float(np.sum(np.abs(v))), {"weight": w})
+    return NonsmoothTerm("l1", None, soft, lambda v: w * float(np.sum(np.abs(v))), {"weight": w},
+                         (l1, (w,), ()))
 
 
 def quadratic(curvature: float, linear) -> NonsmoothTerm:
@@ -247,7 +259,8 @@ def quadratic(curvature: float, linear) -> NonsmoothTerm:
     def value(v):
         return 0.5 * c * float(np.dot(v, v)) + float(np.dot(b, v))
 
-    return NonsmoothTerm("quadratic", int(b.shape[0]), proxq, value, {"curvature": c, "linear": b})
+    return NonsmoothTerm("quadratic", int(b.shape[0]), proxq, value, {"curvature": c, "linear": b},
+                         (quadratic, (c,), (b,)))
 
 
 def custom_resolvent(resolvent, value=None, dim: Optional[int] = None) -> NonsmoothTerm:

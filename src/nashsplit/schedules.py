@@ -19,10 +19,13 @@ activation and 1 for lags. It is transcribed, not built, for 64 aligned
 ticks at once: the ``SeedSequence`` hash runs as uint32 numpy arithmetic,
 PCG64's jump-ahead gives each output as one 128-bit multiply-add in uint64
 arrays, and coverage, fallbacks and lags are array operations. A tick
-whose fallback or lag draw Lemire's method rejects (about one in 10**9)
-replays through ``_Stream``, PCG64 in Python ints. The numpy-built
+whose fallback or lag draw Lemire's method rejects (about one in 10**9),
+or whose lag span exceeds 2**32, replays its draws through numpy's own
+generators, so the replay equals the definition by construction; the 34
+solves of ``tools/solve_digests.py`` never take it. The numpy-built
 original in ``tests/_oracles.py`` and SHA-256 hashes pinned in the tests
-guard it, since these draws are part of a run's reproducible trace.
+guard the transcription, since these draws are part of a run's
+reproducible trace.
 Forced coverage reads the raw draws of the previous ``window`` ticks; the
 memo of each of the 64 streams used last holds the batches that one
 window reaches, so memory is bounded by the window and the batch size,
@@ -179,11 +182,11 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return values ^ values >> 16
 
 
-def _hash_batch(seed: int, batch: int) -> list:
+def _hash_batch(seed: int, batch: int) -> np.ndarray:
     """The PCG64 seed words of both streams of ticks ``batch * _BATCH`` onwards.
 
-    ``rows[tag][i]`` is ``SeedSequence(entropy=(seed, n, tag))
-    .generate_state(4, np.uint64)`` as a list of ints, for tick
+    ``rows[tag, i]`` is ``SeedSequence(entropy=(seed, n, tag))
+    .generate_state(4, np.uint64)``, for tick
     ``n = batch * _BATCH + i``. Row ``r`` of ``entropy`` holds the ``r``-th
     entropy word of all ``2 * _BATCH`` tuples, and each step of the hash
     runs on whole rows; the updates of the pool words that one source word
@@ -211,63 +214,7 @@ def _hash_batch(seed: int, batch: int) -> list:
     xor, mult = _hash_consts(_INIT_B, _MULT_B, 8)
     state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], xor, mult).astype(np.uint64)
     seeds = state[0::2] | state[1::2] << np.uint64(32)
-    return seeds.T.reshape(2, _BATCH, 4).tolist()
-
-
-class _Stream:
-    """One ``Generator(PCG64(...))`` from its four seed words, in Python ints.
-
-    Seeded as ``pcg64_set_seed`` does it; draws as numpy's ``Generator``
-    makes them, including the buffered upper half of a 64-bit output that
-    its 32-bit draws use.
-    """
-
-    __slots__ = ("state", "inc", "half")
-
-    def __init__(self, words):
-        s_hi, s_lo, i_hi, i_lo = words
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
-        self.inc = inc
-        self.state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128
-        self.half = None
-
-    def next64(self) -> int:
-        state = self.state = (self.state * _PCG_MULT + self.inc) & _M128
-        value = (state >> 64 ^ state) & _M64
-        rot = state >> 122
-        return (value >> rot | value << (64 - rot)) & _M64
-
-    def next32(self) -> int:
-        half = self.half
-        if half is not None:
-            self.half = None
-            return half
-        value = self.next64()
-        self.half = value >> 32
-        return value & _M32
-
-    def random(self, size: int) -> list:
-        """``Generator.random(size)``."""
-        return [(self.next64() >> 11) * 2.0**-53 for _ in range(size)]
-
-    def integers(self, span: int, size: int) -> list:
-        """``Generator.integers(0, span, size)``.
-
-        Lemire's method with rejection, on 32-bit draws up to a span of
-        2**32 and on 64-bit draws beyond; a span of 1 draws nothing.
-        """
-        if span == 1:
-            return [0] * size
-        bits, draw = (32, self.next32) if span <= 1 << 32 else (64, self.next64)
-        low = (1 << bits) - 1
-        threshold = (1 << bits) % span
-        out = []
-        for _ in range(size):
-            m = draw() * span
-            while m & low < threshold:
-                m = draw() * span
-            out.append(m >> bits)
-        return out
+    return seeds.T.reshape(2, _BATCH, 4)
 
 
 @lru_cache(maxsize=8)
@@ -289,7 +236,7 @@ def _jumps(count: int) -> tuple:
 
 
 def _outputs(words: np.ndarray, count: int) -> np.ndarray:
-    """``next64()`` outputs 1..count of the stream of each row of seed ``words``, as columns.
+    """``PCG64.random_raw`` outputs 1..count of each row of seed ``words``, as columns.
 
     In uint64 halves, only the product of low halves needs its high word, from 32-bit limbs.
     """
@@ -315,17 +262,16 @@ def _lemire(draws: np.ndarray, span) -> tuple:
 
 
 def _draw_batch(seed: int, index: int, prob: float, num_blocks: int) -> tuple:
-    """Words, Bernoulli draws, fallback output and 32-bit lag draws of batch ``index``.
+    """Bernoulli draws, fallback output and 32-bit lag draws of batch ``index``.
 
     One row per tick, in stream order; tick 0's Bernoulli draws are full.
     """
-    words = np.array(_hash_batch(seed, index), dtype=np.uint64)
-    out = _outputs(words, num_blocks + 1)
+    out = _outputs(_hash_batch(seed, index), num_blocks + 1)
     raw = (out[_ACTIVATION, :, :num_blocks] >> 11) * 2.0**-53 < prob
     raw[0] |= index == 0
     lags = out[_LAGS, :, :(num_blocks + 1) // 2]
     halves = np.stack((lags & _M32, lags >> 32), axis=2).reshape(_BATCH, -1)[:, :num_blocks]
-    return words, raw, out[_ACTIVATION, :, num_blocks], halves
+    return raw, out[_ACTIVATION, :, num_blocks], halves
 
 
 class _Memo:
@@ -351,12 +297,6 @@ class _Memo:
         self.slots[slot[0] % len(self.slots)] = slot
         return slot
 
-    def stream(self, n: int, tag: int) -> _Stream:
-        """The generator of ``(seed, n, tag)``."""
-        index, i = divmod(n, _BATCH)
-        slot = self.held(index)
-        return _Stream(slot[1][0][tag, i].tolist() if slot else _hash_batch(self.seed, index)[tag][i])
-
 
 @lru_cache(maxsize=64)
 def _raw_active(seed, prob, window, max_lag, num_players, num_couplings) -> _Memo:
@@ -380,9 +320,9 @@ def _resolve(memo: _Memo, sched: Schedule, n: int, num_players: int, num_couplin
     # the raw rows of ticks n - window onwards after a zero row; a window
     # that reaches before tick 0 holds tick 0, whose row is full
     rows = [np.zeros((1 + max(-oldest, 0), num_blocks), dtype=bool)]
-    rows += [draws[1][max(oldest - b * _BATCH, 0):] for b, draws in held.items()]
+    rows += [draws[0][max(oldest - b * _BATCH, 0):] for b, draws in held.items()]
     seen = np.add.accumulate(np.concatenate(rows), axis=0, dtype=np.intp)
-    _, raw, fallback, halves = held[index]
+    raw, fallback, halves = held[index]
     active = raw[first:] | (seen[window:-1] == seen[:_BATCH - first])
     players, coups = active[:, :num_players], active[:, num_players:]
     # the fallbacks continue the activation stream: the player's, then the coupling's half
@@ -415,15 +355,16 @@ def _per_tick(active: np.ndarray, offsets: np.ndarray) -> list:
 
 
 def _replay(memo, n, lo, players, coups, num_players, num_couplings):
-    """Tick ``n``'s entry with its fallbacks and lags drawn one at a time from ``_Stream``."""
-    stream = memo.stream(n, _ACTIVATION)
-    stream.random(num_players + num_couplings)
+    """Tick ``n``'s entry with its fallbacks and lags drawn by numpy's own generators."""
+    rng, lags = (np.random.Generator(np.random.PCG64(np.random.SeedSequence((memo.seed, n, tag))))
+                 for tag in (_ACTIVATION, _LAGS))
+    rng.random(num_players + num_couplings)
     if not players:
-        players = (stream.integers(num_players, 1)[0],)
+        players = (int(rng.integers(num_players)),)
     if num_couplings and not coups:
-        coups = (stream.integers(num_couplings, 1)[0],)
-    lags = memo.stream(n, _LAGS)
-    all_p, all_c = lags.integers(n + 1 - lo, num_players), lags.integers(n + 1 - lo, num_couplings)
+        coups = (int(rng.integers(num_couplings)),)
+    all_p = lags.integers(n + 1 - lo, size=num_players).tolist()
+    all_c = lags.integers(n + 1 - lo, size=num_couplings).tolist()
     return players, coups, lo, [all_p[i] for i in players], [all_c[k] for k in coups]
 
 

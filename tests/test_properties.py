@@ -175,7 +175,7 @@ def test_block_inner_of_negative_zero_products_is_positive_zero():
 # Every nonsmooth kind once per weight or curvature, so that each drawn game
 # has two l1 weights, two quadratic curvatures and several indicator gaps.
 CERT_KINDS = ("zero", "box", "shifted_orthant", "singleton", "l1 0.5", "l1 2.0",
-              "quadratic 0.5", "quadratic 3.0", "simplex", "ball", "custom")
+              "quadratic 0.5", "quadratic 3.0", "simplex", "ball", "custom", "imposter")
 
 
 def _cert_term(kind: str, d: int, rng) -> proximal.NonsmoothTerm:
@@ -193,6 +193,14 @@ def _cert_term(kind: str, d: int, rng) -> proximal.NonsmoothTerm:
         return proximal.ball(rng.standard_normal(d), 0.5)
     if name == "custom":
         return proximal.custom_resolvent(lambda g, x: np.tanh(x) / (1.0 + g))
+    if name == "imposter":
+        # a hand-made term with a box's kind and meta whose prox projects onto
+        # the lower half of the box: only its own prox gives its residual
+        lo = rng.uniform(-1.5, 0.0, d)
+        hi = lo + rng.uniform(0.0, 2.0, d)
+        half = proximal.box(lo, 0.5 * (lo + hi))
+        return proximal.NonsmoothTerm("box", d, half.prox_fn, half.value_fn,
+                                      {"lower": lo, "upper": hi})
     return getattr(proximal, name)()
 
 
