@@ -62,14 +62,20 @@ def as_vector(x, dim: Optional[int] = None, what: str = "vector") -> np.ndarray:
 
 @dataclass(frozen=True)
 class SmoothTerm:
-    """A convex differentiable term given by value and gradient callables."""
+    """A convex differentiable term given by value and gradient callables.
+
+    ``stack`` declares an entrywise gradient as ``NonsmoothTerm.stack`` does
+    a prox; the constructors below set it. A field, so that
+    ``dataclasses.replace`` keeps it.
+    """
 
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
+    stack: Optional[tuple] = None
 
 
 def zero_smooth() -> SmoothTerm:
-    return SmoothTerm(lambda x: 0.0, lambda x: np.zeros(np.shape(x)))
+    return SmoothTerm(lambda x: 0.0, lambda x: np.zeros(np.shape(x)), (zero_smooth, (), ()))
 
 
 def quadratic_smooth(curvature: float, linear) -> SmoothTerm:
@@ -79,6 +85,7 @@ def quadratic_smooth(curvature: float, linear) -> SmoothTerm:
     return SmoothTerm(
         lambda x: 0.5 * c * float(np.dot(x, x)) + float(np.dot(b, x)),
         lambda x: c * x + b,
+        (quadratic_smooth, (c,), (b,)),
     )
 
 
@@ -173,7 +180,7 @@ class StateBlocks(NamedTuple):
 
 
 class ProxGroup(NamedTuple):
-    """Players whose nonsmooth terms share one prox call on the stacked ``x``.
+    """Players whose nonsmooth (or smooth) terms share one call on the stacked ``x``.
 
     ``index`` holds the members' entries of the stacked strategies and
     ``term`` acts on those entries: a single member's own term, or for
@@ -181,8 +188,32 @@ class ProxGroup(NamedTuple):
     rebuilds from their concatenated vectors.
     """
 
-    term: NonsmoothTerm
+    term: Union[NonsmoothTerm, SmoothTerm]
     index: np.ndarray
+
+
+def _groups(terms, xs) -> tuple:
+    """One ``ProxGroup`` per ``stack[:2]`` that the terms declare, and one per other term.
+
+    A term whose ``stack`` vectors are not one entry per strategy entry
+    stays alone, so its own call raises the dimension error.
+    """
+    members = {}
+    for i, (term, x) in enumerate(zip(terms, xs)):
+        stack = term.stack
+        fits = stack and all(np.shape(v) == (x.stop - x.start,) for v in stack[2])
+        members.setdefault(stack[:2] if fits else i, []).append(i)
+    groups = []
+    for idx in members.values():
+        term = terms[idx[0]]
+        if len(idx) > 1:
+            constructor, scalars, _ = term.stack
+            vectors = zip(*(terms[i].stack[2] for i in idx))
+            term = constructor(*scalars, *map(np.concatenate, vectors))
+        index = np.concatenate([np.arange(xs[i].start, xs[i].stop) for i in idx])
+        index.flags.writeable = False
+        groups.append(ProxGroup(term, index))
+    return tuple(groups)
 
 
 @dataclass(frozen=True)
@@ -202,9 +233,11 @@ class Game:
     ``NonsmoothTerm.stack`` share one, whose term that constructor rebuilds
     from their concatenated vectors; a term without a ``stack`` (a
     hand-made one, whatever its ``kind``) or whose intrinsic dimension is
-    not the player's is a group of one. ``mixed_players`` have a mix that
-    is not an ``Identity`` of their widths; ``indicator_players`` have an
-    indicator term.
+    not the player's is a group of one; ``smooth_groups`` group the smooth
+    terms alike. ``mixed_players`` have a mix that is not an ``Identity`` of
+    their widths; ``indicator_players`` have an indicator term; the solver
+    steps the unmixed players whose smooth term declares ``zero_smooth``,
+    ``stacked_players``, together.
     """
 
     players: Sequence[PlayerBlock]
@@ -239,27 +272,29 @@ class Game:
         starts.flags.writeable = False
         object.__setattr__(self, "block_starts", starts)
         object.__setattr__(self, "field_blocks", StateBlocks(*fields))
-        members = {}
-        for i, p in enumerate(self.players):
-            stack = p.nonsmooth.stack
-            # a term of another width stays alone, so its prox raises the dimension error
-            key = stack[:2] if stack and p.nonsmooth.dim in (None, p.dim_strategy) else i
-            members.setdefault(key, []).append(i)
-        xs, prox_groups = groups[0], []
-        for idx in members.values():
-            term = self.players[idx[0]].nonsmooth
-            if len(idx) > 1:
-                constructor, scalars, _ = term.stack
-                vectors = zip(*(self.players[i].nonsmooth.stack[2] for i in idx))
-                term = constructor(*scalars, *map(np.concatenate, vectors))
-            index = np.concatenate([np.arange(xs[i].start, xs[i].stop) for i in idx])
-            index.flags.writeable = False
-            prox_groups.append(ProxGroup(term, index))
-        object.__setattr__(self, "prox_groups", tuple(prox_groups))
+        object.__setattr__(self, "prox_groups",
+                           _groups([p.nonsmooth for p in self.players], groups[0]))
+        object.__setattr__(self, "smooth_groups",
+                           _groups([p.smooth for p in self.players], groups[0]))
         object.__setattr__(self, "mixed_players", tuple(
             i for i, p in enumerate(self.players)
             if not (type(p.mix) is Identity and p.mix.in_dim == p.dim_strategy == p.dim_interaction)
         ))
+        mixed = set(self.mixed_players)
+        stacks = tuple(i not in mixed and p.smooth.stack is not None
+                       and p.smooth.stack[0] is zero_smooth for i, p in enumerate(self.players))
+        object.__setattr__(self, "_stacks", stacks)
+        object.__setattr__(self, "stacked_players", tuple(i for i, s in enumerate(stacks) if s))
+        # Per stacked player, rows of positions: its gradient entries in a
+        # ring row (state, then gradient), then its y, u* and x entries; for
+        # one-entry blocks the stacked step takes the first positions directly.
+        firsts = np.array([(self.state_size + y.start - self.y_span.start, y.start, u.start, x.start)
+                           for x, y, u in zip(groups[0], groups[1], groups[3])], dtype=np.intp).T
+        object.__setattr__(self, "_entries", tuple(
+            firsts[:, i:i + 1] + np.arange(p.dim_strategy) if s else None
+            for i, (p, s) in enumerate(zip(self.players, stacks))))
+        unit = all(self.players[i].dim_strategy == 1 for i in self.stacked_players)
+        object.__setattr__(self, "_entry_starts", firsts.copy() if unit else None)
         object.__setattr__(self, "indicator_players", tuple(
             i for i, p in enumerate(self.players) if is_indicator(p.nonsmooth)
         ))

@@ -11,10 +11,12 @@ solver's stopping rule.
 The certificate runs after every tick that moves the iterate, so it works
 on stacked vectors. The game groups the players whose nonsmooth terms
 declare the same entrywise ``stack`` (``Game.prox_groups``), and each
-group takes one prox call on its entries of the stacked strategies. Every
-other term (a hand-made one stays alone, whatever its kind), every smooth
-gradient and every mix that is not an ``Identity`` is evaluated per
-player (``Identity`` mixes are skipped), and each coupling on its own.
+group takes one prox call on its entries of the stacked strategies; the
+smooth gradients are grouped alike by ``SmoothTerm.stack``
+(``Game.smooth_groups``). Every other term (a hand-made one stays alone,
+whatever its kind) and every mix that is not an ``Identity`` is
+evaluated per player (``Identity`` mixes are skipped), and each coupling
+on its own.
 The player and interaction residuals are per-block sums of squares
 (``np.add.reduceat``), and the maximum runs over the player, interaction
 and coupling residuals and then the gaps (players, then couplings). So on
@@ -113,9 +115,10 @@ def check_equilibrium(game: Game, x, u_star=None, v_star=None, *,
 
     The player lines run on the stacked ``x`` and ``u*`` as the module
     docstring says: one prox call per group of ``game.prox_groups`` for
-    the residuals and one per indicator group for the gaps, the groups
-    built from the ``stack`` that the ``proximal`` constructors declare,
-    so a term built by hand is evaluated alone with its own prox. An
+    the residuals and one per indicator group for the gaps, and one
+    gradient call per group of ``game.smooth_groups``, the groups built
+    from the ``stack`` that the ``proximal`` and ``model`` constructors
+    declare, so a term built by hand is evaluated alone on its own. An
     output of the wrong shape from a smooth gradient, a mix or the
     interaction gradient raises ValueError naming the operator and, for
     the first two, the first such player.
@@ -139,8 +142,15 @@ def check_equilibrium(game: Game, x, u_star=None, v_star=None, *,
     u = q if u_star is None else np.concatenate(_blocks(u_star, layout.u_star, "u*", coerce))
     vs = _blocks(v_star, layout.v_star, "v*", coerce)
 
-    grad = _stacked([p.smooth.grad(xs[i]) for i, p in enumerate(players)], layout.x,
-                    "smooth gradient")
+    starts = game.block_starts[game.field_blocks.x]
+    grad = np.empty_like(x_flat)
+    for term, index in game.smooth_groups:
+        g = term.grad(x_flat[index])
+        if np.shape(g) != index.shape:      # only a term alone in its group gets here
+            i = int(np.searchsorted(starts, index[0], side="right")) - 1
+            raise ValueError(f"player {i}: smooth gradient returned shape {np.shape(g)}, "
+                             f"expected {index.shape}")
+        grad[index] = g
     if mixed:
         back = game.split_interaction(u)
         for i in mixed:
@@ -154,7 +164,6 @@ def check_equilibrium(game: Game, x, u_star=None, v_star=None, *,
     out = np.empty_like(x_flat)
     for term, index in game.prox_groups:
         out[index] = prox(term, _CERT_STEP, step[index])
-    starts = game.block_starts[game.field_blocks.x]
     player_res = _block_norms(x_flat - out, starts).tolist()
     interaction_res = _block_norms(u - q, game.interaction_offsets()[:-1]).tolist()
 

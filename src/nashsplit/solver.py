@@ -7,13 +7,22 @@ underlying monotone operator, and relaxedly projects the full iterate
 ``(x, y, z, u*, v*)`` onto the half-space that the candidate pair
 separates from the solution set.
 
-Both execution modes run one tick path. Simulated-async mode maps the
-activated block steps in order on one thread, with lags supplied by the
-schedule, and is bit-reproducible. Parallel mode maps the same steps on
-worker threads that read read-only history rows; the coordinator alone
-mutates state and applies the projection serially in tick order. Each
-step depends only on its block and its history row, so parallel runs are
-bitwise equal to simulated runs.
+Players step by the declared types of their blocks. Those with an
+``Identity`` mix of their widths and a smooth term that declares
+``zero_smooth`` (``Game.stacked_players``) step stacked when the player
+step schedules are not callables: a few numpy calls over their entries,
+each gathered from the history row of its player's lag, with one
+resolvent call and the coupling pullbacks per player. The others step
+alone through ``player_local_step``, with the same bits.
+
+Both execution modes run one tick path, with lags from the schedule.
+Simulated-async mode runs every step in order on one thread and is
+bit-reproducible. Parallel mode maps the per-block player steps and the
+coupling steps on worker threads that read read-only history rows, while
+the coordinator runs the stacked step, mutates the state and applies the
+projection serially in tick order. Each step depends only on its blocks
+and their history rows, so parallel runs are bitwise equal to simulated
+runs.
 
 Arithmetic is double precision throughout. The scalar test, the step size
 and the separation gap share one inner product: per-block sums of the
@@ -174,12 +183,15 @@ class IterState:
 
         self.n = 0
         self.pi: Optional[float] = None
+        self._steps = (None, None)      # see _stacked_table()
         # (flat bytes, residual) of the last per-tick certificate; see tick().
         self._certified = (None, None)
         depth = int(max_lag) + 1
-        self._ring = np.empty((depth, game.state_size))
+        # a ring row: a tick's state, then the interaction gradient at its y
+        self._ring_and_grads = np.empty((depth, game.state_size + game.total_interaction_dim))
+        self._ring = self._ring_and_grads[:, :game.state_size]
         self._ring_stamps = [-1] * depth
-        frozen = self._ring.view()
+        frozen = self._ring_and_grads.view()
         frozen.flags.writeable = False
         self._frozen = frozen
         self._row_blocks = [game.split_state(row) for row in frozen]
@@ -209,9 +221,18 @@ class IterState:
         return self._row_blocks[self._row(tick_index)]
 
     def lagged_interaction_grad(self, tick_index: int) -> np.ndarray:
-        """Stacked interaction gradient at the ``y`` of a retained tick."""
-        y = self._frozen[self._row(tick_index), self.game.y_span]
-        return np.asarray(self.game.interaction.eval(y), dtype=float)
+        """Stacked interaction gradient at the ``y`` of a retained tick, shape-checked.
+
+        A copy stays in the tick's ring row for the stacked step to gather.
+        """
+        row = self._row(tick_index)
+        y = self._frozen[row, self.game.y_span]
+        grad = np.asarray(self.game.interaction.eval(y), dtype=float)
+        if grad.shape != y.shape:
+            raise ValueError(f"interaction gradient returned shape {grad.shape}, "
+                             f"expected {y.shape}, at the y of tick {tick_index}")
+        self._ring_and_grads[row, self.game.state_size:] = grad
+        return grad
 
     def current_tuple(self) -> StateBlocks:
         """Copies of the live ``(x, y, z, u*, v*)`` blocks."""
@@ -253,10 +274,83 @@ def player_local_step(game: Game, params: SolverParams, state: IterState, i: int
         i, p.smooth.grad(snap.x[i]) + p.mix.adjoint_apply(snap.u_star[i]), snap.v_star
     )
     x_star = snap.x[i] - step_x * pull
-    a_i = prox(p.nonsmooth, step_x, x_star)
+    a_i = _resolvent(game, i, step_x, x_star, state.n)
     s_star_i = (x_star - a_i) / step_x + p.smooth.grad(a_i) + p.mix.adjoint_apply(c_star_i)
     c_i = q_i - p.mix.apply(a_i)
     return q_i, c_star_i, a_i, s_star_i, c_i
+
+
+def _resolvent(game: Game, i: int, step: float, x_star: np.ndarray, n: int):
+    """Player ``i``'s prox at ``x_star``, which must return one entry per strategy entry."""
+    a = np.asarray(prox(game.players[i].nonsmooth, step, x_star))
+    if a.shape != x_star.shape:
+        raise ValueError(f"player {i}: prox returned shape {a.shape}, "
+                         f"expected {x_star.shape}, at tick {n}")
+    return a
+
+
+def _stacked_table(state: IterState, params: SolverParams):
+    """``(steps, strategy)`` for the stacked step, or None under a callable schedule.
+
+    ``steps`` holds each player's strategy, interaction and dual steps at
+    its ``x``, ``y`` and ``u*`` entries of the state layout, ``strategy``
+    the strategy steps; they cannot depend on the tick, so the state keeps
+    them for the ``params`` it last saw.
+    """
+    if state._steps[0] is not params:
+        game, table = state.game, None
+        schedules = (params.strategy_steps, params.interaction_steps, params.player_dual_steps)
+        if not any(map(callable, schedules)):
+            per_player = [[step_at(i, 0) for i in range(game.num_players)] for step_at in
+                          (params.strategy_step, params.interaction_step, params.player_dual_step)]
+            steps = np.empty(game.state_size)
+            for span, values, dims in zip((game.x_span, game.y_span, game.u_span), per_player,
+                                          (game.strategy_dims,) + (game.interaction_dims,) * 2):
+                steps[span] = np.repeat(values, dims)
+            table = (steps, per_player[0])
+        state._steps = (params, table)
+    return state._steps[1]
+
+
+def _stacked_steps(game: Game, state: IterState, table, players, lags: dict, grads: dict) -> None:
+    """The local steps of the activated stacked ``players``, written into the state.
+
+    The arithmetic of ``player_local_step`` on the players' entries, each
+    read from the ring row of its player's lag, which also holds ``grads``
+    (the gradients by lag). An ``Identity`` mix is its input, and a zero
+    smooth gradient a ``+ 0.0``, for the ``-0.0 -> +0.0`` of adding zeros.
+    """
+    steps, strategy = table
+    if game._entry_starts is not None:
+        at = game._entry_starts.take(players, axis=1)
+        bounds = range(len(players) + 1)
+    else:
+        blocks = [game._entries[i] for i in players]
+        at = np.concatenate(blocks, axis=1)
+        bounds = np.cumsum([0] + [b.shape[1] for b in blocks]).tolist()
+    if len(grads) == 1:
+        held = state._frozen[state._row(next(iter(grads)))][at]
+    else:
+        rows = [state._row(lags[i]) for i in players]
+        held = state._frozen[rows if isinstance(bounds, range) else
+                             np.repeat(rows, np.diff(bounds)), at]
+    # rows: gradient, y, u* and x entries; interaction, dual and strategy steps
+    step = steps[at[1:]]
+    # q = y + step_y * (u* - grad) and c* = u* + step_u * (x - y) as two rows
+    q_c = held[1:3] + step[:2] * (held[2:] - held[:2])
+    pull = held[2] + 0.0
+    for j, i in enumerate(players):
+        if game._incidence[i]:
+            seg = slice(bounds[j], bounds[j + 1])
+            pull[seg] = game.coupling_pullback(i, pull[seg], state.snapshot_at(lags[i]).v_star)
+    x_star = held[3] - step[2] * pull
+    a = [_resolvent(game, i, strategy[i], x_star[bounds[j]:bounds[j + 1]], state.n)
+         for j, i in enumerate(players)]
+    a = a[0] if len(a) == 1 else np.concatenate(a)
+    state.point[at[1:3]] = q_c
+    state.point[at[3]] = a
+    state.s_star[at[3]] = (x_star - a) / step[2] + 0.0 + q_c[1]
+    state.direction[at[2]] = q_c[0] - a
 
 
 def coupling_local_step(game: Game, params: SolverParams, state: IterState, k: int, delta: int):
@@ -378,12 +472,12 @@ def tick(game: Game, params: SolverParams, schedule: Schedule, state: IterState,
 
     Queries the schedule, evaluates the interaction gradient once per
     distinct lag of the activated players, and runs the local steps for the
-    activated blocks (through ``executor.map`` when an executor is
-    supplied, else in order). Their results are written into the point
-    ``p`` and the direction ``p*``, whose inactive blocks carry their last
-    values forward. The coupling gaps ``e`` and the player duals ``a*``,
-    ``q*`` are then refreshed, and the iterate is projected onto the
-    half-space ``{w : <w - p, p*> <= 0}``. The reported residual certifies
+    activated blocks: the stacked players in one step, the others one block
+    at a time (through ``executor.map`` when an executor is supplied). Their
+    results are written into the point ``p`` and the direction ``p*``,
+    whose inactive blocks carry their last values forward. The coupling
+    gaps ``e`` and the player duals ``a*``, ``q*`` are then refreshed, and
+    the iterate is projected onto the half-space ``{w : <w - p, p*> <= 0}``. The reported residual certifies
     the post-update iterate. That certificate is the one step of a tick
     that touches every block, so it is evaluated only when the iterate
     differs bitwise from the one it last certified: a nonnegative scalar
@@ -403,12 +497,18 @@ def tick(game: Game, params: SolverParams, schedule: Schedule, state: IterState,
     def step_coupling(k):
         return coupling_local_step(game, params, state, k, info.coupling_lags[k])
 
+    table = _stacked_table(state, params)
+    stacks = game._stacks if table is not None else (False,) * game.num_players
+    stacked = [i for i in info.active_players if stacks[i]]
+    alone = [i for i in info.active_players if not stacks[i]]
     run = map if executor is None else executor.map
-    player_results = run(step_player, info.active_players)
+    player_results = run(step_player, alone)
     coupling_results = run(step_coupling, info.active_couplings)
+    if stacked:
+        _stacked_steps(game, state, table, stacked, info.player_lags, grads)
     player_caches = (state.cand_q, state.cand_c_star, state.cand_a, state.cand_s_star, state.cand_c)
     coupling_caches = (state.cand_b, state.cand_e_star, state.cand_b_star)
-    for i, results in zip(info.active_players, player_results):
+    for i, results in zip(alone, player_results):
         for cache, value in zip(player_caches, results):
             cache[i][:] = value
     for k, (_, *results) in zip(info.active_couplings, coupling_results):
@@ -467,8 +567,9 @@ def solve(game: Game, params: SolverParams, schedule: Schedule, x0=None, *,
         history depth (``IterState(..., max_lag=...)``) must cover the
         schedule's ``max_lag``.
     parallel
-        Evaluate activated block steps on worker threads. The tick path is
-        the same as in simulated mode, so results are bitwise equal to it.
+        Evaluate the per-block player and coupling steps on worker threads
+        (the stacked step stays on this one). The tick path is the same as
+        in simulated mode, so results are bitwise equal to it.
     validate
         Run the desk-scale problem and parameter validations first and
         raise ValueError on any violation; pass False to override.

@@ -8,11 +8,13 @@ reference for the l1 least squares instance, a closed-form mixed
 equilibrium for 2x2 zero-sum games, the random activation schedule as
 first written (one ``SeedSequence`` built from a tuple per generator,
 frozenset draws), and the solver's blockwise inner product as first
-written (a Python loop of per-block dots). The last item is the
+written (a Python loop of per-block dots). The last two items are the
 equilibrium certificate as first written (per player: mix, gradient,
-adjoint, pullback, prox and one dot per residual); it calls the
-package's ``prox``, ``as_vector`` and ``Certificate``, because what it
-checks is the stacking of the certificate, not those.
+adjoint, pullback, prox and one dot per residual) and the tick as first
+written (``player_local_step`` for every activated player, then a
+per-block write-back); they call the package's ``prox``, ``as_vector``,
+``Certificate`` and the tick's other steps, because what they check is
+the stacking of the certificate and of the player steps, not those.
 """
 
 from __future__ import annotations
@@ -21,9 +23,13 @@ from functools import lru_cache
 
 import numpy as np
 
+from nashsplit import oracle
 from nashsplit.model import as_vector
 from nashsplit.oracle import Certificate
 from nashsplit.proximal import is_indicator, prox
+from nashsplit.solver import (
+    TickReport, apply_update, assemble_duals, compute_pi, coupling_local_step, refresh_e,
+)
 
 
 def reference_run(init, players, couplings, interaction_grad, relaxation, n_ticks):
@@ -500,3 +506,91 @@ def check_equilibrium(game: Game, x, u_star=None, v_star=None, *, coerce: bool =
     return Certificate(
         tuple(player_res), tuple(interaction_res), tuple(coupling_res), tuple(gaps), max(everything)
     )
+
+
+# The tick as first written: every activated player through
+# ``player_local_step`` (its mix, smooth gradient, pullback and prox), and
+# the results written back block by block. The annotations stay
+# unevaluated, as ``Game``'s above.
+
+def player_local_step(game: Game, params: SolverParams, state: IterState, i: int, tau: int,
+                      interaction_grad: Optional[np.ndarray] = None):
+    """Candidate computation for player ``i`` reading history tick ``tau``.
+
+    Returns ``(q_i, c*_i, a_i, s*_i, c_i)``. Step sizes are indexed at the
+    lag time ``tau``, exactly as the iteration prescribes.
+    ``interaction_grad`` is the stacked interaction gradient at tick
+    ``tau`` when the caller already holds it; otherwise it is evaluated.
+    """
+    snap = state.snapshot_at(tau)
+    p = game.players[i]
+    if interaction_grad is None:
+        interaction_grad = state.lagged_interaction_grad(tau)
+    offs = game.interaction_offsets()
+    grad_y = interaction_grad[offs[i]:offs[i + 1]]
+    step_y = params.interaction_step(i, tau)
+    step_u = params.player_dual_step(i, tau)
+    step_x = params.strategy_step(i, tau)
+
+    q_i = snap.y[i] + step_y * (snap.u_star[i] - grad_y)
+    c_star_i = snap.u_star[i] + step_u * (p.mix.apply(snap.x[i]) - snap.y[i])
+    pull = game.coupling_pullback(
+        i, p.smooth.grad(snap.x[i]) + p.mix.adjoint_apply(snap.u_star[i]), snap.v_star
+    )
+    x_star = snap.x[i] - step_x * pull
+    a_i = prox(p.nonsmooth, step_x, x_star)
+    s_star_i = (x_star - a_i) / step_x + p.smooth.grad(a_i) + p.mix.adjoint_apply(c_star_i)
+    c_i = q_i - p.mix.apply(a_i)
+    return q_i, c_star_i, a_i, s_star_i, c_i
+
+
+def reference_tick(game: Game, params: SolverParams, schedule: Schedule, state: IterState) -> TickReport:
+    """One iteration with every activated block stepped alone and written back in order."""
+    n = state.n
+    state._push_history(n)      # so a write into the views since the last tick is read
+    info = schedule.next_tick(n, game.num_players, game.num_couplings)
+    grads = {tau: state.lagged_interaction_grad(tau)
+             for tau in sorted(set(info.player_lags.values()))}
+
+    def step_player(i):
+        tau = info.player_lags[i]
+        return player_local_step(game, params, state, i, tau, grads[tau])
+
+    def step_coupling(k):
+        return coupling_local_step(game, params, state, k, info.coupling_lags[k])
+
+    player_results = map(step_player, info.active_players)
+    coupling_results = map(step_coupling, info.active_couplings)
+    player_caches = (state.cand_q, state.cand_c_star, state.cand_a, state.cand_s_star, state.cand_c)
+    coupling_caches = (state.cand_b, state.cand_e_star, state.cand_b_star)
+    for i, results in zip(info.active_players, player_results):
+        for cache, value in zip(player_caches, results):
+            cache[i][:] = value
+    for k, (_, *results) in zip(info.active_couplings, coupling_results):
+        for cache, value in zip(coupling_caches, results):
+            cache[k][:] = value
+
+    refresh_e(game, state)
+    assemble_duals(game, state)
+    compute_pi(game, state)
+    pi, theta, step_norm = apply_update(game, state, params)
+    key = state.flat.tobytes()
+    if state._certified[0] != key:
+        residual = oracle.check_equilibrium(
+            game, state.x, state.u_star, state.v_star, coerce=False
+        ).max_residual
+        state._certified = (key, residual)
+    residual = state._certified[1]
+    report = TickReport(
+        n=n,
+        pi=pi,
+        theta=theta,
+        step_norm=step_norm,
+        kkt_residual=residual,
+        active_players=info.active_players,
+        active_couplings=info.active_couplings,
+        player_lags=info.player_lags,
+        coupling_lags=info.coupling_lags,
+    )
+    state.n = n + 1
+    return report

@@ -16,14 +16,15 @@ import nashsplit as ns  # noqa: E402
 from nashsplit import proximal, schedules, solver  # noqa: E402
 from nashsplit.linops import Dense, Identity, ScaledIdentity  # noqa: E402
 from nashsplit.model import (  # noqa: E402
-    CouplingBlock, Game, InteractionGradient, PlayerBlock, SolverParams, quadratic_smooth,
-    zero_smooth,
+    CouplingBlock, Game, InteractionGradient, PlayerBlock, SmoothTerm, SolverParams,
+    quadratic_smooth, zero_smooth,
 )
 from nashsplit.problems import lasso_instance, shared_constraint_instance  # noqa: E402
 from nashsplit.solver import IterState, tick  # noqa: E402
 
 from _oracles import _block_inner as loop_block_inner, random_schedule_tick  # noqa: E402
 from _oracles import check_equilibrium as per_block_check_equilibrium  # noqa: E402
+from _oracles import reference_tick  # noqa: E402
 
 _RNG = np.random.default_rng(8)
 INSTANCES = {
@@ -204,6 +205,17 @@ def _cert_term(kind: str, d: int, rng) -> proximal.NonsmoothTerm:
     return getattr(proximal, name)()
 
 
+def _cert_smooth(kind: str, d: int, rng) -> SmoothTerm:
+    if kind == "zero":
+        return zero_smooth()
+    term = quadratic_smooth(float(rng.uniform(0.0, 2.0)), rng.standard_normal(d))
+    if kind == "imposter":
+        # a hand-made term with a quadratic's value and twice its gradient:
+        # only its own gradient gives its residual
+        return SmoothTerm(term.value, lambda x: 2.0 * term.grad(x))
+    return term
+
+
 def _cert_mix(kind: str, ds: int, di: int, rng):
     if kind == "identity":
         return Identity(ds)
@@ -236,8 +248,7 @@ def test_certificate_equals_the_per_block_certificate(seed, max_width, shuffle, 
     for kind, mix in zip(kinds, mixes):
         ds = int(rng.integers(1, max_width + 1))
         di = ds if mix != "dense" else int(rng.integers(1, max_width + 1))
-        smooth = (quadratic_smooth(float(rng.uniform(0.0, 2.0)), rng.standard_normal(ds))
-                  if rng.random() < 0.5 else zero_smooth())
+        smooth = _cert_smooth(("zero", "quadratic", "imposter")[int(rng.integers(3))], ds, rng)
         players.append(PlayerBlock(ds, di, _cert_term(kind, ds, rng), smooth, 2.0,
                                    _cert_mix(mix, ds, di, rng), 1.0))
     couplings = []
@@ -271,3 +282,104 @@ def test_certificate_equals_the_per_block_certificate(seed, max_width, shuffle, 
     else:
         # a per-block sum of squares may round otherwise than a BLAS dot
         assert all(math.isclose(g, w, rel_tol=1e-12) for g, w in zip(got_all, want_all))
+
+
+def _signed(rng, d: int) -> np.ndarray:
+    """Standard normal entries, a third of them replaced by +0.0 and a third by -0.0."""
+    v = rng.standard_normal(d)
+    pick = rng.integers(3, size=d)
+    v[pick == 1], v[pick == 2] = 0.0, -0.0
+    return v
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_players=st.integers(2, 6),
+    max_width=st.sampled_from((1, 3)),
+    num_couplings=st.integers(0, 2),
+    steps=st.sampled_from(("constant", "per-block", "callable")),
+    max_lag=st.integers(0, 3),
+    prob=st.floats(0.2, 1.0),
+)
+def test_stacked_steps_equal_the_per_block_tick(seed, num_players, max_width, num_couplings,
+                                                steps, max_lag, prob):
+    # about half the players take the stacked step (an Identity mix and a
+    # zero smooth term), the others a drawn mix and smooth term; every
+    # nonsmooth kind, and signed zeros in the start, the term data and the
+    # steps' inputs, where a missing "+ 0.0" would show
+    rng = np.random.default_rng(seed)
+    players = []
+    for _ in range(num_players):
+        d = int(rng.integers(1, max_width + 1))
+        if rng.random() < 0.5:
+            mix, smooth = "identity", "zero"
+        else:
+            mix = ("identity", "scaled", "dense")[int(rng.integers(3))]
+            smooth = ("zero", "quadratic", "imposter")[int(rng.integers(3))]
+        di = d if mix != "dense" else int(rng.integers(1, max_width + 1))
+        kind = CERT_KINDS[int(rng.integers(len(CERT_KINDS)))]
+        players.append(PlayerBlock(d, di, _cert_term(kind, d, rng), _cert_smooth(smooth, d, rng),
+                                   2.0, _cert_mix(mix, d, di, rng), 1.0))
+    couplings = []
+    for _ in range(num_couplings):
+        dc = int(rng.integers(1, 3))
+        members = rng.choice(num_players, size=int(rng.integers(1, num_players + 1)), replace=False)
+        term = (proximal.shifted_orthant(rng.standard_normal(dc)) if rng.random() < 0.5
+                else proximal.zero())
+        couplings.append(CouplingBlock(
+            dc, term, quadratic_smooth(1.0, rng.standard_normal(dc)), 1.0,
+            {int(i): Dense(rng.standard_normal((dc, players[i].dim_strategy))) for i in members},
+        ))
+    ny = sum(p.dim_interaction for p in players)
+    skew = rng.standard_normal((ny, ny))
+    a_mat = 0.5 * (skew - skew.T) + 0.2 * np.eye(ny)   # monotone
+    b_vec = _signed(rng, ny)
+    game = Game(players, InteractionGradient(lambda y: a_mat @ y + b_vec, 1.0), couplings)
+
+    per_player = [tuple(rng.uniform(0.2, 0.9, num_players)) for _ in range(3)]
+    schedules_by_kind = {
+        "constant": [float(v[0]) for v in per_player],
+        "per-block": per_player,
+        "callable": [lambda i, n, v=v: v[i] * (1.0 - 0.5 * (n % 2)) for v in per_player],
+    }
+    strategy, interaction, dual = schedules_by_kind[steps]
+    params = SolverParams(strategy_steps=strategy, interaction_steps=interaction,
+                          player_dual_steps=dual, coupling_steps=0.5, coupling_dual_steps=0.7,
+                          relaxation=1.5)
+    schedule = ns.randomized(seed, prob, max_lag=max_lag, window=4)
+    start = dict(
+        x=[_signed(rng, p.dim_strategy) for p in players],
+        y=[_signed(rng, p.dim_interaction) for p in players],
+        z=[_signed(rng, c.dim) for c in couplings],
+        u_star=[_signed(rng, p.dim_interaction) for p in players],
+        v_star=[_signed(rng, c.dim) for c in couplings],
+    )
+    state = IterState(game, max_lag=max_lag, **start)
+    reference = IterState(game, max_lag=max_lag, **start)
+    fields = ("flat", "point", "direction", "s_star")
+    for _ in range(20):
+        got = tick(game, params, schedule, state)
+        want = reference_tick(game, params, schedule, reference)
+        for name in fields:
+            assert getattr(state, name).tobytes() == getattr(reference, name).tobytes(), name
+        assert got == want
+
+
+def test_stacked_step_keeps_the_signed_zeros_of_the_per_block_step():
+    # player 0 reads x = u* = -0.0, where u* + 0.0 makes the pull +0.0 and
+    # keeps x* = -0.0; player 1 also reads y = +0.0 and projects x* = -0.0
+    # onto the point +0.0, where (x* - a) / step = -0.0 and c* = -0.0 meet
+    # the "+ 0.0" of a zero smooth gradient
+    players = [PlayerBlock(1, 1, term, zero_smooth(), 0.0, Identity(1), 1.0)
+               for term in (proximal.zero(), proximal.singleton([0.0]))]
+    game = Game(players, InteractionGradient(lambda y: np.zeros_like(y), 1.0))
+    assert game.stacked_players == (0, 1)
+    start = dict(x=[[-0.0], [-0.0]], y=[[0.0], [0.0]], u_star=[[-0.0], [-0.0]])
+    state, reference = IterState(game, **start), IterState(game, **start)
+    params = SolverParams(relaxation=1.0)
+    tick(game, params, ns.synchronous(), state)
+    reference_tick(game, params, ns.synchronous(), reference)
+    assert np.signbit(reference.point[[0, 1]]).tolist() == [True, False]
+    assert np.signbit(reference.s_star).tolist() == [False, False]
+    for name in ("flat", "point", "direction", "s_star"):
+        assert getattr(state, name).tobytes() == getattr(reference, name).tobytes(), name

@@ -1,6 +1,8 @@
 """Solver mechanics: local steps, scalar test, projection update, runs."""
 
+import dataclasses
 import hashlib
+import re
 from collections import Counter
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 
 import nashsplit as ns
 from nashsplit import proximal, solver
-from nashsplit.linops import Identity, LinOp
+from nashsplit.linops import Dense, Identity, LinOp
 from nashsplit.model import (
     CouplingBlock,
     Game,
@@ -953,3 +955,101 @@ def test_inactive_blocks_do_no_operator_work(monkeypatch):
             assert counts["pullback", i] == (i in active) + (i in (0, 1))
     assert game.coupled_players == (0, 1)
     assert idle_players == {0, 1, 2} and idle_couplings == {0, 1}
+
+
+def test_inactive_stacked_players_do_no_operator_work(monkeypatch):
+    # the game above with Identity mixes and maps and zero smooth terms,
+    # so every player takes the stacked step: one prox call per active
+    # block, no smooth gradient (a zero one is known from its declaration),
+    # pullbacks for the active coupled players only, and the entries of the
+    # inactive players left as they were
+    meter = _Meter()
+    counts = meter.counts
+    targets = np.array([1.0, 2.0, -1.0])
+    players = [
+        PlayerBlock(1, 1, proximal.box([-5.0], [5.0]),
+                    dataclasses.replace(zero_smooth(),
+                                        grad=meter.counted(zero_smooth().grad, ("grad", i))),
+                    0.0, Identity(1), 1.0)
+        for i in range(3)
+    ]
+    couplings = [
+        CouplingBlock(1, proximal.shifted_orthant([bound]), zero_smooth(), 0.0,
+                      {i: Identity(1) for i in members})
+        for bound, members in ((4.0, (0, 1)), (-4.0, (1,)))
+    ]
+    game = Game(players, InteractionGradient(lambda y: y - targets, 1.0), couplings)
+    assert game.stacked_players == (0, 1, 2)
+    params = SolverParams.for_game(game, max_lag=2, window=4)
+    schedule = ns.randomized(3, 0.5, max_lag=2, window=4)
+    state = IterState(game, max_lag=2)
+
+    certify = solver.oracle.check_equilibrium
+
+    def uncounted_certificate(*args, **kwargs):
+        meter.on = False
+        try:
+            return certify(*args, **kwargs)
+        finally:
+            meter.on = True
+
+    pullback = Game.coupling_pullback
+
+    def counted_pullback(self, i, *rest):
+        meter.hit(("pullback", i))
+        return pullback(self, i, *rest)
+
+    monkeypatch.setattr(solver.oracle, "check_equilibrium", uncounted_certificate)
+    monkeypatch.setattr(solver, "prox", meter.counted(solver.prox, "prox"))
+    monkeypatch.setattr(Game, "coupling_pullback", counted_pullback)
+
+    # the entries that a player's local step writes: a, q and c* of the
+    # point, c of the direction, and s*
+    xs, ys, us = game.state_slices.x, game.state_slices.y, game.state_slices.u_star
+
+    def written(i):
+        return (state.point[xs[i]].tobytes(), state.point[ys[i]].tobytes(),
+                state.point[us[i]].tobytes(), state.direction[us[i]].tobytes(),
+                state.s_star[xs[i]].tobytes())
+
+    idle_players = set()
+    for _ in range(30):
+        counts.clear()
+        before = [written(i) for i in range(3)]
+        rep = tick(game, params, schedule, state)
+        active = set(rep.active_players)
+        idle_players |= set(range(3)) - active
+        assert counts["prox"] == len(active) + len(rep.active_couplings)
+        for i in range(3):
+            assert counts["grad", i] == 0
+            # one pullback in the local step if active and coupled, one in
+            # the dual assembly if coupled
+            coupled = i in (0, 1)
+            assert counts["pullback", i] == (i in active and coupled) + coupled
+            if i not in active:
+                assert written(i) == before[i]
+    assert idle_players == {0, 1, 2}
+
+
+@pytest.mark.parametrize("mix", [Identity(2), Dense(np.eye(2))], ids=["stacked", "per-block"])
+@pytest.mark.parametrize("output, shape", [(lambda v: 0.0, "()"), (lambda v: v[:1], "(1,)")],
+                         ids=["scalar", "one-entry"])
+def test_a_wrong_prox_shape_names_the_player_and_the_tick(mix, output, shape):
+    players = [
+        PlayerBlock(1, 1, proximal.box([-1.0], [1.0]), zero_smooth(), 0.0, Identity(1), 1.0),
+        PlayerBlock(2, 2, proximal.custom_resolvent(lambda gamma, v: output(v)), zero_smooth(),
+                    0.0, mix, 1.0),
+    ]
+    game = Game(players, InteractionGradient(lambda y: 0.5 * y, 1.0))
+    assert game.stacked_players == ((0, 1) if type(mix) is Identity else (0,))
+    message = f"player 1: prox returned shape {shape}, expected (2,), at tick 0"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ns.solve(game, SolverParams.for_game(game), ns.synchronous(), validate=False)
+
+
+def test_a_wrong_interaction_gradient_shape_names_the_tick():
+    game = _consensus_10()
+    broken = Game(game.players, InteractionGradient(lambda y: y[:-1], 1.0))
+    with pytest.raises(ValueError, match=r"interaction gradient returned shape \(9,\), "
+                                         r"expected \(10,\), at the y of tick 0"):
+        ns.solve(broken, SolverParams.for_game(broken), ns.synchronous(), validate=False)
