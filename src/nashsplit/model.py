@@ -64,9 +64,12 @@ def as_vector(x, dim: Optional[int] = None, what: str = "vector") -> np.ndarray:
 class SmoothTerm:
     """A convex differentiable term given by value and gradient callables.
 
-    ``stack`` declares an entrywise gradient as ``NonsmoothTerm.stack`` does
-    a prox; the constructors below set it. A field, so that
-    ``dataclasses.replace`` keeps it.
+    ``stack``, set by the constructors below, declares an entrywise gradient
+    as ``NonsmoothTerm.stack`` does a prox, and is trusted over ``grad``
+    (the solver skips a declared zero gradient, the certificate rebuilds a
+    group from the constructor): it must describe ``grad`` exactly, so
+    ``dataclasses.replace`` of ``grad`` must also set ``stack=None`` unless
+    the new ``grad`` only wraps the old one.
     """
 
     value: Callable[[np.ndarray], float]
@@ -193,11 +196,8 @@ class ProxGroup(NamedTuple):
 
 
 def _groups(terms, xs) -> tuple:
-    """One ``ProxGroup`` per ``stack[:2]`` that the terms declare, and one per other term.
-
-    A term whose ``stack`` vectors are not one entry per strategy entry
-    stays alone, so its own call raises the dimension error.
-    """
+    """One ``ProxGroup`` per ``stack[:2]`` that the terms declare, and one per other
+    term; one whose ``stack`` vectors miss its width stays alone to raise its own error."""
     members = {}
     for i, (term, x) in enumerate(zip(terms, xs)):
         stack = term.stack
@@ -280,21 +280,17 @@ class Game:
             i for i, p in enumerate(self.players)
             if not (type(p.mix) is Identity and p.mix.in_dim == p.dim_strategy == p.dim_interaction)
         ))
-        mixed = set(self.mixed_players)
-        stacks = tuple(i not in mixed and p.smooth.stack is not None
-                       and p.smooth.stack[0] is zero_smooth for i, p in enumerate(self.players))
-        object.__setattr__(self, "_stacks", stacks)
-        object.__setattr__(self, "stacked_players", tuple(i for i, s in enumerate(stacks) if s))
-        # Per stacked player, rows of positions: its gradient entries in a
-        # ring row (state, then gradient), then its y, u* and x entries; for
-        # one-entry blocks the stacked step takes the first positions directly.
-        firsts = np.array([(self.state_size + y.start - self.y_span.start, y.start, u.start, x.start)
-                           for x, y, u in zip(groups[0], groups[1], groups[3])], dtype=np.intp).T
-        object.__setattr__(self, "_entries", tuple(
-            firsts[:, i:i + 1] + np.arange(p.dim_strategy) if s else None
-            for i, (p, s) in enumerate(zip(self.players, stacks))))
-        unit = all(self.players[i].dim_strategy == 1 for i in self.stacked_players)
-        object.__setattr__(self, "_entry_starts", firsts.copy() if unit else None)
+        object.__setattr__(self, "stacked_players", tuple(
+            i for i, p in enumerate(self.players)
+            if i not in self.mixed_players and (p.smooth.stack or (None,))[0] is zero_smooth))
+        # Per strategy entry of a stacked player (other columns unused), its gradient
+        # entry in a ring row (state, then gradient) and its y, u* and x entries.
+        x = np.arange(self.x_span.stop)
+        y, u = (x + np.repeat([b.start - a.start for a, b in zip(groups[0], field)],
+                              self.strategy_dims) for field in (groups[1], groups[3]))
+        entries = np.stack([y + self.state_size - self.y_span.start, y, u, x])
+        entries.flags.writeable = False
+        object.__setattr__(self, "_entries", entries)
         object.__setattr__(self, "indicator_players", tuple(
             i for i, p in enumerate(self.players) if is_indicator(p.nonsmooth)
         ))

@@ -11,12 +11,11 @@ solver's stopping rule.
 The certificate runs after every tick that moves the iterate, so it works
 on stacked vectors. The game groups the players whose nonsmooth terms
 declare the same entrywise ``stack`` (``Game.prox_groups``), and each
-group takes one prox call on its entries of the stacked strategies; the
-smooth gradients are grouped alike by ``SmoothTerm.stack``
-(``Game.smooth_groups``). Every other term (a hand-made one stays alone,
-whatever its kind) and every mix that is not an ``Identity`` is
-evaluated per player (``Identity`` mixes are skipped), and each coupling
-on its own.
+group takes one prox call on its entries of the stacked strategies, as
+each group of ``Game.smooth_groups`` takes one gradient call. Every other
+term (a hand-made one stays alone, whatever its kind) and every mix that
+is not an ``Identity`` is evaluated per player (``Identity`` mixes are
+skipped), and each coupling on its own.
 The player and interaction residuals are per-block sums of squares
 (``np.add.reduceat``), and the maximum runs over the player, interaction
 and coupling residuals and then the gaps (players, then couplings). So on

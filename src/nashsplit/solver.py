@@ -7,22 +7,17 @@ underlying monotone operator, and relaxedly projects the full iterate
 ``(x, y, z, u*, v*)`` onto the half-space that the candidate pair
 separates from the solution set.
 
-Players step by the declared types of their blocks. Those with an
-``Identity`` mix of their widths and a smooth term that declares
-``zero_smooth`` (``Game.stacked_players``) step stacked when the player
-step schedules are not callables: a few numpy calls over their entries,
-each gathered from the history row of its player's lag, with one
-resolvent call and the coupling pullbacks per player. The others step
-alone through ``player_local_step``, with the same bits.
-
-Both execution modes run one tick path, with lags from the schedule.
-Simulated-async mode runs every step in order on one thread and is
-bit-reproducible. Parallel mode maps the per-block player steps and the
-coupling steps on worker threads that read read-only history rows, while
-the coordinator runs the stacked step, mutates the state and applies the
-projection serially in tick order. Each step depends only on its blocks
-and their history rows, so parallel runs are bitwise equal to simulated
-runs.
+Players with an ``Identity`` mix of their widths and a smooth term that
+declares ``zero_smooth`` (``Game.stacked_players``, known from their types)
+step stacked unless a player step schedule is a callable: a few numpy calls
+over their entries, each read from the history row of its player's lag,
+and one resolvent call per active player. The others step alone through
+``player_local_step``, with the same bits. Both execution modes run one
+tick path, with lags from the schedule. Simulated-async mode runs it on one
+thread and is bit-reproducible. Parallel mode maps the per-block player and
+coupling steps on worker threads that read read-only history rows; the
+coordinator runs the stacked step, mutates the state and projects serially
+in tick order, so parallel runs are bitwise equal to simulated runs.
 
 Arithmetic is double precision throughout. The scalar test, the step size
 and the separation gap share one inner product: per-block sums of the
@@ -183,7 +178,7 @@ class IterState:
 
         self.n = 0
         self.pi: Optional[float] = None
-        self._steps = (None, None)      # see _stacked_table()
+        self._steps = (None, (), None)      # see _stacked_table()
         # (flat bytes, residual) of the last per-tick certificate; see tick().
         self._certified = (None, None)
         depth = int(max_lag) + 1
@@ -221,10 +216,7 @@ class IterState:
         return self._row_blocks[self._row(tick_index)]
 
     def lagged_interaction_grad(self, tick_index: int) -> np.ndarray:
-        """Stacked interaction gradient at the ``y`` of a retained tick, shape-checked.
-
-        A copy stays in the tick's ring row for the stacked step to gather.
-        """
+        """Shape-checked interaction gradient at the ``y`` of a retained tick, kept in its row."""
         row = self._row(tick_index)
         y = self._frozen[row, self.game.y_span]
         grad = np.asarray(self.game.interaction.eval(y), dtype=float)
@@ -289,51 +281,48 @@ def _resolvent(game: Game, i: int, step: float, x_star: np.ndarray, n: int):
     return a
 
 
-def _stacked_table(state: IterState, params: SolverParams):
-    """``(steps, strategy)`` for the stacked step, or None under a callable schedule.
-
-    ``steps`` holds each player's strategy, interaction and dual steps at
-    its ``x``, ``y`` and ``u*`` entries of the state layout, ``strategy``
-    the strategy steps; they cannot depend on the tick, so the state keeps
-    them for the ``params`` it last saw.
+def _stacked_table(state: IterState, params: SolverParams) -> Optional[np.ndarray]:
+    """Each player's strategy, interaction and dual steps at its ``x``, ``y``
+    and ``u*`` entries, or None under a callable schedule. The state keeps
+    them for the ``params`` they were built from and the entries of its list
+    and array schedules, which can change in place.
     """
-    if state._steps[0] is not params:
-        game, table = state.game, None
+    held, entries, _ = state._steps
+    if held is not params or any(tuple(s) != values for s, values in entries):
         schedules = (params.strategy_steps, params.interaction_steps, params.player_dual_steps)
-        if not any(map(callable, schedules)):
-            per_player = [[step_at(i, 0) for i in range(game.num_players)] for step_at in
-                          (params.strategy_step, params.interaction_step, params.player_dual_step)]
-            steps = np.empty(game.state_size)
-            for span, values, dims in zip((game.x_span, game.y_span, game.u_span), per_player,
-                                          (game.strategy_dims,) + (game.interaction_dims,) * 2):
-                steps[span] = np.repeat(values, dims)
-            table = (steps, per_player[0])
-        state._steps = (params, table)
-    return state._steps[1]
+        entries = [(s, tuple(s)) for s in schedules if isinstance(s, (list, np.ndarray))]
+        state._steps = (params, entries, None)
+        if any(map(callable, schedules)):
+            return None
+        game = state.game
+        players, none = range(game.num_players), [0.0] * game.num_couplings
+        # one value per block of the state (x, y, z, u*, v*), repeated over its entries
+        per_block = ([params.strategy_step(i, 0) for i in players]
+                     + [params.interaction_step(i, 0) for i in players] + none
+                     + [params.player_dual_step(i, 0) for i in players] + none)
+        widths = np.diff(game.block_starts, append=game.state_size)
+        state._steps = (params, entries, np.repeat(per_block, widths))
+    return state._steps[2]
 
 
-def _stacked_steps(game: Game, state: IterState, table, players, lags: dict, grads: dict) -> None:
-    """The local steps of the activated stacked ``players``, written into the state.
-
-    The arithmetic of ``player_local_step`` on the players' entries, each
-    read from the ring row of its player's lag, which also holds ``grads``
-    (the gradients by lag). An ``Identity`` mix is its input, and a zero
-    smooth gradient a ``+ 0.0``, for the ``-0.0 -> +0.0`` of adding zeros.
-    """
-    steps, strategy = table
-    if game._entry_starts is not None:
-        at = game._entry_starts.take(players, axis=1)
+def _stacked_steps(game: Game, state: IterState, steps: np.ndarray, players, lags: dict) -> None:
+    """``player_local_step`` of the activated stacked ``players`` on their entries,
+    each read from the ring row of its player's lag, written into the state.
+    An ``Identity`` mix is its input, and a zero smooth gradient a ``+ 0.0``
+    (for the ``-0.0 -> +0.0`` of adding zeros)."""
+    # the ring rows of the lags, which tick() checked when it took their gradients
+    rows = [lags[i] % len(state._ring) for i in players]
+    if game._entries.shape[1] == game.num_players:      # one entry per player
+        at = game._entries.take(players, axis=1)
         bounds = range(len(players) + 1)
     else:
-        blocks = [game._entries[i] for i in players]
-        at = np.concatenate(blocks, axis=1)
-        bounds = np.cumsum([0] + [b.shape[1] for b in blocks]).tolist()
-    if len(grads) == 1:
-        held = state._frozen[state._row(next(iter(grads)))][at]
-    else:
-        rows = [state._row(lags[i]) for i in players]
-        held = state._frozen[rows if isinstance(bounds, range) else
-                             np.repeat(rows, np.diff(bounds)), at]
+        xs = game.state_slices.x
+        widths = [xs[i].stop - xs[i].start for i in players]
+        at = np.concatenate([game._entries[:, xs[i]] for i in players], axis=1)
+        bounds = np.cumsum([0] + widths).tolist()
+        rows = np.repeat(rows, widths).tolist()
+    # at one lag, index its row: about 2 us faster than a fancy index over rows
+    held = state._frozen[rows[0]][at] if min(rows) == max(rows) else state._frozen[rows, at]
     # rows: gradient, y, u* and x entries; interaction, dual and strategy steps
     step = steps[at[1:]]
     # q = y + step_y * (u* - grad) and c* = u* + step_u * (x - y) as two rows
@@ -344,9 +333,9 @@ def _stacked_steps(game: Game, state: IterState, table, players, lags: dict, gra
             seg = slice(bounds[j], bounds[j + 1])
             pull[seg] = game.coupling_pullback(i, pull[seg], state.snapshot_at(lags[i]).v_star)
     x_star = held[3] - step[2] * pull
-    a = [_resolvent(game, i, strategy[i], x_star[bounds[j]:bounds[j + 1]], state.n)
-         for j, i in enumerate(players)]
-    a = a[0] if len(a) == 1 else np.concatenate(a)
+    strategy = step[2].tolist()
+    a = np.concatenate([_resolvent(game, i, strategy[bounds[j]], x_star[bounds[j]:bounds[j + 1]],
+                                   state.n) for j, i in enumerate(players)])
     state.point[at[1:3]] = q_c
     state.point[at[3]] = a
     state.s_star[at[3]] = (x_star - a) / step[2] + 0.0 + q_c[1]
@@ -477,12 +466,13 @@ def tick(game: Game, params: SolverParams, schedule: Schedule, state: IterState,
     results are written into the point ``p`` and the direction ``p*``,
     whose inactive blocks carry their last values forward. The coupling
     gaps ``e`` and the player duals ``a*``, ``q*`` are then refreshed, and
-    the iterate is projected onto the half-space ``{w : <w - p, p*> <= 0}``. The reported residual certifies
-    the post-update iterate. That certificate is the one step of a tick
-    that touches every block, so it is evaluated only when the iterate
-    differs bitwise from the one it last certified: a nonnegative scalar
-    test leaves the iterate in place and the previous residual, which is
-    a function of the iterate alone, is reported again.
+    the iterate is projected onto the half-space ``{w : <w - p, p*> <= 0}``.
+    The reported residual certifies the post-update iterate. That
+    certificate is the one step of a tick that touches every block, so it
+    is evaluated only when the iterate differs bitwise from the one it last
+    certified: a nonnegative scalar test leaves the iterate in place and
+    the previous residual, which is a function of the iterate alone, is
+    reported again.
     """
     n = state.n
     state._push_history(n)      # so a write into the views since the last tick is read
@@ -497,15 +487,15 @@ def tick(game: Game, params: SolverParams, schedule: Schedule, state: IterState,
     def step_coupling(k):
         return coupling_local_step(game, params, state, k, info.coupling_lags[k])
 
-    table = _stacked_table(state, params)
-    stacks = game._stacks if table is not None else (False,) * game.num_players
-    stacked = [i for i in info.active_players if stacks[i]]
-    alone = [i for i in info.active_players if not stacks[i]]
+    steps = _stacked_table(state, params)
+    members = set(game.stacked_players) if steps is not None else ()
+    stacked = [i for i in info.active_players if i in members]
+    alone = [i for i in info.active_players if i not in members]
     run = map if executor is None else executor.map
     player_results = run(step_player, alone)
     coupling_results = run(step_coupling, info.active_couplings)
     if stacked:
-        _stacked_steps(game, state, table, stacked, info.player_lags, grads)
+        _stacked_steps(game, state, steps, stacked, info.player_lags)
     player_caches = (state.cand_q, state.cand_c_star, state.cand_a, state.cand_s_star, state.cand_c)
     coupling_caches = (state.cand_b, state.cand_e_star, state.cand_b_star)
     for i, results in zip(alone, player_results):

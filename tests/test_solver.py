@@ -39,7 +39,8 @@ from nashsplit.solver import (
     tick,
 )
 
-from _oracles import consensus_reference_pieces, reference_run, reference_run_scheduled
+from _oracles import (consensus_reference_pieces, reference_run, reference_run_scheduled,
+                      reference_tick)
 
 
 def free_scalar_game(num_players=1):
@@ -1045,6 +1046,31 @@ def test_a_wrong_prox_shape_names_the_player_and_the_tick(mix, output, shape):
     message = f"player 1: prox returned shape {shape}, expected (2,), at tick 0"
     with pytest.raises(ValueError, match=re.escape(message)):
         ns.solve(game, SolverParams.for_game(game), ns.synchronous(), validate=False)
+
+
+def test_a_step_list_changed_between_ticks_reaches_the_stacked_players():
+    # SolverParams is frozen but its list and array schedules are not: a step
+    # changed in place between ticks reaches the stacked players (0 and 1)
+    # as it reaches the per-block one (2, a Dense mix) and the reference
+    targets = np.array([1.0, 2.0, -1.0])
+    players = [PlayerBlock(1, 1, proximal.box([-5.0], [5.0]), zero_smooth(), 0.0, mix, 1.0)
+               for mix in (Identity(1), Identity(1), Dense(np.eye(1)))]
+    game = Game(players, InteractionGradient(lambda y: y - targets, 1.0))
+    assert game.stacked_players == (0, 1)
+    params = SolverParams(strategy_steps=[0.5] * 3, interaction_steps=[0.5] * 3,
+                          player_dual_steps=np.ones(3))
+    state, reference = IterState(game), IterState(game)
+    for n in range(6):
+        if n == 2:
+            params.strategy_steps[0] = 0.25
+        if n == 3:
+            params.interaction_steps[1] = 0.3
+        if n == 4:
+            params.player_dual_steps[0] = 0.7
+        assert tick(game, params, ns.synchronous(), state) == \
+            reference_tick(game, params, ns.synchronous(), reference)
+        for name in ("flat", "point", "direction", "s_star"):
+            assert getattr(state, name).tobytes() == getattr(reference, name).tobytes(), name
 
 
 def test_a_wrong_interaction_gradient_shape_names_the_tick():
