@@ -235,9 +235,9 @@ class Game:
     hand-made one, whatever its ``kind``) or whose intrinsic dimension is
     not the player's is a group of one; ``smooth_groups`` group the smooth
     terms alike. ``mixed_players`` have a mix that is not an ``Identity`` of
-    their widths; ``indicator_players`` have an indicator term; the solver
-    steps the unmixed players whose smooth term declares ``zero_smooth``,
-    ``stacked_players``, together.
+    their widths, which ``mix`` applies; ``smooth_players`` have a smooth
+    term that does not declare ``zero_smooth``; ``indicator_players`` have
+    an indicator term.
     """
 
     players: Sequence[PlayerBlock]
@@ -280,15 +280,16 @@ class Game:
             i for i, p in enumerate(self.players)
             if not (type(p.mix) is Identity and p.mix.in_dim == p.dim_strategy == p.dim_interaction)
         ))
-        object.__setattr__(self, "stacked_players", tuple(
-            i for i, p in enumerate(self.players)
-            if i not in self.mixed_players and (p.smooth.stack or (None,))[0] is zero_smooth))
-        # Per strategy entry of a stacked player (other columns unused), its gradient
-        # entry in a ring row (state, then gradient) and its y, u* and x entries.
-        x = np.arange(self.x_span.stop)
-        y, u = (x + np.repeat([b.start - a.start for a, b in zip(groups[0], field)],
-                              self.strategy_dims) for field in (groups[1], groups[3]))
-        entries = np.stack([y + self.state_size - self.y_span.start, y, u, x])
+        object.__setattr__(self, "smooth_players", tuple(
+            i for i, p in enumerate(self.players) if (p.smooth.stack or (None,))[0] is not zero_smooth
+        ))
+        # Per interaction entry, its gradient entry in a ring row (the state, then the
+        # gradient), its y and u* entries and, when every player's widths agree, its x entry.
+        y = np.arange(self.y_span.start, self.y_span.stop)
+        rows = [y + self.state_size - self.y_span.start, y, y + self.u_span.start - self.y_span.start]
+        if self.strategy_dims == self.interaction_dims:
+            rows.append(y - self.y_span.start)
+        entries = np.stack(rows)
         entries.flags.writeable = False
         object.__setattr__(self, "_entries", entries)
         object.__setattr__(self, "indicator_players", tuple(
@@ -344,6 +345,29 @@ class Game:
         for i in sorted(blk.maps):
             acc = acc + blk.maps[i].apply(strategies[i])
         return acc
+
+    def mix(self, v: np.ndarray, players=None, adjoint: bool = False) -> np.ndarray:
+        """``M_i`` (``M_i^*`` with ``adjoint``) of each of ``players`` (all by default)
+        on its block of ``v``, their input blocks in that order, concatenated; ``v``
+        itself when no listed player is in ``mixed_players``. An output of the
+        wrong shape raises ValueError naming the first such player."""
+        mixed = self.mixed_players
+        if not mixed:
+            return v
+        players = range(self.num_players) if players is None else players
+        if not any(i in mixed for i in players):
+            return v
+        ins, outs = self.strategy_dims, self.interaction_dims
+        ins, outs = (outs, ins) if adjoint else (ins, outs)
+        blocks = np.split(v, np.cumsum([ins[i] for i in players])[:-1])
+        for j, i in enumerate(players):
+            if i in mixed:
+                op = self.players[i].mix
+                blocks[j] = op.adjoint_apply(blocks[j]) if adjoint else op.apply(blocks[j])
+                if np.shape(blocks[j]) != (outs[i],):
+                    raise ValueError(f"player {i}: mix{' adjoint' if adjoint else ''} returned "
+                                     f"shape {np.shape(blocks[j])}, expected ({outs[i]},)")
+        return np.concatenate(blocks)
 
     def coupling_pullback(self, i: int, acc: np.ndarray, duals) -> np.ndarray:
         """``acc + sum_k L_ki^* duals[k]`` over player ``i``'s couplings, in increasing ``k``."""

@@ -13,9 +13,9 @@ on stacked vectors. The game groups the players whose nonsmooth terms
 declare the same entrywise ``stack`` (``Game.prox_groups``), and each
 group takes one prox call on its entries of the stacked strategies, as
 each group of ``Game.smooth_groups`` takes one gradient call. Every other
-term (a hand-made one stays alone, whatever its kind) and every mix that
-is not an ``Identity`` is evaluated per player (``Identity`` mixes are
-skipped), and each coupling on its own.
+term (a hand-made one stays alone, whatever its kind) is evaluated per
+player, the mixes go through ``Game.mix`` as in the solver's player step
+(``Identity`` mixes are skipped), and each coupling is evaluated on its own.
 The player and interaction residuals are per-block sums of squares
 (``np.add.reduceat``), and the maximum runs over the player, interaction
 and coupling residuals and then the gaps (players, then couplings). So on
@@ -79,24 +79,6 @@ def _blocks(blocks, layout, what: str, coerce: bool = True):
             for i, (b, s) in enumerate(zip(blocks, layout))]
 
 
-def _stacked(blocks, layout, what: str) -> np.ndarray:
-    """Concatenate one output per player, checked against the block widths of ``layout``.
-
-    A wrong total shape names the first player whose output has the wrong
-    shape, instead of misaligning the blocks after it or failing inside numpy.
-    """
-    try:
-        flat = np.concatenate(blocks)
-    except ValueError:
-        flat = None
-    if flat is None or flat.shape != (layout[-1].stop - layout[0].start,):
-        for i, (b, s) in enumerate(zip(blocks, layout)):
-            if np.shape(b) != (s.stop - s.start,):
-                raise ValueError(f"player {i}: {what} returned shape {np.shape(b)}, "
-                                 f"expected ({s.stop - s.start},)")
-    return flat
-
-
 def _block_norms(d: np.ndarray, starts) -> np.ndarray:
     """The Euclidean norm of each block of ``d``, blocks starting at ``starts``."""
     return np.sqrt(np.add.reduceat(d * d, starts))
@@ -122,17 +104,10 @@ def check_equilibrium(game: Game, x, u_star=None, v_star=None, *,
     interaction gradient raises ValueError naming the operator and, for
     the first two, the first such player.
     """
-    players, layout = game.players, game.state_slices
+    layout = game.state_slices
     xs = _blocks(x, layout.x, "x", coerce)
     x_flat = np.concatenate(xs)
-    mixed = game.mixed_players
-    if mixed:
-        ys = list(xs)
-        for i in mixed:
-            ys[i] = players[i].mix.apply(xs[i])
-        y_flat = _stacked(ys, layout.y, "mix")
-    else:
-        y_flat = x_flat
+    y_flat = game.mix(x_flat)
     q = np.asarray(game.interaction.eval(y_flat), dtype=float)
     if q.shape != y_flat.shape:
         raise ValueError(
@@ -150,13 +125,7 @@ def check_equilibrium(game: Game, x, u_star=None, v_star=None, *,
             raise ValueError(f"player {i}: smooth gradient returned shape {np.shape(g)}, "
                              f"expected {index.shape}")
         grad[index] = g
-    if mixed:
-        back = game.split_interaction(u)
-        for i in mixed:
-            back[i] = players[i].mix.adjoint_apply(back[i])
-        pull = grad + _stacked(back, layout.x, "mix adjoint")
-    else:
-        pull = grad + u
+    pull = grad + game.mix(u, adjoint=True)
     for i in game.coupled_players:
         pull[layout.x[i]] = game.coupling_pullback(i, pull[layout.x[i]], vs)
     step = x_flat - _CERT_STEP * pull

@@ -7,17 +7,12 @@ underlying monotone operator, and relaxedly projects the full iterate
 ``(x, y, z, u*, v*)`` onto the half-space that the candidate pair
 separates from the solution set.
 
-Players with an ``Identity`` mix of their widths and a smooth term that
-declares ``zero_smooth`` (``Game.stacked_players``, known from their types)
-step stacked unless a player step schedule is a callable: a few numpy calls
-over their entries, each read from the history row of its player's lag,
-and one resolvent call per active player. The others step alone through
-``player_local_step``, with the same bits. Both execution modes run one
-tick path, with lags from the schedule. Simulated-async mode runs it on one
-thread and is bit-reproducible. Parallel mode maps the per-block player and
-coupling steps on worker threads that read read-only history rows; the
-coordinator runs the stacked step, mutates the state and projects serially
-in tick order, so parallel runs are bitwise equal to simulated runs.
+All activated players step together in ``player_local_step``. Both
+execution modes run one tick path, with lags from the schedule.
+Simulated-async mode runs it on one thread and is bit-reproducible. Parallel
+mode maps the coupling steps on worker threads that read read-only history
+rows; the coordinator runs the player step, mutates the state and projects
+serially in tick order, so parallel runs are bitwise equal to simulated runs.
 
 Arithmetic is double precision throughout. The scalar test, the step size
 and the separation gap share one inner product: per-block sums of the
@@ -30,6 +25,7 @@ bitwise gates fix that order; pairwise ``np.sum`` and compensated
 
 from __future__ import annotations
 
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -131,8 +127,8 @@ class IterState:
     A write into the views between ticks reaches all of the next tick:
     the tick pushes its own history row from the live state before its
     local steps read it. To warm-start a run, pass the starting blocks and
-    the schedule's ``max_lag`` to ``IterState(...)`` and the state to
-    ``solve(state=...)``.
+    the schedule's ``max_lag`` (a nonnegative integer) to ``IterState(game,
+    ...)`` and the state to ``solve(state=...)`` with the same game.
     """
 
     _FLAT = ("flat", "point", "direction", "s_star")
@@ -153,6 +149,8 @@ class IterState:
 
     def __init__(self, game: Game, x=None, y=None, z=None, u_star=None, v_star=None,
                  max_lag: int = 0):
+        if isinstance(max_lag, bool) or not isinstance(max_lag, numbers.Integral) or max_lag < 0:
+            raise ValueError(f"max_lag must be a nonnegative integer, not {max_lag!r}")
         self.game = game
         self.flat = np.zeros(game.state_size)
         live = game.split_state(self.flat)
@@ -178,7 +176,7 @@ class IterState:
 
         self.n = 0
         self.pi: Optional[float] = None
-        self._steps = (None, (), None)      # see _stacked_table()
+        self._steps = (None, (), None)      # see _step_table()
         # (flat bytes, residual) of the last per-tick certificate; see tick().
         self._certified = (None, None)
         depth = int(max_lag) + 1
@@ -241,105 +239,116 @@ def tuple_distance(t1, t2) -> float:
     return float(np.sqrt(acc))
 
 
-def player_local_step(game: Game, params: SolverParams, state: IterState, i: int, tau: int,
-                      interaction_grad: Optional[np.ndarray] = None):
-    """Candidate computation for player ``i`` reading history tick ``tau``.
+def player_local_step(game: Game, params: SolverParams, state: IterState, players,
+                      lags: dict) -> None:
+    """The candidates of the activated ``players``, player ``i`` reading history
+    tick ``lags[i]`` with its step sizes indexed at that tick, written into the
+    point (``q``, ``c*`` and ``a``), the direction (``c``) and ``s*``::
 
-    Returns ``(q_i, c*_i, a_i, s*_i, c_i)``. Step sizes are indexed at the
-    lag time ``tau``, exactly as the iteration prescribes.
-    ``interaction_grad`` is the stacked interaction gradient at tick
-    ``tau`` when the caller already holds it; otherwise it is evaluated.
+        q  = y + step_y (u* - grad_y)          c* = u* + step_u (M x - y)
+        x* = x - step_x (grad_s(x) + M^T u* + sum_k L_k^T v*_k)
+        a  = prox(x*)                          c  = q - M a
+        s* = (x* - a) / step_x + grad_s(a) + M^T c*
+
+    The arithmetic runs on the entries of all ``players`` at once, with the
+    bits of each player stepped alone: the interaction gradient is evaluated
+    once per lag, the pullback and the prox once per player, the mixes go
+    through ``Game.mix``, and the gradient of a smooth term outside
+    ``game.smooth_players`` is a ``+ 0.0`` (the ``-0.0 -> +0.0`` of zeros).
     """
-    snap = state.snapshot_at(tau)
-    p = game.players[i]
-    if interaction_grad is None:
-        interaction_grad = state.lagged_interaction_grad(tau)
-    offs = game.interaction_offsets()
-    grad_y = interaction_grad[offs[i]:offs[i + 1]]
-    step_y = params.interaction_step(i, tau)
-    step_u = params.player_dual_step(i, tau)
-    step_x = params.strategy_step(i, tau)
-
-    q_i = snap.y[i] + step_y * (snap.u_star[i] - grad_y)
-    c_star_i = snap.u_star[i] + step_u * (p.mix.apply(snap.x[i]) - snap.y[i])
-    pull = game.coupling_pullback(
-        i, p.smooth.grad(snap.x[i]) + p.mix.adjoint_apply(snap.u_star[i]), snap.v_star
-    )
-    x_star = snap.x[i] - step_x * pull
-    a_i = _resolvent(game, i, step_x, x_star, state.n)
-    s_star_i = (x_star - a_i) / step_x + p.smooth.grad(a_i) + p.mix.adjoint_apply(c_star_i)
-    c_i = q_i - p.mix.apply(a_i)
-    return q_i, c_star_i, a_i, s_star_i, c_i
-
-
-def _resolvent(game: Game, i: int, step: float, x_star: np.ndarray, n: int):
-    """Player ``i``'s prox at ``x_star``, which must return one entry per strategy entry."""
-    a = np.asarray(prox(game.players[i].nonsmooth, step, x_star))
-    if a.shape != x_star.shape:
-        raise ValueError(f"player {i}: prox returned shape {a.shape}, "
-                         f"expected {x_star.shape}, at tick {n}")
-    return a
-
-
-def _stacked_table(state: IterState, params: SolverParams) -> Optional[np.ndarray]:
-    """Each player's strategy, interaction and dual steps at its ``x``, ``y``
-    and ``u*`` entries, or None under a callable schedule. The state keeps
-    them for the ``params`` they were built from and the entries of its list
-    and array schedules, which can change in place.
-    """
-    held, entries, _ = state._steps
-    if held is not params or any(tuple(s) != values for s, values in entries):
-        schedules = (params.strategy_steps, params.interaction_steps, params.player_dual_steps)
-        entries = [(s, tuple(s)) for s in schedules if isinstance(s, (list, np.ndarray))]
-        state._steps = (params, entries, None)
-        if any(map(callable, schedules)):
-            return None
-        game = state.game
-        players, none = range(game.num_players), [0.0] * game.num_couplings
-        # one value per block of the state (x, y, z, u*, v*), repeated over its entries
-        per_block = ([params.strategy_step(i, 0) for i in players]
-                     + [params.interaction_step(i, 0) for i in players] + none
-                     + [params.player_dual_step(i, 0) for i in players] + none)
-        widths = np.diff(game.block_starts, append=game.state_size)
-        state._steps = (params, entries, np.repeat(per_block, widths))
-    return state._steps[2]
-
-
-def _stacked_steps(game: Game, state: IterState, steps: np.ndarray, players, lags: dict) -> None:
-    """``player_local_step`` of the activated stacked ``players`` on their entries,
-    each read from the ring row of its player's lag, written into the state.
-    An ``Identity`` mix is its input, and a zero smooth gradient a ``+ 0.0``
-    (for the ``-0.0 -> +0.0`` of adding zeros)."""
-    # the ring rows of the lags, which tick() checked when it took their gradients
-    rows = [lags[i] % len(state._ring) for i in players]
-    if game._entries.shape[1] == game.num_players:      # one entry per player
-        at = game._entries.take(players, axis=1)
-        bounds = range(len(players) + 1)
+    for tau in sorted({lags[i] for i in players}):
+        state.lagged_interaction_grad(tau)      # checks the row of each lag, read below
+    frozen, entries = state._frozen, game._entries
+    lag_rows = [lags[i] % len(state._ring) for i in players]
+    if entries.shape[1] == game.num_players:    # one interaction entry per player
+        at = entries.take(players, axis=1)
+        rows, y_bounds = lag_rows, range(len(players) + 1)
+    else:
+        offs = game.interaction_offsets()
+        widths = [offs[i + 1] - offs[i] for i in players]
+        at = np.concatenate([entries[:, offs[i]:offs[i + 1]] for i in players], axis=1)
+        rows, y_bounds = np.repeat(lag_rows, widths).tolist(), np.cumsum([0] + widths).tolist()
+    # at one lag, index its row: about 2 us faster than a fancy index over rows
+    held = frozen[rows[0]][at] if min(rows) == max(rows) else frozen[rows, at]
+    # rows: gradient, y, u* and, when every player's widths agree, x entries;
+    # interaction, dual and, with x, strategy steps
+    table = _step_table(state, params, lags)
+    step = table[at[1:]]
+    if len(at) == 4:
+        x, x_at, step_x, x_bounds = held[3], at[3], step[2], y_bounds
     else:
         xs = game.state_slices.x
         widths = [xs[i].stop - xs[i].start for i in players]
-        at = np.concatenate([game._entries[:, xs[i]] for i in players], axis=1)
-        bounds = np.cumsum([0] + widths).tolist()
-        rows = np.repeat(rows, widths).tolist()
-    # at one lag, index its row: about 2 us faster than a fancy index over rows
-    held = state._frozen[rows[0]][at] if min(rows) == max(rows) else state._frozen[rows, at]
-    # rows: gradient, y, u* and x entries; interaction, dual and strategy steps
-    step = steps[at[1:]]
-    # q = y + step_y * (u* - grad) and c* = u* + step_u * (x - y) as two rows
-    q_c = held[1:3] + step[:2] * (held[2:] - held[:2])
-    pull = held[2] + 0.0
+        x_at = np.concatenate([np.arange(xs[i].start, xs[i].stop) for i in players])
+        x = frozen[np.repeat(lag_rows, widths), x_at]
+        step_x, x_bounds = table[x_at], np.cumsum([0] + widths).tolist()
+    mixed_x = game.mix(x, players)
+    right = held[2:] if len(at) == 4 and mixed_x is x else np.stack((held[2], mixed_x))
+    # q = y + step_y * (u* - grad) and c* = u* + step_u * (M x - y) as two rows
+    q_c = held[1:3] + step[:2] * (right - held[:2])
+    pull = _smooth_grad(game, players, x, x_bounds) + game.mix(held[2], players, adjoint=True)
     for j, i in enumerate(players):
         if game._incidence[i]:
-            seg = slice(bounds[j], bounds[j + 1])
+            seg = slice(x_bounds[j], x_bounds[j + 1])
             pull[seg] = game.coupling_pullback(i, pull[seg], state.snapshot_at(lags[i]).v_star)
-    x_star = held[3] - step[2] * pull
-    strategy = step[2].tolist()
-    a = np.concatenate([_resolvent(game, i, strategy[bounds[j]], x_star[bounds[j]:bounds[j + 1]],
-                                   state.n) for j, i in enumerate(players)])
+    x_star = x - step_x * pull
+    strategy, a = step_x.tolist(), []
+    for j, i in enumerate(players):     # the resolvents, one entry per strategy entry
+        seg = x_star[x_bounds[j]:x_bounds[j + 1]]
+        a.append(np.asarray(prox(game.players[i].nonsmooth, strategy[x_bounds[j]], seg)))
+        if a[-1].shape != seg.shape:
+            raise ValueError(f"player {i}: prox returned shape {a[-1].shape}, "
+                             f"expected {seg.shape}, at tick {state.n}")
+    a = np.concatenate(a)
     state.point[at[1:3]] = q_c
-    state.point[at[3]] = a
-    state.s_star[at[3]] = (x_star - a) / step[2] + 0.0 + q_c[1]
-    state.direction[at[2]] = q_c[0] - a
+    state.point[x_at] = a
+    state.s_star[x_at] = ((x_star - a) / step_x + _smooth_grad(game, players, a, x_bounds)
+                          + game.mix(q_c[1], players, adjoint=True))
+    state.direction[at[2]] = q_c[0] - game.mix(a, players)
+
+
+def _smooth_grad(game: Game, players, v: np.ndarray, bounds) -> np.ndarray:
+    """The smooth gradient of each of ``players`` on its block of ``v`` (blocks
+    start at ``bounds``), concatenated, or ``0.0`` when none is in
+    ``game.smooth_players``; a wrong shape raises ValueError naming the player."""
+    smooth = game.smooth_players
+    if not smooth or not any(i in smooth for i in players):
+        return 0.0
+    grads = []
+    for i, block in zip(players, np.split(v, bounds[1:-1])):
+        g = game.players[i].smooth.grad(block) if i in smooth else np.zeros(block.shape)
+        if np.shape(g) != block.shape:
+            raise ValueError(f"player {i}: smooth gradient returned shape {np.shape(g)}, "
+                             f"expected {block.shape}")
+        grads.append(g)
+    return np.concatenate(grads)
+
+
+def _step_table(state: IterState, params: SolverParams, lags: dict) -> np.ndarray:
+    """Each player's strategy, interaction and dual steps at its ``x``, ``y``
+    and ``u*`` entries of the state layout, at the tick ``lags[i]``. The state
+    keeps the table of constant and per-block schedules, which do not depend
+    on the tick, for the ``params`` it was built from and the entries of its
+    list and array schedules, which can change in place; under a callable
+    schedule the table is built per call, for the players in ``lags`` only.
+    """
+    held, entries, table = state._steps
+    if held is params and table is not None and all(tuple(s) == values for s, values in entries):
+        return table
+    game = state.game
+    schedules = (params.strategy_steps, params.interaction_steps, params.player_dual_steps)
+    per_tick = any(map(callable, schedules))
+    ticks = lags if per_tick else dict.fromkeys(range(game.num_players), 0)
+    strategy, interaction, dual = (
+        [step(i, ticks[i]) if i in ticks else 0.0 for i in range(game.num_players)]
+        for step in (params.strategy_step, params.interaction_step, params.player_dual_step))
+    none = [0.0] * game.num_couplings
+    # one value per block of the state (x, y, z, u*, v*), repeated over its entries
+    table = np.repeat(strategy + interaction + none + dual + none,
+                      np.diff(game.block_starts, append=game.state_size))
+    entries = [(s, tuple(s)) for s in schedules if isinstance(s, (list, np.ndarray))]
+    state._steps = (params, entries, None if per_tick else table)
+    return table
 
 
 def coupling_local_step(game: Game, params: SolverParams, state: IterState, k: int, delta: int):
@@ -459,48 +468,33 @@ def tick(game: Game, params: SolverParams, schedule: Schedule, state: IterState,
          executor=None) -> TickReport:
     """Run one full iteration and return its report.
 
-    Queries the schedule, evaluates the interaction gradient once per
-    distinct lag of the activated players, and runs the local steps for the
-    activated blocks: the stacked players in one step, the others one block
-    at a time (through ``executor.map`` when an executor is supplied). Their
-    results are written into the point ``p`` and the direction ``p*``,
-    whose inactive blocks carry their last values forward. The coupling
-    gaps ``e`` and the player duals ``a*``, ``q*`` are then refreshed, and
-    the iterate is projected onto the half-space ``{w : <w - p, p*> <= 0}``.
+    Queries the schedule and runs the local steps for the activated blocks:
+    every player in one ``player_local_step``, each coupling alone (through
+    ``executor.map`` when an executor is supplied). Their results are
+    written into the point ``p`` and the direction ``p*``, whose inactive
+    blocks carry their last values forward. The coupling gaps ``e`` and the
+    player duals ``a*``, ``q*`` are then refreshed, and the iterate is
+    projected onto the half-space ``{w : <w - p, p*> <= 0}``.
     The reported residual certifies the post-update iterate. That
     certificate is the one step of a tick that touches every block, so it
     is evaluated only when the iterate differs bitwise from the one it last
     certified: a nonnegative scalar test leaves the iterate in place and
     the previous residual, which is a function of the iterate alone, is
-    reported again.
+    reported again. A ``state`` built for another game raises ValueError.
     """
+    if state.game is not game:
+        raise ValueError("the state was built for another game; pass IterState(game, ...)")
     n = state.n
     state._push_history(n)      # so a write into the views since the last tick is read
     info = schedule.next_tick(n, game.num_players, game.num_couplings)
-    grads = {tau: state.lagged_interaction_grad(tau)
-             for tau in sorted(set(info.player_lags.values()))}
-
-    def step_player(i):
-        tau = info.player_lags[i]
-        return player_local_step(game, params, state, i, tau, grads[tau])
 
     def step_coupling(k):
         return coupling_local_step(game, params, state, k, info.coupling_lags[k])
 
-    steps = _stacked_table(state, params)
-    members = set(game.stacked_players) if steps is not None else ()
-    stacked = [i for i in info.active_players if i in members]
-    alone = [i for i in info.active_players if i not in members]
-    run = map if executor is None else executor.map
-    player_results = run(step_player, alone)
-    coupling_results = run(step_coupling, info.active_couplings)
-    if stacked:
-        _stacked_steps(game, state, steps, stacked, info.player_lags)
-    player_caches = (state.cand_q, state.cand_c_star, state.cand_a, state.cand_s_star, state.cand_c)
+    coupling_results = (map if executor is None else executor.map)(step_coupling,
+                                                                   info.active_couplings)
+    player_local_step(game, params, state, info.active_players, info.player_lags)
     coupling_caches = (state.cand_b, state.cand_e_star, state.cand_b_star)
-    for i, results in zip(alone, player_results):
-        for cache, value in zip(player_caches, results):
-            cache[i][:] = value
     for k, (_, *results) in zip(info.active_couplings, coupling_results):
         for cache, value in zip(coupling_caches, results):
             cache[k][:] = value
@@ -557,9 +551,9 @@ def solve(game: Game, params: SolverParams, schedule: Schedule, x0=None, *,
         history depth (``IterState(..., max_lag=...)``) must cover the
         schedule's ``max_lag``.
     parallel
-        Evaluate the per-block player and coupling steps on worker threads
-        (the stacked step stays on this one). The tick path is the same as
-        in simulated mode, so results are bitwise equal to it.
+        Evaluate the coupling steps on worker threads (the player step
+        stays on this one). The tick path is the same as in simulated mode,
+        so results are bitwise equal to it.
     validate
         Run the desk-scale problem and parameter validations first and
         raise ValueError on any violation; pass False to override.

@@ -1,5 +1,7 @@
 """Certificates and reference solvers."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,7 @@ from nashsplit.problems import (
     shared_constraint_instance,
 )
 from nashsplit.schedules import synchronous
-from nashsplit.solver import solve
+from nashsplit.solver import IterState, player_local_step, solve
 
 
 class TestCheckEquilibrium:
@@ -123,6 +125,22 @@ def test_certificate_names_a_wrong_output_shape(game, message):
         check_equilibrium(game, [[0.0], [0.0]])
     with pytest.raises(ValueError, match=message):
         check_equilibrium(game, [np.zeros(1), np.zeros(1)], coerce=False)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (dict(bad_mix=_LongMix("apply")), "player 1: mix returned shape (2,), expected (1,)"),
+    (dict(bad_mix=_LongMix("adjoint_apply")),
+     "player 1: mix adjoint returned shape (2,), expected (1,)"),
+    (dict(bad_grad=lambda x: np.zeros(2)),
+     "player 1: smooth gradient returned shape (2,), expected (1,)"),
+], ids=["mix", "mix-adjoint", "smooth-gradient"])
+def test_the_player_step_names_a_wrong_output_shape(bad, message):
+    # the step goes through the certificate's Game.mix and checks each
+    # hand-made smooth gradient, before any output is combined
+    game = _two_box_players(**bad)
+    state = IterState(game)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        player_local_step(game, SolverParams.for_game(game), state, (0, 1), {0: 0, 1: 0})
 
 
 def test_solve_names_a_wrong_gradient_shape_in_the_certificate():

@@ -301,12 +301,12 @@ def _signed(rng, d: int) -> np.ndarray:
     max_lag=st.integers(0, 3),
     prob=st.floats(0.2, 1.0),
 )
-def test_stacked_steps_equal_the_per_block_tick(seed, num_players, max_width, num_couplings,
-                                                steps, max_lag, prob):
-    # about half the players take the stacked step (an Identity mix and a
-    # zero smooth term), the others a drawn mix and smooth term; every
-    # nonsmooth kind, and signed zeros in the start, the term data and the
-    # steps' inputs, where a missing "+ 0.0" would show
+def test_tick_equals_the_reference_tick(seed, num_players, max_width, num_couplings,
+                                       steps, max_lag, prob):
+    # about half the players have an Identity mix and a zero smooth term, the
+    # others a drawn mix (a Dense one of other widths too) and smooth term;
+    # every nonsmooth kind, and signed zeros in the start, the term data and
+    # the steps' inputs, where a missing "+ 0.0" would show
     rng = np.random.default_rng(seed)
     players = []
     for _ in range(num_players):
@@ -373,7 +373,7 @@ def test_stacked_step_keeps_the_signed_zeros_of_the_per_block_step():
     players = [PlayerBlock(1, 1, term, zero_smooth(), 0.0, Identity(1), 1.0)
                for term in (proximal.zero(), proximal.singleton([0.0]))]
     game = Game(players, InteractionGradient(lambda y: np.zeros_like(y), 1.0))
-    assert game.stacked_players == (0, 1)
+    assert game.mixed_players == game.smooth_players == ()
     start = dict(x=[[-0.0], [-0.0]], y=[[0.0], [0.0]], u_star=[[-0.0], [-0.0]])
     state, reference = IterState(game, **start), IterState(game, **start)
     params = SolverParams(relaxation=1.0)

@@ -71,12 +71,12 @@ class TestPlayerLocalStep:
     def test_zero_functions_direct_substitution(self):
         game = free_scalar_game()
         state = IterState(game, x=[[1.0]], y=[[2.0]], u_star=[[3.0]])
-        q, c_star, a, s_star, c = player_local_step(game, unit_params(), state, 0, 0)
-        assert q == np.array([5.0])
-        assert c_star == np.array([2.0])
-        assert a == np.array([-2.0])
-        assert s_star == np.array([2.0])
-        assert c == np.array([7.0])
+        player_local_step(game, unit_params(), state, [0], {0: 0})
+        assert state.cand_q[0] == np.array([5.0])
+        assert state.cand_c_star[0] == np.array([2.0])
+        assert state.cand_a[0] == np.array([-2.0])
+        assert state.cand_s_star[0] == np.array([2.0])
+        assert state.cand_c[0] == np.array([7.0])
 
     def test_equilibrium_is_fixed_point(self):
         game, _ = shared_constraint_instance()
@@ -91,9 +91,9 @@ class TestPlayerLocalStep:
         )
         params = SolverParams.for_game(game)
         for i in range(2):
-            q, c_star, a, s_star, c = player_local_step(game, params, state, i, 0)
-            assert np.array_equal(a, x_bar[i])
-            assert np.array_equal(c, np.zeros(1))
+            player_local_step(game, params, state, [i], {i: 0})
+            assert np.array_equal(state.cand_a[i], x_bar[i])
+            assert np.array_equal(state.cand_c[i], np.zeros(1))
 
     def test_one_step_matches_reference_exactly(self):
         game, _ = consensus_instance([(2, 3), (0, 1)])
@@ -122,7 +122,7 @@ class TestPlayerLocalStep:
         tick(game, params, ns.synchronous(), state)
         tick(game, params, ns.synchronous(), state)
         with pytest.raises(MissingHistoryError):
-            player_local_step(game, params, state, 0, 0)
+            player_local_step(game, params, state, [0], {0: 0})
 
     def test_steps_indexed_at_lag_time(self):
         game = free_scalar_game()
@@ -136,12 +136,12 @@ class TestPlayerLocalStep:
         tick(game, params, ns.synchronous(), state)
         snap = state.snapshot_at(1)
         # reading tick 1 must use the schedule at tick 1, not the current tick
-        _, _, a, _, _ = player_local_step(game, params, state, 0, 1)
+        player_local_step(game, params, state, [0], {0: 1})
         expected = snap.x[0] - 0.25 * snap.u_star[0]
-        assert np.array_equal(a, expected)
-        _, _, a0, _, _ = player_local_step(game, params, state, 0, 0)
+        assert np.array_equal(state.cand_a[0], expected)
+        player_local_step(game, params, state, [0], {0: 0})
         snap0 = state.snapshot_at(0)
-        assert np.array_equal(a0, snap0.x[0] - 0.5 * snap0.u_star[0])
+        assert np.array_equal(state.cand_a[0], snap0.x[0] - 0.5 * snap0.u_star[0])
 
 
 class TestCouplingLocalStep:
@@ -349,6 +349,17 @@ class TestHistoryRing:
         for given, before in zip(x0 + y0, kept):
             assert np.array_equal(given, before)
 
+    @pytest.mark.parametrize("max_lag", [-1, 1.5, True, "2", None])
+    def test_max_lag_must_be_a_nonnegative_integer(self, max_lag):
+        game, _ = shared_constraint_instance()
+        with pytest.raises(ValueError, match=r"max_lag must be a nonnegative integer"):
+            IterState(game, max_lag=max_lag)
+
+    def test_numpy_integer_max_lag_is_accepted(self):
+        game, _ = shared_constraint_instance()
+        state = IterState(game, max_lag=np.int64(2))
+        assert len(state._ring) == 3
+
 
 class TestIterStateLayout:
     def test_rebinding_a_view_raises(self):
@@ -367,6 +378,22 @@ class TestIterStateLayout:
 
 
 class TestTick:
+    def test_a_state_for_another_game_is_refused(self):
+        # the same layout (the interaction gradient tripled), whose lagged
+        # gradients the state would take from its own game, and another layout
+        game, _ = consensus_instance([(2, 3), (0, 1)])
+        tripled = Game(game.players, InteractionGradient(
+            lambda y: 3.0 * game.interaction.eval(y), 3.0 * game.interaction.lipschitz))
+        wider, _ = consensus_instance([(2, 3), (0, 1), (-1, 1)])
+        params = SolverParams.for_game(game)
+        for other in (tripled, wider):
+            state = IterState(other)
+            with pytest.raises(ValueError, match=r"state was built for another game"):
+                tick(game, params, ns.synchronous(), state)
+            with pytest.raises(ValueError, match=r"state was built for another game"):
+                ns.solve(game, params, ns.synchronous(), state=state, validate=False)
+            assert state.n == 0
+
     def test_synchronous_matches_reference_bitwise(self):
         game, _ = consensus_instance([(2, 3), (0, 1)])
         params = SolverParams.for_game(game)
@@ -894,93 +921,50 @@ class _CountingOp(LinOp):
         return self.inner.adjoint_apply(y)
 
 
+def _metered_players(meter, declared: bool):
+    """Three boxed one-entry players whose gradients count their calls: with
+    ``declared``, ``Identity`` mixes and declared zero smooth terms, otherwise
+    counting mixes (not an ``Identity``) and hand-made smooth terms."""
+    if declared:
+        return [PlayerBlock(1, 1, proximal.box([-5.0], [5.0]),
+                            dataclasses.replace(zero_smooth(),
+                                                grad=meter.counted(zero_smooth().grad, ("grad", i))),
+                            0.0, Identity(1), 1.0)
+                for i in range(3)]
+    return [PlayerBlock(1, 1, proximal.box([-5.0], [5.0]),
+                        SmoothTerm(lambda x: 0.5 * float(x @ x), meter.counted(lambda x: x, ("grad", i))),
+                        1.0, _CountingOp(Identity(1), ("mix", i), meter), 1.0)
+            for i in range(3)]
+
+
 def test_inactive_blocks_do_no_operator_work(monkeypatch):
     # players 0 and 1 share a constraint, player 1 has one of its own and
     # player 2 is uncoupled; every operator counts its calls, except inside
-    # the per-tick certificate, which evaluates every block by design
+    # the per-tick certificate, which evaluates every block by design. The
+    # player step makes one prox call per active player, calls the smooth
+    # gradients and mixes of the active players only (none for a declared
+    # zero gradient or an Identity mix), pulls back for the active coupled
+    # players only, and leaves the entries of the inactive players as they
+    # were; once with counting mixes and hand-made smooth terms, once with
+    # Identity mixes and declared zero smooth terms
+    for declared in (False, True):
+        with monkeypatch.context() as patch:
+            _check_inactive_blocks_idle(patch, declared)
+
+
+def _check_inactive_blocks_idle(monkeypatch, declared: bool):
     meter = _Meter()
     counts = meter.counts
     targets = np.array([1.0, 2.0, -1.0])
-    players = [
-        PlayerBlock(1, 1, proximal.box([-5.0], [5.0]),
-                    SmoothTerm(lambda x: 0.5 * float(x @ x),
-                               meter.counted(lambda x: x, ("grad", i))),
-                    1.0, _CountingOp(Identity(1), ("mix", i), meter), 1.0)
-        for i in range(3)
-    ]
     couplings = [
         CouplingBlock(1, proximal.shifted_orthant([bound]),
                       SmoothTerm(lambda z: 0.0, meter.counted(np.zeros_like, ("coupling grad", k))), 0.0,
                       {i: _CountingOp(Identity(1), ("map", k, i), meter) for i in members})
         for k, (bound, members) in enumerate(((4.0, (0, 1)), (-4.0, (1,))))
     ]
-    game = Game(players, InteractionGradient(lambda y: y - targets, 1.0), couplings)
-    params = SolverParams.for_game(game, max_lag=2, window=4)
-    schedule = ns.randomized(3, 0.5, max_lag=2, window=4)
-    state = IterState(game, max_lag=2)
-
-    certify = solver.oracle.check_equilibrium
-
-    def uncounted_certificate(*args, **kwargs):
-        meter.on = False
-        try:
-            return certify(*args, **kwargs)
-        finally:
-            meter.on = True
-
-    pullback = Game.coupling_pullback
-
-    def counted_pullback(self, i, *rest):
-        meter.hit(("pullback", i))
-        return pullback(self, i, *rest)
-
-    monkeypatch.setattr(solver.oracle, "check_equilibrium", uncounted_certificate)
-    monkeypatch.setattr(solver, "prox", meter.counted(solver.prox, "prox"))
-    monkeypatch.setattr(Game, "coupling_pullback", counted_pullback)
-
-    idle_players, idle_couplings = set(), set()
-    for _ in range(30):
-        counts.clear()
-        rep = tick(game, params, schedule, state)
-        active = set(rep.active_players)
-        idle_players |= set(range(3)) - active
-        idle_couplings |= {0, 1} - set(rep.active_couplings)
-        assert counts["prox"] == len(active) + len(rep.active_couplings)
-        for k in (0, 1):
-            assert counts["coupling grad", k] == 2 * (k in rep.active_couplings)
-        for i in range(3):
-            work = 2 * (i in active)
-            assert counts["grad", i] == counts["apply", ("mix", i)] == work
-            assert counts["adjoint_apply", ("mix", i)] == work
-            # one pullback in the local step, one in the dual assembly if coupled
-            assert counts["pullback", i] == (i in active) + (i in (0, 1))
-    assert game.coupled_players == (0, 1)
-    assert idle_players == {0, 1, 2} and idle_couplings == {0, 1}
-
-
-def test_inactive_stacked_players_do_no_operator_work(monkeypatch):
-    # the game above with Identity mixes and maps and zero smooth terms,
-    # so every player takes the stacked step: one prox call per active
-    # block, no smooth gradient (a zero one is known from its declaration),
-    # pullbacks for the active coupled players only, and the entries of the
-    # inactive players left as they were
-    meter = _Meter()
-    counts = meter.counts
-    targets = np.array([1.0, 2.0, -1.0])
-    players = [
-        PlayerBlock(1, 1, proximal.box([-5.0], [5.0]),
-                    dataclasses.replace(zero_smooth(),
-                                        grad=meter.counted(zero_smooth().grad, ("grad", i))),
-                    0.0, Identity(1), 1.0)
-        for i in range(3)
-    ]
-    couplings = [
-        CouplingBlock(1, proximal.shifted_orthant([bound]), zero_smooth(), 0.0,
-                      {i: Identity(1) for i in members})
-        for bound, members in ((4.0, (0, 1)), (-4.0, (1,)))
-    ]
-    game = Game(players, InteractionGradient(lambda y: y - targets, 1.0), couplings)
-    assert game.stacked_players == (0, 1, 2)
+    game = Game(_metered_players(meter, declared), InteractionGradient(lambda y: y - targets, 1.0),
+                couplings)
+    assert game.mixed_players == game.smooth_players == (() if declared else (0, 1, 2))
     params = SolverParams.for_game(game, max_lag=2, window=4)
     schedule = ns.randomized(3, 0.5, max_lag=2, window=4)
     state = IterState(game, max_lag=2)
@@ -1013,26 +997,32 @@ def test_inactive_stacked_players_do_no_operator_work(monkeypatch):
                 state.point[us[i]].tobytes(), state.direction[us[i]].tobytes(),
                 state.s_star[xs[i]].tobytes())
 
-    idle_players = set()
+    idle_players, idle_couplings = set(), set()
     for _ in range(30):
         counts.clear()
         before = [written(i) for i in range(3)]
         rep = tick(game, params, schedule, state)
         active = set(rep.active_players)
         idle_players |= set(range(3)) - active
+        idle_couplings |= {0, 1} - set(rep.active_couplings)
         assert counts["prox"] == len(active) + len(rep.active_couplings)
+        for k in (0, 1):
+            assert counts["coupling grad", k] == 2 * (k in rep.active_couplings)
         for i in range(3):
-            assert counts["grad", i] == 0
+            work = 0 if declared else 2 * (i in active)
+            assert counts["grad", i] == counts["apply", ("mix", i)] == work
+            assert counts["adjoint_apply", ("mix", i)] == work
             # one pullback in the local step if active and coupled, one in
             # the dual assembly if coupled
             coupled = i in (0, 1)
             assert counts["pullback", i] == (i in active and coupled) + coupled
             if i not in active:
                 assert written(i) == before[i]
-    assert idle_players == {0, 1, 2}
+    assert game.coupled_players == (0, 1)
+    assert idle_players == {0, 1, 2} and idle_couplings == {0, 1}
 
 
-@pytest.mark.parametrize("mix", [Identity(2), Dense(np.eye(2))], ids=["stacked", "per-block"])
+@pytest.mark.parametrize("mix", [Identity(2), Dense(np.eye(2))], ids=["identity", "dense"])
 @pytest.mark.parametrize("output, shape", [(lambda v: 0.0, "()"), (lambda v: v[:1], "(1,)")],
                          ids=["scalar", "one-entry"])
 def test_a_wrong_prox_shape_names_the_player_and_the_tick(mix, output, shape):
@@ -1042,7 +1032,7 @@ def test_a_wrong_prox_shape_names_the_player_and_the_tick(mix, output, shape):
                     0.0, mix, 1.0),
     ]
     game = Game(players, InteractionGradient(lambda y: 0.5 * y, 1.0))
-    assert game.stacked_players == ((0, 1) if type(mix) is Identity else (0,))
+    assert game.mixed_players == (() if type(mix) is Identity else (1,))
     message = f"player 1: prox returned shape {shape}, expected (2,), at tick 0"
     with pytest.raises(ValueError, match=re.escape(message)):
         ns.solve(game, SolverParams.for_game(game), ns.synchronous(), validate=False)
@@ -1050,13 +1040,13 @@ def test_a_wrong_prox_shape_names_the_player_and_the_tick(mix, output, shape):
 
 def test_a_step_list_changed_between_ticks_reaches_the_stacked_players():
     # SolverParams is frozen but its list and array schedules are not: a step
-    # changed in place between ticks reaches the stacked players (0 and 1)
-    # as it reaches the per-block one (2, a Dense mix) and the reference
+    # changed in place between ticks reaches the Identity-mixed players (0
+    # and 1) as it reaches the Dense-mixed one (2) and the reference
     targets = np.array([1.0, 2.0, -1.0])
     players = [PlayerBlock(1, 1, proximal.box([-5.0], [5.0]), zero_smooth(), 0.0, mix, 1.0)
                for mix in (Identity(1), Identity(1), Dense(np.eye(1)))]
     game = Game(players, InteractionGradient(lambda y: y - targets, 1.0))
-    assert game.stacked_players == (0, 1)
+    assert game.mixed_players == (2,)
     params = SolverParams(strategy_steps=[0.5] * 3, interaction_steps=[0.5] * 3,
                           player_dual_steps=np.ones(3))
     state, reference = IterState(game), IterState(game)

@@ -1,27 +1,35 @@
-"""Time solver ticks on the benchmark games and on a 100-player lasso, in reference-core units.
+"""Time solver ticks, schedule draws and certificates, in reference-core units.
 
-Shapes:
+Shapes, one row each:
 
 - ``consensus``, ``lasso`` and ``shared``: the game of each ``perfbench``
   workload at workload seed ``SEED`` with its first schedule, solved to
-  tolerance;
+  tolerance, per tick;
 - ``lasso100 sync``, ``lasso100 p=0.5`` and ``lasso100 p=0.1``: l1 least
   squares with a 40x100 Gaussian design from ``default_rng(0)`` scaled by
   1/sqrt(40) and weight 0.5, run for ``TICKS`` ticks under a synchronous
-  schedule and under ``randomized(0, p, max_lag=3, window=20)``.
+  schedule and under ``randomized(0, p, max_lag=3, window=20)``, per tick;
+- ``next_tick <shape>``: ``Schedule.next_tick`` for ticks
+  ``0..DRAWS - 1`` in order from a cold activation cache, per call, with
+  the schedule and block count of a workload (seed ``DRAW_SEED``), and
+  ``lasso100``, the lasso schedule over 100 players;
+- ``certificate <shape>``: ``CALLS`` per-tick certificates
+  ``check_equilibrium(..., coerce=False)`` of a workload's game at the
+  views of an ``IterState`` filled with standard normal entries, per call.
 
-Each solve is one region of ``perfbench/calibration.Clock``, so its time
-is in reference-core seconds and core-speed swings of the host cancel. The
-script prints, per shape, the median over ``--reps`` reps of the
-reference-core microseconds per tick::
+Each row's rep is one region of ``perfbench/calibration.Clock``, so its
+time is in reference-core seconds and core-speed swings of the host
+cancel. The script prints, per shape, the median over ``--reps`` reps of
+the reference-core microseconds per tick or per call::
 
-    python tools/time_tick.py --reps 3          # about 1 min on 2 vCPUs
+    python tools/time_tick.py --reps 3          # about 40 s on 2 vCPUs
 
 ``--against DIR`` loads the ``nashsplit`` package of a second checkout
 into the same process, under another module name, and times the two in
-interleaved pairs: per shape the two medians, the change, and in how many
-pairs this checkout was faster. Both must give the same ticks and the
-same final iterate bytes, or the script stops::
+interleaved pairs, each checkout first in every other pair: per shape the
+two medians, the change, and in how many pairs this checkout was faster.
+Both must give the same ticks and final iterate bytes, draws and
+certificates, or the script stops::
 
     python tools/time_tick.py --against ../parent --reps 8
 """
@@ -46,8 +54,18 @@ from calibration import Clock  # noqa: E402
 
 SEED = 1
 TICKS = 1500
+CALLS = 2000
+DRAWS = 6000
+DRAW_SEED = 20211
 WORKLOAD_SHAPES = {"consensus": "consensus-sync", "lasso": "lasso-sparse", "shared": "shared-async"}
 LASSO100 = {"sync": None, "p=0.5": 0.5, "p=0.1": 0.1}
+# shape -> (activation probability or None for synchronous, max_lag, window, players, couplings)
+DRAW_SHAPES = {
+    "lasso": (0.1, 3, 20, 8, 0),
+    "shared": (0.5, 5, 8, 2, 1),
+    "lasso100": (0.1, 3, 20, 100, 0),
+    "consensus": (None, 0, 0, 10, 0),
+}
 
 
 def load(root: Path, name: str):
@@ -62,20 +80,25 @@ def load(root: Path, name: str):
     return module
 
 
-def workload_run(pkg, name: str):
-    """A solve to tolerance of the workload's game, built with ``pkg``'s problems and schedules."""
+def workload_game(pkg, name: str):
+    """The workload's game and schedules, built with ``pkg``'s problems and schedules."""
     workload = workloads.WORKLOADS[name]
     data = workload.draw(SEED)
     # the workload's builder reads these module globals: point them at pkg
     saved = workloads.problems, workloads.schedules
     workloads.problems, workloads.schedules = pkg.problems, pkg.schedules
     try:
-        game, scheds = workload.build(data)
+        return workload.build(data)
     finally:
         workloads.problems, workloads.schedules = saved
+
+
+def workload_run(pkg, name: str):
+    """A solve to tolerance of the workload's game with its first schedule."""
+    game, scheds = workload_game(pkg, name)
     schedule = scheds[0]
     params = pkg.SolverParams.for_game(game, max_lag=schedule.max_lag, window=schedule.window)
-    return lambda: pkg.solve(game, params, schedule, validate=False)
+    return lambda: solved(pkg.solve(game, params, schedule, validate=False))
 
 
 def lasso100_run(pkg, prob):
@@ -85,23 +108,53 @@ def lasso100_run(pkg, prob):
     game, _ = pkg.problems.lasso_instance(design, rng.standard_normal(40), 0.5)
     schedule = pkg.synchronous() if prob is None else pkg.randomized(0, prob, max_lag=3, window=20)
     params = pkg.SolverParams.for_game(game, max_lag=3, window=20, max_iters=TICKS)
-    return lambda: pkg.solve(game, params, schedule, validate=False)
+    return lambda: solved(pkg.solve(game, params, schedule, validate=False))
+
+
+def solved(result):
+    return result.ticks, (result.ticks, b"".join(np.ascontiguousarray(b).tobytes() for b in result.x))
+
+
+def draw_run(pkg, prob, max_lag, window, num_players, num_couplings):
+    """``DRAWS`` queries of ``next_tick`` in tick order."""
+    schedule = (pkg.synchronous() if prob is None
+                else pkg.randomized(DRAW_SEED, prob, max_lag=max_lag, window=window))
+
+    def run():
+        ticks = [schedule.next_tick(n, num_players, num_couplings) for n in range(DRAWS)]
+        return DRAWS, ticks
+
+    return run
+
+
+def certificate_run(pkg, name: str):
+    """``CALLS`` per-tick certificates of the workload's game at one point."""
+    game, _ = workload_game(pkg, name)
+    state = pkg.IterState(game)
+    state.flat[:] = np.random.default_rng(SEED).standard_normal(game.state_size)
+
+    def run():
+        for _ in range(CALLS):
+            cert = pkg.check_equilibrium(game, state.x, state.u_star, state.v_star, coerce=False)
+        return CALLS, cert
+
+    return run
 
 
 def shapes(pkg) -> dict:
-    """One solve per shape, each from a cold activation cache as in the benchmark."""
-    runs = {shape: workload_run(pkg, name) for shape, name in WORKLOAD_SHAPES.items()}
-    runs.update({f"lasso100 {label}": lasso100_run(pkg, p) for label, p in LASSO100.items()})
+    """Shape name -> (one rep, its unit), each rep from a cold activation cache as in the benchmark."""
+    runs = {shape: (workload_run(pkg, name), "tick") for shape, name in WORKLOAD_SHAPES.items()}
+    runs.update({f"lasso100 {label}": (lasso100_run(pkg, p), "tick") for label, p in LASSO100.items()})
+    runs.update({f"next_tick {shape}": (draw_run(pkg, *args), "call")
+                 for shape, args in DRAW_SHAPES.items()})
+    runs.update({f"certificate {shape}": (certificate_run(pkg, name), "call")
+                 for shape, name in WORKLOAD_SHAPES.items()})
 
     def cold(run):
         pkg.schedules._raw_active.cache_clear()
         return run()
 
-    return {shape: (lambda run=run: cold(run)) for shape, run in runs.items()}
-
-
-def fingerprint(result) -> tuple:
-    return result.ticks, b"".join(np.ascontiguousarray(b).tobytes() for b in result.x)
+    return {shape: (lambda run=run: cold(run), unit) for shape, (run, unit) in runs.items()}
 
 
 def main(argv=None) -> int:
@@ -115,22 +168,24 @@ def main(argv=None) -> int:
         versions["against"] = shapes(load(args.against.resolve(), "nashsplit_against"))
     clock = Clock()
     us = {label: {shape: [] for shape in versions["this"]} for label in versions}
-    for _ in range(args.reps):
+    for rep in range(args.reps):
         for shape in versions["this"]:
-            seen = set()
-            for label, runs in versions.items():
-                result, _, ref_s = clock.time(runs[shape])
-                seen.add(fingerprint(result))
-                us[label][shape].append(ref_s / result.ticks * 1e6)
-            if len(seen) != 1:
-                raise SystemExit(f"{shape}: the two checkouts give different runs")
+            seen = []
+            # the checkouts take turns to go first, so that an order effect cancels
+            for label, runs in list(versions.items())[::-1 if rep % 2 else 1]:
+                (count, output), _, ref_s = clock.time(runs[shape][0])
+                seen.append(output if runs[shape][1] == "tick" else repr(output))
+                us[label][shape].append(ref_s / count * 1e6)
+            if any(output != seen[0] for output in seen):
+                raise SystemExit(f"{shape}: the two checkouts give different results")
     for shape, mine in us["this"].items():
-        line = f"{shape:16s} {statistics.median(mine):8.1f} us/tick"
+        unit = f"us/{versions['this'][shape][1]}"
+        line = f"{shape:21s} {statistics.median(mine):8.1f} {unit}"
         if "against" in us:
             theirs = us["against"][shape]
             before, after = statistics.median(theirs), statistics.median(mine)
             lower = sum(a < b for a, b in zip(mine, theirs))
-            line = (f"{shape:16s} {before:8.1f} -> {after:8.1f} us/tick "
+            line = (f"{shape:21s} {before:8.1f} -> {after:8.1f} {unit} "
                     f"({after / before - 1.0:+.1%}, lower in {lower}/{len(mine)} pairs)")
         print(line, flush=True)
     return 0
