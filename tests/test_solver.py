@@ -942,14 +942,17 @@ def test_inactive_blocks_do_no_operator_work(monkeypatch):
     # player 2 is uncoupled; every operator counts its calls, except inside
     # the per-tick certificate, which evaluates every block by design. The
     # player step makes one prox call per active player, calls the smooth
-    # gradients and mixes of the active players only (none for a declared
-    # zero gradient or an Identity mix), pulls back for the active coupled
-    # players only, and leaves the entries of the inactive players as they
-    # were; once with counting mixes and hand-made smooth terms, once with
-    # Identity mixes and declared zero smooth terms
-    for declared in (False, True):
-        with monkeypatch.context() as patch:
-            _check_inactive_blocks_idle(patch, declared)
+    # gradients and mixes of the active players only, pulls back for the
+    # active coupled players only, and leaves the entries of the inactive
+    # players as they were
+    _check_inactive_blocks_idle(monkeypatch, declared=False)
+
+
+def test_inactive_stacked_players_do_no_operator_work(monkeypatch):
+    # the game above with Identity mixes and declared zero smooth terms: no
+    # smooth gradient and no mix is called (both are known from their
+    # declarations), and the rest of the work is as above
+    _check_inactive_blocks_idle(monkeypatch, declared=True)
 
 
 def _check_inactive_blocks_idle(monkeypatch, declared: bool):
