@@ -29,8 +29,8 @@ from pathlib import Path
 from typing import Any, Mapping, Optional
 
 from . import problems, schedules
-from .model import Game, SolverParams, validate_params, validate_problem
-from .solver import NumericalAbortError, SolveResult, solve
+from .model import Game, SolverParams
+from .solver import NumericalAbortError, SolveResult, solve, validate_game_and_params
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "build_instance", "run", "main"]
 
@@ -316,11 +316,8 @@ def run(config: RunConfig, out=None, err=None) -> int:
         return 1
 
     audit_horizon = min(4 * (schedule.window + 1) + 64, params.max_iters)
-    issues = (
-        validate_problem(game)
-        + validate_params(game, params, horizon=1000)
-        + schedules.audit(schedule, audit_horizon, game.num_players, game.num_couplings)
-    )
+    issues = validate_game_and_params(game, params) + schedules.audit(
+        schedule, audit_horizon, game.num_players, game.num_couplings)
     if issues:
         print("validation refused the run:", file=err)
         for line in issues[:12]:

@@ -64,21 +64,20 @@ def as_vector(x, dim: Optional[int] = None, what: str = "vector") -> np.ndarray:
 class SmoothTerm:
     """A convex differentiable term given by value and gradient callables.
 
-    ``stack``, set by the constructors below, declares an entrywise gradient
-    as ``NonsmoothTerm.stack`` does a prox, and is trusted over ``grad``
-    (the solver skips a declared zero gradient, the certificate rebuilds a
-    group from the constructor): it must describe ``grad`` exactly, so
-    ``dataclasses.replace`` of ``grad`` must also set ``stack=None`` unless
-    the new ``grad`` only wraps the old one.
+    ``stack`` is ``zero_smooth`` when the term declares a zero gradient,
+    which the player and coupling steps and the certificate then skip
+    (``Game.smooth_players``, ``Game.smooth_couplings``). The declaration is
+    trusted over ``grad``, so ``dataclasses.replace`` of ``grad`` must also
+    set ``stack=None`` unless the new ``grad`` only wraps the old one.
     """
 
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
-    stack: Optional[tuple] = None
+    stack: Optional[Callable] = None
 
 
 def zero_smooth() -> SmoothTerm:
-    return SmoothTerm(lambda x: 0.0, lambda x: np.zeros(np.shape(x)), (zero_smooth, (), ()))
+    return SmoothTerm(lambda x: 0.0, lambda x: np.zeros(np.shape(x)), zero_smooth)
 
 
 def quadratic_smooth(curvature: float, linear) -> SmoothTerm:
@@ -88,7 +87,6 @@ def quadratic_smooth(curvature: float, linear) -> SmoothTerm:
     return SmoothTerm(
         lambda x: 0.5 * c * float(np.dot(x, x)) + float(np.dot(b, x)),
         lambda x: c * x + b,
-        (quadratic_smooth, (c,), (b,)),
     )
 
 
@@ -183,15 +181,12 @@ class StateBlocks(NamedTuple):
 
 
 class ProxGroup(NamedTuple):
-    """Players whose nonsmooth (or smooth) terms share one call on the stacked ``x``.
+    """Players whose nonsmooth terms share one prox call on their ``index``
+    entries of the stacked ``x``: a single member's own ``term``, or the one
+    that the members' shared ``stack`` constructor rebuilds from their
+    concatenated vectors."""
 
-    ``index`` holds the members' entries of the stacked strategies and
-    ``term`` acts on those entries: a single member's own term, or for
-    several members the term that their shared ``stack`` constructor
-    rebuilds from their concatenated vectors.
-    """
-
-    term: Union[NonsmoothTerm, SmoothTerm]
+    term: NonsmoothTerm
     index: np.ndarray
 
 
@@ -229,15 +224,15 @@ class Game:
     players with at least one are ``coupled_players``).
 
     For the stacked certificate, ``prox_groups`` puts every player in one
-    group: players whose terms declare the same constructor and scalars in
-    ``NonsmoothTerm.stack`` share one, whose term that constructor rebuilds
-    from their concatenated vectors; a term without a ``stack`` (a
-    hand-made one, whatever its ``kind``) or whose intrinsic dimension is
-    not the player's is a group of one; ``smooth_groups`` group the smooth
-    terms alike. ``mixed_players`` have a mix that is not an ``Identity`` of
-    their widths, which ``mix`` applies; ``smooth_players`` have a smooth
-    term that does not declare ``zero_smooth``; ``indicator_players`` have
-    an indicator term.
+    ``ProxGroup``: players whose terms declare the same constructor and
+    scalars in ``NonsmoothTerm.stack`` share one; a term without a ``stack``
+    (a hand-made one, whatever its ``kind``) or whose intrinsic dimension is
+    not the player's is a group of one. ``mixed_players`` have a mix that is
+    not an ``Identity`` of their widths, which ``mix`` applies;
+    ``smooth_players`` and ``smooth_couplings`` have a smooth term that does
+    not declare ``zero_smooth``, which ``smooth_grad`` and ``coupling_grad``
+    call, for the local steps and the certificate alike; ``indicator_players``
+    have an indicator term.
     """
 
     players: Sequence[PlayerBlock]
@@ -274,15 +269,14 @@ class Game:
         object.__setattr__(self, "field_blocks", StateBlocks(*fields))
         object.__setattr__(self, "prox_groups",
                            _groups([p.nonsmooth for p in self.players], groups[0]))
-        object.__setattr__(self, "smooth_groups",
-                           _groups([p.smooth for p in self.players], groups[0]))
         object.__setattr__(self, "mixed_players", tuple(
             i for i, p in enumerate(self.players)
             if not (type(p.mix) is Identity and p.mix.in_dim == p.dim_strategy == p.dim_interaction)
         ))
         object.__setattr__(self, "smooth_players", tuple(
-            i for i, p in enumerate(self.players) if (p.smooth.stack or (None,))[0] is not zero_smooth
-        ))
+            i for i, p in enumerate(self.players) if p.smooth.stack is not zero_smooth))
+        object.__setattr__(self, "smooth_couplings", tuple(
+            k for k, c in enumerate(self.couplings) if c.smooth.stack is not zero_smooth))
         # Per interaction entry, its gradient entry in a ring row (the state, then the
         # gradient), its y and u* entries and, when every player's widths agree, its x entry.
         y = np.arange(self.y_span.start, self.y_span.stop)
@@ -368,6 +362,33 @@ class Game:
                     raise ValueError(f"player {i}: mix{' adjoint' if adjoint else ''} returned "
                                      f"shape {np.shape(blocks[j])}, expected ({outs[i]},)")
         return np.concatenate(blocks)
+
+    def smooth_grad(self, v: np.ndarray, players=None):
+        """As ``mix``, each listed player's smooth gradient on its block of ``v``:
+        zeros outside ``smooth_players``, ``0.0`` when no listed player is in it."""
+        smooth = self.smooth_players
+        players = range(self.num_players) if players is None else players
+        if not smooth or not any(i in smooth for i in players):
+            return 0.0
+        dims = self.strategy_dims
+        blocks = np.split(v, np.cumsum([dims[i] for i in players])[:-1])
+        for j, i in enumerate(players):
+            blocks[j] = self.players[i].smooth.grad(blocks[j]) if i in smooth else np.zeros(dims[i])
+            if np.shape(blocks[j]) != (dims[i],):
+                raise ValueError(f"player {i}: smooth gradient returned shape "
+                                 f"{np.shape(blocks[j])}, expected ({dims[i]},)")
+        return np.concatenate(blocks)
+
+    def coupling_grad(self, k: int, z: np.ndarray):
+        """The smooth gradient of coupling ``k`` at ``z``, ``0.0`` outside ``smooth_couplings``;
+        a wrong shape raises ValueError naming the coupling."""
+        if k not in self.smooth_couplings:
+            return 0.0
+        g = self.couplings[k].smooth.grad(z)
+        if np.shape(g) != np.shape(z):
+            raise ValueError(f"coupling {k}: smooth gradient returned shape {np.shape(g)}, "
+                             f"expected {np.shape(z)}")
+        return g
 
     def coupling_pullback(self, i: int, acc: np.ndarray, duals) -> np.ndarray:
         """``acc + sum_k L_ki^* duals[k]`` over player ``i``'s couplings, in increasing ``k``."""

@@ -11,17 +11,18 @@ solver's stopping rule.
 The certificate runs after every tick that moves the iterate, so it works
 on stacked vectors. The game groups the players whose nonsmooth terms
 declare the same entrywise ``stack`` (``Game.prox_groups``), and each
-group takes one prox call on its entries of the stacked strategies, as
-each group of ``Game.smooth_groups`` takes one gradient call. Every other
-term (a hand-made one stays alone, whatever its kind) is evaluated per
-player, the mixes go through ``Game.mix`` as in the solver's player step
-(``Identity`` mixes are skipped), and each coupling is evaluated on its own.
-The player and interaction residuals are per-block sums of squares
-(``np.add.reduceat``), and the maximum runs over the player, interaction
-and coupling residuals and then the gaps (players, then couplings). So on
-one-entry blocks every residual has the bits of the per-player
-evaluation (``tests/_oracles.py`` keeps it as the reference); on wider
-blocks the sums of squares agree with its dot products to rounding.
+group takes one prox call on its entries of the stacked strategies; every
+other term (a hand-made one stays alone, whatever its kind) is evaluated
+per player. The mixes and the smooth gradients go through ``Game.mix``,
+``Game.smooth_grad`` and ``Game.coupling_grad``, as in the solver's local
+steps, so ``Identity`` mixes and declared zero gradients cost nothing, and
+each coupling is evaluated on its own. The player and interaction
+residuals are per-block sums of squares (``np.add.reduceat``), and the
+maximum runs over the player, interaction and coupling residuals and then
+the gaps (players, then couplings). So on one-entry blocks every residual
+has the bits of the per-player evaluation (``tests/_oracles.py`` keeps it
+as the reference); on wider blocks the sums of squares agree with its dot
+products to rounding.
 
 The reference solvers are diagnostic and deliberately independent of the
 main iteration: a Gauss-Seidel best-response sweep (which is expected to
@@ -94,15 +95,11 @@ def check_equilibrium(game: Game, x, u_star=None, v_star=None, *,
     projection identity distance. ``coerce=False`` skips input coercion
     for callers that already hold validated blocks (the per-tick path).
 
-    The player lines run on the stacked ``x`` and ``u*`` as the module
-    docstring says: one prox call per group of ``game.prox_groups`` for
-    the residuals and one per indicator group for the gaps, and one
-    gradient call per group of ``game.smooth_groups``, the groups built
-    from the ``stack`` that the ``proximal`` and ``model`` constructors
-    declare, so a term built by hand is evaluated alone on its own. An
-    output of the wrong shape from a smooth gradient, a mix or the
-    interaction gradient raises ValueError naming the operator and, for
-    the first two, the first such player.
+    The lines run on the stacked ``x`` and ``u*`` as the module docstring
+    says, with one more prox call per indicator group for the gaps. An
+    output of the wrong shape from a smooth gradient, a mix, a prox or the
+    interaction gradient raises ValueError naming the operator and, but
+    for the last, the first such player or coupling.
     """
     layout = game.state_slices
     xs = _blocks(x, layout.x, "x", coerce)
@@ -116,22 +113,18 @@ def check_equilibrium(game: Game, x, u_star=None, v_star=None, *,
     u = q if u_star is None else np.concatenate(_blocks(u_star, layout.u_star, "u*", coerce))
     vs = _blocks(v_star, layout.v_star, "v*", coerce)
 
-    starts = game.block_starts[game.field_blocks.x]
-    grad = np.empty_like(x_flat)
-    for term, index in game.smooth_groups:
-        g = term.grad(x_flat[index])
-        if np.shape(g) != index.shape:      # only a term alone in its group gets here
-            i = int(np.searchsorted(starts, index[0], side="right")) - 1
-            raise ValueError(f"player {i}: smooth gradient returned shape {np.shape(g)}, "
-                             f"expected {index.shape}")
-        grad[index] = g
-    pull = grad + game.mix(u, adjoint=True)
+    pull = game.smooth_grad(x_flat) + game.mix(u, adjoint=True)
     for i in game.coupled_players:
         pull[layout.x[i]] = game.coupling_pullback(i, pull[layout.x[i]], vs)
     step = x_flat - _CERT_STEP * pull
+    starts = game.block_starts[game.field_blocks.x]
     out = np.empty_like(x_flat)
     for term, index in game.prox_groups:
-        out[index] = prox(term, _CERT_STEP, step[index])
+        a = prox(term, _CERT_STEP, step[index])
+        if np.shape(a) != index.shape:      # only a term alone in its group gets here
+            raise ValueError(f"player {int(np.searchsorted(starts, index[0]))}: prox returned "
+                             f"shape {np.shape(a)}, expected {index.shape}")
+        out[index] = a
     player_res = _block_norms(x_flat - out, starts).tolist()
     interaction_res = _block_norms(u - q, game.interaction_offsets()[:-1]).tolist()
 
@@ -145,8 +138,10 @@ def check_equilibrium(game: Game, x, u_star=None, v_star=None, *,
     coupling_res = []
     for k, blk in enumerate(game.couplings):
         z = game.coupling_mixture(k, xs)
-        inward = vs[k] - blk.smooth.grad(z)
-        coupling_res.append(_norm(z - prox(blk.nonsmooth, _CERT_STEP, z + _CERT_STEP * inward)))
+        b = prox(blk.nonsmooth, _CERT_STEP, z + _CERT_STEP * (vs[k] - game.coupling_grad(k, z)))
+        if np.shape(b) != z.shape:
+            raise ValueError(f"coupling {k}: prox returned shape {np.shape(b)}, expected {z.shape}")
+        coupling_res.append(_norm(z - b))
         if is_indicator(blk.nonsmooth):
             gaps.append(_norm(z - prox(blk.nonsmooth, 1.0, z)))
 

@@ -252,9 +252,9 @@ def player_local_step(game: Game, params: SolverParams, state: IterState, player
 
     The arithmetic runs on the entries of all ``players`` at once, with the
     bits of each player stepped alone: the interaction gradient is evaluated
-    once per lag, the pullback and the prox once per player, the mixes go
-    through ``Game.mix``, and the gradient of a smooth term outside
-    ``game.smooth_players`` is a ``+ 0.0`` (the ``-0.0 -> +0.0`` of zeros).
+    once per lag, the pullback and the prox once per player, and the mixes
+    and smooth gradients go through ``Game.mix`` and ``Game.smooth_grad``,
+    as in the certificate (a zero gradient is a ``+ 0.0``: ``-0.0 -> +0.0``).
     """
     for tau in sorted({lags[i] for i in players}):
         state.lagged_interaction_grad(tau)      # checks the row of each lag, read below
@@ -286,7 +286,7 @@ def player_local_step(game: Game, params: SolverParams, state: IterState, player
     right = held[2:] if len(at) == 4 and mixed_x is x else np.stack((held[2], mixed_x))
     # q = y + step_y * (u* - grad) and c* = u* + step_u * (M x - y) as two rows
     q_c = held[1:3] + step[:2] * (right - held[:2])
-    pull = _smooth_grad(game, players, x, x_bounds) + game.mix(held[2], players, adjoint=True)
+    pull = game.smooth_grad(x, players) + game.mix(held[2], players, adjoint=True)
     for j, i in enumerate(players):
         if game._incidence[i]:
             seg = slice(x_bounds[j], x_bounds[j + 1])
@@ -302,26 +302,9 @@ def player_local_step(game: Game, params: SolverParams, state: IterState, player
     a = np.concatenate(a)
     state.point[at[1:3]] = q_c
     state.point[x_at] = a
-    state.s_star[x_at] = ((x_star - a) / step_x + _smooth_grad(game, players, a, x_bounds)
+    state.s_star[x_at] = ((x_star - a) / step_x + game.smooth_grad(a, players)
                           + game.mix(q_c[1], players, adjoint=True))
     state.direction[at[2]] = q_c[0] - game.mix(a, players)
-
-
-def _smooth_grad(game: Game, players, v: np.ndarray, bounds) -> np.ndarray:
-    """The smooth gradient of each of ``players`` on its block of ``v`` (blocks
-    start at ``bounds``), concatenated, or ``0.0`` when none is in
-    ``game.smooth_players``; a wrong shape raises ValueError naming the player."""
-    smooth = game.smooth_players
-    if not smooth or not any(i in smooth for i in players):
-        return 0.0
-    grads = []
-    for i, block in zip(players, np.split(v, bounds[1:-1])):
-        g = game.players[i].smooth.grad(block) if i in smooth else np.zeros(block.shape)
-        if np.shape(g) != block.shape:
-            raise ValueError(f"player {i}: smooth gradient returned shape {np.shape(g)}, "
-                             f"expected {block.shape}")
-        grads.append(g)
-    return np.concatenate(grads)
 
 
 def _step_table(state: IterState, params: SolverParams, lags: dict) -> np.ndarray:
@@ -356,17 +339,21 @@ def coupling_local_step(game: Game, params: SolverParams, state: IterState, k: i
 
     Returns ``(d*_k, b_k, e*_k, b*_k)``; the primal gap ``e_k`` is not
     computed here because it must be refreshed from the newest player
-    candidates every tick (see :func:`refresh_e`).
+    candidates every tick (see :func:`refresh_e`). The smooth gradients go
+    through ``Game.coupling_grad``, as in the certificate.
     """
     snap = state.snapshot_at(delta)
     blk = game.couplings[k]
     step_z = params.coupling_step(k, delta)
     step_v = params.coupling_dual_step(k, delta)
 
-    d_star = snap.z[k] + step_z * (snap.v_star[k] - blk.smooth.grad(snap.z[k]))
-    b_k = prox(blk.nonsmooth, step_z, d_star)
+    d_star = snap.z[k] + step_z * (snap.v_star[k] - game.coupling_grad(k, snap.z[k]))
+    b_k = np.asarray(prox(blk.nonsmooth, step_z, d_star))
+    if b_k.shape != d_star.shape:
+        raise ValueError(f"coupling {k}: prox returned shape {b_k.shape}, "
+                         f"expected {d_star.shape}, at tick {state.n}")
     e_star_k = snap.v_star[k] + step_v * (game.coupling_mixture(k, snap.x) - snap.z[k])
-    b_star_k = (d_star - b_k) / step_z + blk.smooth.grad(b_k) - e_star_k
+    b_star_k = (d_star - b_k) / step_z + game.coupling_grad(k, b_k) - e_star_k
     return d_star, b_k, e_star_k, b_star_k
 
 

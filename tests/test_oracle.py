@@ -158,6 +158,31 @@ def test_solve_names_a_wrong_gradient_shape_in_the_certificate():
     assert len(calls) == 3
 
 
+def _one_entry_resolvent(block: str) -> Game:
+    """A game whose player 1 (a two-entry strategy) or coupling 0 (two entries)
+    has a resolvent that returns one entry of two."""
+    short = proximal.custom_resolvent(lambda gamma, v: v[:1])
+    players = [
+        PlayerBlock(1, 1, proximal.box([-1.0], [1.0]), zero_smooth(), 0.0, Identity(1), 1.0),
+        PlayerBlock(2, 2, short if block == "player" else proximal.zero(), zero_smooth(), 0.0,
+                    Identity(2), 1.0),
+    ]
+    coupling = CouplingBlock(2, short if block == "coupling" else proximal.zero(), zero_smooth(),
+                             0.0, {0: Dense([[1.0], [0.0]]), 1: Dense([[0.0, 0.0], [1.0, 1.0]])})
+    return Game(players, InteractionGradient(lambda y: y - 0.5, 1.0), [coupling])
+
+
+@pytest.mark.parametrize("block, message", [
+    ("player", "player 1: prox returned shape (1,), expected (2,)"),
+    ("coupling", "coupling 0: prox returned shape (1,), expected (2,)"),
+])
+def test_certificate_names_a_wrong_prox_shape(block, message):
+    # a one-entry output used to broadcast into both entries of the residual
+    game = _one_entry_resolvent(block)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check_equilibrium(game, [[0.5], [1.0, -1.0]], v_star=[[1.0, 2.0]])
+
+
 class TestBestResponse:
     def test_consensus_boxes(self):
         game, _ = consensus_instance([(2, 3), (0, 1)])

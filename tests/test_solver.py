@@ -1041,6 +1041,66 @@ def test_a_wrong_prox_shape_names_the_player_and_the_tick(mix, output, shape):
         ns.solve(game, SolverParams.for_game(game), ns.synchronous(), validate=False)
 
 
+def _two_entry_coupling_game(resolvent=lambda gamma, z: z, grad=None):
+    """Two one-entry players and a two-entry coupling of both, with the given
+    coupling resolvent and, when ``grad`` is given, a hand-made coupling gradient."""
+    players = [PlayerBlock(1, 1, proximal.box([-1.0], [1.0]), zero_smooth(), 0.0, Identity(1), 1.0)
+               for _ in range(2)]
+    smooth = zero_smooth() if grad is None else SmoothTerm(lambda z: 0.0, grad)
+    coupling = CouplingBlock(2, proximal.custom_resolvent(resolvent), smooth, 0.0,
+                             {0: Dense([[1.0], [0.0]]), 1: Dense([[0.0], [1.0]])})
+    return Game(players, InteractionGradient(lambda y: y - 0.5, 1.0), [coupling])
+
+
+def test_a_wrong_coupling_prox_shape_names_the_coupling_and_the_tick():
+    # the gate cannot see a resolvent's output shape; without the step's own
+    # check the one entry was broadcast into both for the whole run
+    game = _two_entry_coupling_game(resolvent=lambda gamma, z: z[:1])
+    params = SolverParams.for_game(game)
+    assert solver.validate_game_and_params(game, params) == []
+    message = "coupling 0: prox returned shape (1,), expected (2,), at tick 0"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ns.solve(game, params, ns.synchronous())
+
+
+def test_a_wrong_coupling_gradient_shape_names_the_coupling():
+    game = _two_entry_coupling_game(grad=lambda z: np.zeros(1))
+    message = "coupling 0: smooth gradient returned shape (1,), expected (2,)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ns.solve(game, SolverParams.for_game(game), ns.synchronous(), validate=False)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ns.check_equilibrium(game, [[0.0], [0.0]])
+
+
+def test_declared_zero_coupling_gradients_are_not_called():
+    # a counting gradient put into zero_smooth() by dataclasses.replace keeps
+    # its declaration, as in the benchmark's tracer, and the declaration is
+    # trusted: neither the coupling steps nor the certificate call it
+    calls = []
+
+    def grad(z):
+        calls.append(z)
+        return np.zeros_like(z)
+
+    smooth = dataclasses.replace(zero_smooth(), grad=grad)
+    players = [PlayerBlock(1, 1, proximal.box([-5.0], [5.0]), zero_smooth(), 0.0, Identity(1), 1.0)
+               for _ in range(3)]
+    couplings = [CouplingBlock(1, proximal.shifted_orthant([bound]), smooth, 0.0,
+                               {i: Identity(1) for i in members})
+                 for bound, members in ((4.0, (0, 1)), (-4.0, (1,)))]
+    game = Game(players, InteractionGradient(lambda y: y - np.array([1.0, 2.0, -1.0]), 1.0),
+                couplings)
+    params = SolverParams.for_game(game, max_lag=2, window=4)
+    schedule = ns.randomized(3, 0.5, max_lag=2, window=4)
+    state = IterState(game, max_lag=2)
+    stepped = 0
+    for _ in range(30):
+        stepped += len(tick(game, params, schedule, state).active_couplings)
+    ns.check_equilibrium(game, state.x, state.u_star, state.v_star)
+    assert stepped > 0 and calls == []
+    assert game.smooth_couplings == ()
+
+
 def test_a_step_list_changed_between_ticks_reaches_the_stacked_players():
     # SolverParams is frozen but its list and array schedules are not: a step
     # changed in place between ticks reaches the Identity-mixed players (0

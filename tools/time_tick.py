@@ -19,10 +19,13 @@ Shapes, one row each:
 
 Each row's rep is one region of ``perfbench/calibration.Clock``, so its
 time is in reference-core seconds and core-speed swings of the host
-cancel. The script prints, per shape, the median over ``--reps`` reps of
-the reference-core microseconds per tick or per call::
+cancel. A region runs its shape's solve or loop as many times over as
+make it last at least ``PROBE_S``, the length of the probes around it;
+that count is measured once per shape, before the timed reps, and both
+checkouts use it. The script prints, per shape, the median over
+``--reps`` reps of the reference-core microseconds per tick or per call::
 
-    python tools/time_tick.py --reps 3          # about 40 s on 2 vCPUs
+    python tools/time_tick.py --reps 3
 
 ``--against DIR`` loads the ``nashsplit`` package of a second checkout
 into the same process, under another module name, and times the two in
@@ -38,8 +41,10 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import math
 import statistics
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +55,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import nashsplit  # noqa: E402
 import nashsplit.problems  # noqa: E402,F401
 import workloads  # noqa: E402
-from calibration import Clock  # noqa: E402
+from calibration import PROBE_S, Clock  # noqa: E402
 
 SEED = 1
 TICKS = 1500
@@ -157,6 +162,28 @@ def shapes(pkg) -> dict:
     return {shape: (lambda run=run: cold(run), unit) for shape, (run, unit) in runs.items()}
 
 
+def repeated(run, times: int):
+    """A region that runs ``run`` ``times`` times: the sum of its counts, and its last output."""
+    def region():
+        total = 0
+        for _ in range(times):
+            count, output = run()
+            total += count
+        return total, output
+
+    return region
+
+
+def region_times(runs) -> dict:
+    """Per shape, how many runs make a region at least ``PROBE_S`` long, from one timed run."""
+    times = {}
+    for shape, (run, _) in runs.items():
+        start = time.perf_counter()
+        run()
+        times[shape] = max(1, math.ceil(PROBE_S / (time.perf_counter() - start)))
+    return times
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--against", type=Path, help="a second checkout to time in interleaved pairs")
@@ -166,6 +193,7 @@ def main(argv=None) -> int:
     versions = {"this": shapes(nashsplit)}
     if args.against is not None:
         versions["against"] = shapes(load(args.against.resolve(), "nashsplit_against"))
+    times = region_times(versions["this"])
     clock = Clock()
     us = {label: {shape: [] for shape in versions["this"]} for label in versions}
     for rep in range(args.reps):
@@ -173,7 +201,7 @@ def main(argv=None) -> int:
             seen = []
             # the checkouts take turns to go first, so that an order effect cancels
             for label, runs in list(versions.items())[::-1 if rep % 2 else 1]:
-                (count, output), _, ref_s = clock.time(runs[shape][0])
+                (count, output), _, ref_s = clock.time(repeated(runs[shape][0], times[shape]))
                 seen.append(output if runs[shape][1] == "tick" else repr(output))
                 us[label][shape].append(ref_s / count * 1e6)
             if any(output != seen[0] for output in seen):
