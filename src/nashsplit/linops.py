@@ -148,14 +148,13 @@ class HStack(LinOp):
         self.ops = ops
         self.in_dim = sum(op.in_dim for op in ops)
         self.out_dim = out
-        self._splits = np.cumsum([op.in_dim for op in ops])[:-1]
 
     def apply(self, x):
         x = _as_vector(x, self.in_dim, "HStack.apply")
-        parts = np.split(x, self._splits)
-        acc = np.zeros(self.out_dim)
-        for op, part in zip(self.ops, parts):
-            acc = acc + op.apply(part)
+        acc, start = np.zeros(self.out_dim), 0
+        for op in self.ops:
+            acc = acc + op.apply(x[start:start + op.in_dim])
+            start += op.in_dim
         return acc
 
     def adjoint_apply(self, y):

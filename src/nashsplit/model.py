@@ -190,13 +190,14 @@ class ProxGroup(NamedTuple):
     index: np.ndarray
 
 
-def _groups(terms, xs) -> tuple:
-    """One ``ProxGroup`` per ``stack[:2]`` that the terms declare, and one per other
-    term; one whose ``stack`` vectors miss its width stays alone to raise its own error."""
+def _groups(terms, dims, entries) -> tuple:
+    """One ``ProxGroup`` per ``stack[:2]`` that the terms declare, and one per other term,
+    on the ``entries`` of their players; one whose ``stack`` vectors miss its width
+    (``dims``) stays alone to raise its own error."""
     members = {}
-    for i, (term, x) in enumerate(zip(terms, xs)):
+    for i, (term, d) in enumerate(zip(terms, dims)):
         stack = term.stack
-        fits = stack and all(np.shape(v) == (x.stop - x.start,) for v in stack[2])
+        fits = stack and all(np.shape(v) == (d,) for v in stack[2])
         members.setdefault(stack[:2] if fits else i, []).append(i)
     groups = []
     for idx in members.values():
@@ -205,7 +206,7 @@ def _groups(terms, xs) -> tuple:
             constructor, scalars, _ = term.stack
             vectors = zip(*(terms[i].stack[2] for i in idx))
             term = constructor(*scalars, *map(np.concatenate, vectors))
-        index = np.concatenate([np.arange(xs[i].start, xs[i].stop) for i in idx])
+        index = np.concatenate([entries[i] for i in idx])
         index.flags.writeable = False
         groups.append(ProxGroup(term, index))
     return tuple(groups)
@@ -215,13 +216,15 @@ def _groups(terms, xs) -> tuple:
 class Game:
     """A full modular Nash game: players, couplings, interaction gradient.
 
-    Construction fixes the flat state layout ``[x | y | z | u* | v*]``
-    (``state_size`` entries, per-block slices ``state_slices``, the ``x``,
-    ``y`` and ``u*`` parts contiguous at ``x_span``, ``y_span`` and
-    ``u_span``, the start of every block in layout order ``block_starts``
-    and, per field, the slice of those blocks ``field_blocks``) and, per
-    player, the couplings whose maps read that player's strategy (the
-    players with at least one are ``coupled_players``).
+    Construction fixes the block widths (``strategy_dims``,
+    ``interaction_dims``, ``coupling_dims``), the flat state layout
+    ``[x | y | z | u* | v*]`` (``state_size`` entries, per-block slices
+    ``state_slices``, the ``x``, ``y`` and ``u*`` parts contiguous at
+    ``x_span``, ``y_span`` and ``u_span``, the start of every block in layout
+    order ``block_starts`` and, per field, the slice of those blocks
+    ``field_blocks``) and, per player, the index plans of the player step
+    and the couplings whose maps read that player's strategy (the players
+    with at least one are ``coupled_players``).
 
     For the stacked certificate, ``prox_groups`` puts every player in one
     ``ProxGroup``: players whose terms declare the same constructor and
@@ -244,9 +247,10 @@ class Game:
         object.__setattr__(self, "couplings", tuple(self.couplings))
         if not self.players:
             raise ValueError("a game needs at least one player")
-        object.__setattr__(
-            self, "_offsets", np.cumsum([0] + [p.dim_interaction for p in self.players])
-        )
+        object.__setattr__(self, "strategy_dims", tuple(p.dim_strategy for p in self.players))
+        object.__setattr__(self, "interaction_dims", tuple(p.dim_interaction for p in self.players))
+        object.__setattr__(self, "coupling_dims", tuple(c.dim for c in self.couplings))
+        object.__setattr__(self, "_offsets", np.cumsum((0,) + self.interaction_dims))
         groups, fields, start = [], [], 0
         for dims in (self.strategy_dims, self.interaction_dims, self.coupling_dims,
                      self.interaction_dims, self.coupling_dims):
@@ -267,8 +271,9 @@ class Game:
         starts.flags.writeable = False
         object.__setattr__(self, "block_starts", starts)
         object.__setattr__(self, "field_blocks", StateBlocks(*fields))
-        object.__setattr__(self, "prox_groups",
-                           _groups([p.nonsmooth for p in self.players], groups[0]))
+        object.__setattr__(self, "_x_entries", tuple(np.arange(s.start, s.stop) for s in groups[0]))
+        object.__setattr__(self, "prox_groups", _groups(
+            [p.nonsmooth for p in self.players], self.strategy_dims, self._x_entries))
         object.__setattr__(self, "mixed_players", tuple(
             i for i, p in enumerate(self.players)
             if not (type(p.mix) is Identity and p.mix.in_dim == p.dim_strategy == p.dim_interaction)
@@ -278,7 +283,8 @@ class Game:
         object.__setattr__(self, "smooth_couplings", tuple(
             k for k, c in enumerate(self.couplings) if c.smooth.stack is not zero_smooth))
         # Per interaction entry, its gradient entry in a ring row (the state, then the
-        # gradient), its y and u* entries and, when every player's widths agree, its x entry.
+        # gradient), its y and u* entries and, when every player's widths agree, its x entry;
+        # per player its columns, which the step reads only if a player has more than one.
         y = np.arange(self.y_span.start, self.y_span.stop)
         rows = [y + self.state_size - self.y_span.start, y, y + self.u_span.start - self.y_span.start]
         if self.strategy_dims == self.interaction_dims:
@@ -286,6 +292,8 @@ class Game:
         entries = np.stack(rows)
         entries.flags.writeable = False
         object.__setattr__(self, "_entries", entries)
+        object.__setattr__(self, "_columns", () if len(y) == len(self.players) else tuple(
+            entries[:, s.start - self.y_span.start:s.stop - self.y_span.start] for s in groups[1]))
         object.__setattr__(self, "indicator_players", tuple(
             i for i, p in enumerate(self.players) if is_indicator(p.nonsmooth)
         ))
@@ -303,18 +311,6 @@ class Game:
     @property
     def num_couplings(self) -> int:
         return len(self.couplings)
-
-    @property
-    def strategy_dims(self) -> tuple:
-        return tuple(p.dim_strategy for p in self.players)
-
-    @property
-    def interaction_dims(self) -> tuple:
-        return tuple(p.dim_interaction for p in self.players)
-
-    @property
-    def coupling_dims(self) -> tuple:
-        return tuple(c.dim for c in self.couplings)
 
     @property
     def total_interaction_dim(self) -> int:
@@ -340,28 +336,32 @@ class Game:
             acc = acc + blk.maps[i].apply(strategies[i])
         return acc
 
+    def _walk(self, v, players, ins, outs, call, what) -> np.ndarray:
+        """``call(i, block)`` of each of ``players`` on its block of ``v``, the blocks
+        ``ins`` wide and in that order, checked to be ``outs[i]`` wide, concatenated."""
+        blocks, start = [], 0
+        for i in players:
+            blocks.append(call(i, v[start:start + ins[i]]))
+            start += ins[i]
+            if np.shape(blocks[-1]) != (outs[i],):
+                raise ValueError(f"player {i}: {what} returned shape {np.shape(blocks[-1])}, "
+                                 f"expected ({outs[i]},)")
+        return np.concatenate(blocks)
+
     def mix(self, v: np.ndarray, players=None, adjoint: bool = False) -> np.ndarray:
         """``M_i`` (``M_i^*`` with ``adjoint``) of each of ``players`` (all by default)
         on its block of ``v``, their input blocks in that order, concatenated; ``v``
-        itself when no listed player is in ``mixed_players``. An output of the
-        wrong shape raises ValueError naming the first such player."""
+        itself when no listed player is in ``mixed_players``, the only maps applied.
+        An output of the wrong shape raises ValueError naming the first such player."""
         mixed = self.mixed_players
-        if not mixed:
-            return v
         players = range(self.num_players) if players is None else players
-        if not any(i in mixed for i in players):
+        if not mixed or not any(i in mixed for i in players):
             return v
         ins, outs = self.strategy_dims, self.interaction_dims
-        ins, outs = (outs, ins) if adjoint else (ins, outs)
-        blocks = np.split(v, np.cumsum([ins[i] for i in players])[:-1])
-        for j, i in enumerate(players):
-            if i in mixed:
-                op = self.players[i].mix
-                blocks[j] = op.adjoint_apply(blocks[j]) if adjoint else op.apply(blocks[j])
-                if np.shape(blocks[j]) != (outs[i],):
-                    raise ValueError(f"player {i}: mix{' adjoint' if adjoint else ''} returned "
-                                     f"shape {np.shape(blocks[j])}, expected ({outs[i]},)")
-        return np.concatenate(blocks)
+        ins, outs, name = (outs, ins, "adjoint_apply") if adjoint else (ins, outs, "apply")
+        return self._walk(v, players, ins, outs,
+                          lambda i, b: getattr(self.players[i].mix, name)(b) if i in mixed else b,
+                          "mix adjoint" if adjoint else "mix")
 
     def smooth_grad(self, v: np.ndarray, players=None):
         """As ``mix``, each listed player's smooth gradient on its block of ``v``:
@@ -371,13 +371,9 @@ class Game:
         if not smooth or not any(i in smooth for i in players):
             return 0.0
         dims = self.strategy_dims
-        blocks = np.split(v, np.cumsum([dims[i] for i in players])[:-1])
-        for j, i in enumerate(players):
-            blocks[j] = self.players[i].smooth.grad(blocks[j]) if i in smooth else np.zeros(dims[i])
-            if np.shape(blocks[j]) != (dims[i],):
-                raise ValueError(f"player {i}: smooth gradient returned shape "
-                                 f"{np.shape(blocks[j])}, expected ({dims[i]},)")
-        return np.concatenate(blocks)
+        return self._walk(v, players, dims, dims,
+                          lambda i, b: self.players[i].smooth.grad(b) if i in smooth else np.zeros_like(b),
+                          "smooth gradient")
 
     def coupling_grad(self, k: int, z: np.ndarray):
         """The smooth gradient of coupling ``k`` at ``z``, ``0.0`` outside ``smooth_couplings``;

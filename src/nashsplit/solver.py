@@ -26,6 +26,7 @@ bitwise gates fix that order; pairwise ``np.sum`` and compensated
 from __future__ import annotations
 
 import numbers
+from itertools import accumulate
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -255,33 +256,33 @@ def player_local_step(game: Game, params: SolverParams, state: IterState, player
     once per lag, the pullback and the prox once per player, and the mixes
     and smooth gradients go through ``Game.mix`` and ``Game.smooth_grad``,
     as in the certificate (a zero gradient is a ``+ 0.0``: ``-0.0 -> +0.0``).
+    The entries are gathered by one ``take`` when every player has one
+    interaction entry, else by joining the index plans of the ``players``.
     """
     for tau in sorted({lags[i] for i in players}):
         state.lagged_interaction_grad(tau)      # checks the row of each lag, read below
-    frozen, entries = state._frozen, game._entries
+    frozen, entries, dims = state._frozen, game._entries, game.strategy_dims
     lag_rows = [lags[i] % len(state._ring) for i in players]
     if entries.shape[1] == game.num_players:    # one interaction entry per player
-        at = entries.take(players, axis=1)
-        rows, y_bounds = lag_rows, range(len(players) + 1)
+        at, rows = entries.take(players, axis=1), lag_rows
     else:
-        offs = game.interaction_offsets()
-        widths = [offs[i + 1] - offs[i] for i in players]
-        at = np.concatenate([entries[:, offs[i]:offs[i + 1]] for i in players], axis=1)
-        rows, y_bounds = np.repeat(lag_rows, widths).tolist(), np.cumsum([0] + widths).tolist()
-    # at one lag, index its row: about 2 us faster than a fancy index over rows
-    held = frozen[rows[0]][at] if min(rows) == max(rows) else frozen[rows, at]
+        at = np.concatenate([game._columns[i] for i in players], axis=1)
+        rows = np.repeat(lag_rows, [game.interaction_dims[i] for i in players])
+    one_lag = min(lag_rows) == max(lag_rows)    # then index its row: 2 us faster than a fancy index
+    held = frozen[lag_rows[0]][at] if one_lag else frozen[rows, at]
     # rows: gradient, y, u* and, when every player's widths agree, x entries;
     # interaction, dual and, with x, strategy steps
     table = _step_table(state, params, lags)
     step = table[at[1:]]
     if len(at) == 4:
-        x, x_at, step_x, x_bounds = held[3], at[3], step[2], y_bounds
+        x, x_at, step_x = held[3], at[3], step[2]
     else:
-        xs = game.state_slices.x
-        widths = [xs[i].stop - xs[i].start for i in players]
-        x_at = np.concatenate([np.arange(xs[i].start, xs[i].stop) for i in players])
-        x = frozen[np.repeat(lag_rows, widths), x_at]
-        step_x, x_bounds = table[x_at], np.cumsum([0] + widths).tolist()
+        x_at = np.concatenate([game._x_entries[i] for i in players])
+        x = (frozen[lag_rows[0]][x_at] if one_lag
+             else frozen[np.repeat(lag_rows, [dims[i] for i in players]), x_at])
+        step_x = table[x_at]
+    x_bounds = (range(len(players) + 1) if len(x_at) == len(players)
+                else [0, *accumulate(dims[i] for i in players)])
     mixed_x = game.mix(x, players)
     right = held[2:] if len(at) == 4 and mixed_x is x else np.stack((held[2], mixed_x))
     # q = y + step_y * (u* - grad) and c* = u* + step_u * (M x - y) as two rows
@@ -297,8 +298,7 @@ def player_local_step(game: Game, params: SolverParams, state: IterState, player
         seg = x_star[x_bounds[j]:x_bounds[j + 1]]
         a.append(np.asarray(prox(game.players[i].nonsmooth, strategy[x_bounds[j]], seg)))
         if a[-1].shape != seg.shape:
-            raise ValueError(f"player {i}: prox returned shape {a[-1].shape}, "
-                             f"expected {seg.shape}, at tick {state.n}")
+            raise ValueError(f"player {i}: prox returned shape {a[-1].shape}, expected {seg.shape}")
     a = np.concatenate(a)
     state.point[at[1:3]] = q_c
     state.point[x_at] = a
@@ -350,8 +350,7 @@ def coupling_local_step(game: Game, params: SolverParams, state: IterState, k: i
     d_star = snap.z[k] + step_z * (snap.v_star[k] - game.coupling_grad(k, snap.z[k]))
     b_k = np.asarray(prox(blk.nonsmooth, step_z, d_star))
     if b_k.shape != d_star.shape:
-        raise ValueError(f"coupling {k}: prox returned shape {b_k.shape}, "
-                         f"expected {d_star.shape}, at tick {state.n}")
+        raise ValueError(f"coupling {k}: prox returned shape {b_k.shape}, expected {d_star.shape}")
     e_star_k = snap.v_star[k] + step_v * (game.coupling_mixture(k, snap.x) - snap.z[k])
     b_star_k = (d_star - b_k) / step_z + game.coupling_grad(k, b_k) - e_star_k
     return d_star, b_k, e_star_k, b_star_k
@@ -478,13 +477,16 @@ def tick(game: Game, params: SolverParams, schedule: Schedule, state: IterState,
     def step_coupling(k):
         return coupling_local_step(game, params, state, k, info.coupling_lags[k])
 
-    coupling_results = (map if executor is None else executor.map)(step_coupling,
-                                                                   info.active_couplings)
-    player_local_step(game, params, state, info.active_players, info.player_lags)
-    coupling_caches = (state.cand_b, state.cand_e_star, state.cand_b_star)
-    for k, (_, *results) in zip(info.active_couplings, coupling_results):
-        for cache, value in zip(coupling_caches, results):
-            cache[k][:] = value
+    try:
+        coupling_results = (map if executor is None else executor.map)(step_coupling,
+                                                                       info.active_couplings)
+        player_local_step(game, params, state, info.active_players, info.player_lags)
+        coupling_caches = (state.cand_b, state.cand_e_star, state.cand_b_star)
+        for k, (_, *results) in zip(info.active_couplings, coupling_results):
+            for cache, value in zip(coupling_caches, results):
+                cache[k][:] = value
+    except ValueError as exc:   # a local step's error names the block and the operator
+        raise ValueError(f"{exc}, at tick {n}") from exc
 
     refresh_e(game, state)
     assemble_duals(game, state)

@@ -143,6 +143,30 @@ def test_the_player_step_names_a_wrong_output_shape(bad, message):
         player_local_step(game, SolverParams.for_game(game), state, (0, 1), {0: 0, 1: 0})
 
 
+def _bad_coupling_gradient_game():
+    coupling = CouplingBlock(1, proximal.zero(), SmoothTerm(lambda z: 0.0, lambda z: np.zeros(2)),
+                             0.0, {0: Identity(1)})
+    base = _two_box_players()
+    return Game(base.players, base.interaction, [coupling])
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: _two_box_players(bad_mix=_LongMix("apply")),
+     "player 1: mix returned shape (2,), expected (1,)"),
+    (lambda: _two_box_players(bad_mix=_LongMix("adjoint_apply")),
+     "player 1: mix adjoint returned shape (2,), expected (1,)"),
+    (lambda: _two_box_players(bad_grad=lambda x: np.zeros(2)),
+     "player 1: smooth gradient returned shape (2,), expected (1,)"),
+    (_bad_coupling_gradient_game, "coupling 0: smooth gradient returned shape (2,), expected (1,)"),
+], ids=["mix", "mix-adjoint", "smooth-gradient", "coupling-gradient"])
+def test_solve_names_the_tick_of_a_wrong_local_step_output(make, message):
+    # the local steps of tick 0 see the wrong shape first; their error ends
+    # with the tick, once, where the certificate's names no tick
+    game = make()
+    with pytest.raises(ValueError, match=re.escape(f"{message}, at tick 0") + "$"):
+        solve(game, SolverParams.for_game(game), synchronous(), validate=False)
+
+
 def test_solve_names_a_wrong_gradient_shape_in_the_certificate():
     # the gradient of player 1 goes wrong after the two calls of its tick-0
     # step, so the certificate of tick 0 is the first to see a wrong shape

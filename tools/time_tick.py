@@ -9,6 +9,11 @@ Shapes, one row each:
   squares with a 40x100 Gaussian design from ``default_rng(0)`` scaled by
   1/sqrt(40) and weight 0.5, run for ``TICKS`` ticks under a synchronous
   schedule and under ``randomized(0, p, max_lag=3, window=20)``, per tick;
+- ``kitchen sync`` and ``kitchen p=0.5``: the kitchen-sink game of
+  ``tests/test_integration.py`` (``Dense`` and ``ScaledIdentity`` mixes,
+  strategy widths 2 and 1 against interaction width 1, a hand-made smooth
+  term, two couplings) for ``TICKS`` ticks under a synchronous schedule
+  and under ``randomized(0, 0.5, max_lag=3, window=8)``, per tick;
 - ``next_tick <shape>``: ``Schedule.next_tick`` for ticks
   ``0..DRAWS - 1`` in order from a cold activation cache, per call, with
   the schedule and block count of a workload (seed ``DRAW_SEED``), and
@@ -45,15 +50,17 @@ import math
 import statistics
 import sys
 import time
+import types
 from pathlib import Path
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 import nashsplit  # noqa: E402
 import nashsplit.problems  # noqa: E402,F401
+import test_integration  # noqa: E402
 import workloads  # noqa: E402
 from calibration import PROBE_S, Clock  # noqa: E402
 
@@ -64,6 +71,7 @@ DRAWS = 6000
 DRAW_SEED = 20211
 WORKLOAD_SHAPES = {"consensus": "consensus-sync", "lasso": "lasso-sparse", "shared": "shared-async"}
 LASSO100 = {"sync": None, "p=0.5": 0.5, "p=0.1": 0.1}
+KITCHEN = {"sync": None, "p=0.5": 0.5}
 # shape -> (activation probability or None for synchronous, max_lag, window, players, couplings)
 DRAW_SHAPES = {
     "lasso": (0.1, 3, 20, 8, 0),
@@ -116,6 +124,21 @@ def lasso100_run(pkg, prob):
     return lambda: solved(pkg.solve(game, params, schedule, validate=False))
 
 
+def kitchen_run(pkg, prob):
+    """``TICKS`` ticks of the kitchen-sink game under the named schedule."""
+    # the test's builder, its globals pointed at pkg
+    names = {name: getattr(pkg.model, name) for name in (
+        "CouplingBlock", "Game", "InteractionGradient", "PlayerBlock", "SmoothTerm",
+        "quadratic_smooth", "zero_smooth")}
+    names.update(proximal=pkg.proximal, Dense=pkg.linops.Dense,
+                 ScaledIdentity=pkg.linops.ScaledIdentity)
+    build = test_integration.kitchen_sink_game
+    game = types.FunctionType(build.__code__, {**vars(test_integration), **names})()
+    schedule = pkg.synchronous() if prob is None else pkg.randomized(0, prob, max_lag=3, window=8)
+    params = pkg.SolverParams.for_game(game, max_lag=3, window=8, max_iters=TICKS)
+    return lambda: solved(pkg.solve(game, params, schedule, validate=False))
+
+
 def solved(result):
     return result.ticks, (result.ticks, b"".join(np.ascontiguousarray(b).tobytes() for b in result.x))
 
@@ -150,6 +173,7 @@ def shapes(pkg) -> dict:
     """Shape name -> (one rep, its unit), each rep from a cold activation cache as in the benchmark."""
     runs = {shape: (workload_run(pkg, name), "tick") for shape, name in WORKLOAD_SHAPES.items()}
     runs.update({f"lasso100 {label}": (lasso100_run(pkg, p), "tick") for label, p in LASSO100.items()})
+    runs.update({f"kitchen {label}": (kitchen_run(pkg, p), "tick") for label, p in KITCHEN.items()})
     runs.update({f"next_tick {shape}": (draw_run(pkg, *args), "call")
                  for shape, args in DRAW_SHAPES.items()})
     runs.update({f"certificate {shape}": (certificate_run(pkg, name), "call")
