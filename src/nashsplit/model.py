@@ -222,7 +222,7 @@ class Game:
     ``state_slices``, the ``x``, ``y`` and ``u*`` parts contiguous at
     ``x_span``, ``y_span`` and ``u_span``, the start of every block in layout
     order ``block_starts`` and, per field, the slice of those blocks
-    ``field_blocks``) and, per player, the index plans of the player step
+    ``field_blocks``) and, per player, the ``x`` entries of the player step
     and the couplings whose maps read that player's strategy (the players
     with at least one are ``coupled_players``).
 
@@ -283,8 +283,7 @@ class Game:
         object.__setattr__(self, "smooth_couplings", tuple(
             k for k, c in enumerate(self.couplings) if c.smooth.stack is not zero_smooth))
         # Per interaction entry, its gradient entry in a ring row (the state, then the
-        # gradient), its y and u* entries and, when every player's widths agree, its x entry;
-        # per player its columns, which the step reads only if a player has more than one.
+        # gradient), its y and u* entries and, when every player's widths agree, its x entry.
         y = np.arange(self.y_span.start, self.y_span.stop)
         rows = [y + self.state_size - self.y_span.start, y, y + self.u_span.start - self.y_span.start]
         if self.strategy_dims == self.interaction_dims:
@@ -292,8 +291,6 @@ class Game:
         entries = np.stack(rows)
         entries.flags.writeable = False
         object.__setattr__(self, "_entries", entries)
-        object.__setattr__(self, "_columns", () if len(y) == len(self.players) else tuple(
-            entries[:, s.start - self.y_span.start:s.stop - self.y_span.start] for s in groups[1]))
         object.__setattr__(self, "indicator_players", tuple(
             i for i, p in enumerate(self.players) if is_indicator(p.nonsmooth)
         ))

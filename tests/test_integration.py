@@ -11,57 +11,47 @@ meet at one point that the certificate confirms.
 import numpy as np
 
 import nashsplit as ns
-from nashsplit import proximal, solver
-from nashsplit.linops import Dense, ScaledIdentity
-from nashsplit.model import (
-    CouplingBlock,
-    Game,
-    InteractionGradient,
-    PlayerBlock,
-    SmoothTerm,
-    SolverParams,
-    quadratic_smooth,
-    validate_problem,
-    zero_smooth,
-)
+from nashsplit import solver
+from nashsplit.model import SolverParams, validate_problem
 from nashsplit.solver import IterState, tick
 
 
-def kitchen_sink_game():
+def kitchen_sink_game(ns=ns):
+    """The game, built from the classes of ``ns``, a ``nashsplit`` package."""
     targets = np.array([0.5, -0.3])
     players = [
-        PlayerBlock(
+        ns.PlayerBlock(
             dim_strategy=2,
             dim_interaction=1,
-            nonsmooth=proximal.l1(0.5),
-            smooth=quadratic_smooth(0.5, [0.1, -0.2]),
+            nonsmooth=ns.proximal.l1(0.5),
+            smooth=ns.quadratic_smooth(0.5, [0.1, -0.2]),
             smooth_lipschitz=0.5,
-            mix=Dense([[1.0, 0.5]]),
+            mix=ns.Dense([[1.0, 0.5]]),
             interaction_bound=1.0,
         ),
-        PlayerBlock(
+        ns.PlayerBlock(
             dim_strategy=1,
             dim_interaction=1,
-            nonsmooth=proximal.box([-1.0], [1.0]),
-            smooth=zero_smooth(),
+            nonsmooth=ns.proximal.box([-1.0], [1.0]),
+            smooth=ns.zero_smooth(),
             smooth_lipschitz=0.0,
-            mix=ScaledIdentity(1, 2.0),
+            mix=ns.ScaledIdentity(1, 2.0),
             interaction_bound=1.0,
         ),
     ]
     couplings = [
-        CouplingBlock(
-            1, proximal.shifted_orthant([-0.5]), zero_smooth(), 0.0,
-            {0: Dense([[0.3, -0.2]]), 1: Dense([[1.0]])},
+        ns.CouplingBlock(
+            1, ns.proximal.shifted_orthant([-0.5]), ns.zero_smooth(), 0.0,
+            {0: ns.Dense([[0.3, -0.2]]), 1: ns.Dense([[1.0]])},
         ),
-        CouplingBlock(
-            1, proximal.zero(),
-            SmoothTerm(lambda z: 0.5 * float(z @ z), lambda z: np.array(z)),
+        ns.CouplingBlock(
+            1, ns.proximal.zero(),
+            ns.SmoothTerm(lambda z: 0.5 * float(z @ z), lambda z: np.array(z)),
             1.0,
-            {0: Dense([[1.0, 1.0]])},
+            {0: ns.Dense([[1.0, 1.0]])},
         ),
     ]
-    return Game(players, InteractionGradient(lambda y: y - targets, 1.0), couplings)
+    return ns.Game(players, ns.InteractionGradient(lambda y: y - targets, 1.0), couplings)
 
 
 def test_kitchen_sink_unique_equilibrium_across_starts_and_schedules():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nashsplit import oracle, proximal
-from nashsplit.linops import Dense, Identity
+from nashsplit.linops import Dense, DimensionError, Identity
 from nashsplit.model import (
     CouplingBlock,
     Game,
@@ -150,21 +150,25 @@ def _bad_coupling_gradient_game():
     return Game(base.players, base.interaction, [coupling])
 
 
-@pytest.mark.parametrize("make, message", [
-    (lambda: _two_box_players(bad_mix=_LongMix("apply")),
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: _two_box_players(bad_mix=_LongMix("apply")), ValueError,
      "player 1: mix returned shape (2,), expected (1,)"),
-    (lambda: _two_box_players(bad_mix=_LongMix("adjoint_apply")),
+    (lambda: _two_box_players(bad_mix=_LongMix("adjoint_apply")), ValueError,
      "player 1: mix adjoint returned shape (2,), expected (1,)"),
-    (lambda: _two_box_players(bad_grad=lambda x: np.zeros(2)),
+    (lambda: _two_box_players(bad_grad=lambda x: np.zeros(2)), ValueError,
      "player 1: smooth gradient returned shape (2,), expected (1,)"),
-    (_bad_coupling_gradient_game, "coupling 0: smooth gradient returned shape (2,), expected (1,)"),
-], ids=["mix", "mix-adjoint", "smooth-gradient", "coupling-gradient"])
-def test_solve_names_the_tick_of_a_wrong_local_step_output(make, message):
-    # the local steps of tick 0 see the wrong shape first; their error ends
-    # with the tick, once, where the certificate's names no tick
+    (_bad_coupling_gradient_game, ValueError,
+     "coupling 0: smooth gradient returned shape (2,), expected (1,)"),
+    (lambda: _two_box_players(bad_mix=Dense([[1.0, 1.0]])), DimensionError,
+     "Dense.apply: expected a vector of dimension 2, got shape (1,)"),
+], ids=["mix", "mix-adjoint", "smooth-gradient", "coupling-gradient", "mix-matrix"])
+def test_solve_names_the_tick_of_a_wrong_local_step_output(make, error, message):
+    # the local steps of tick 0 see the wrong shape first; their error keeps
+    # its type and ends with the tick, once, where the certificate's names no tick
     game = make()
-    with pytest.raises(ValueError, match=re.escape(f"{message}, at tick 0") + "$"):
+    with pytest.raises(error, match=re.escape(f"{message}, at tick 0") + "$") as caught:
         solve(game, SolverParams.for_game(game), synchronous(), validate=False)
+    assert caught.type is error
 
 
 def test_solve_names_a_wrong_gradient_shape_in_the_certificate():

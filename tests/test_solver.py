@@ -1130,5 +1130,5 @@ def test_a_wrong_interaction_gradient_shape_names_the_tick():
     game = _consensus_10()
     broken = Game(game.players, InteractionGradient(lambda y: y[:-1], 1.0))
     with pytest.raises(ValueError, match=r"interaction gradient returned shape \(9,\), "
-                                         r"expected \(10,\), at the y of tick 0"):
+                                         r"expected \(10,\), at the y of tick 0$"):
         ns.solve(broken, SolverParams.for_game(broken), ns.synchronous(), validate=False)

@@ -50,7 +50,6 @@ import math
 import statistics
 import sys
 import time
-import types
 from pathlib import Path
 
 import numpy as np
@@ -126,14 +125,7 @@ def lasso100_run(pkg, prob):
 
 def kitchen_run(pkg, prob):
     """``TICKS`` ticks of the kitchen-sink game under the named schedule."""
-    # the test's builder, its globals pointed at pkg
-    names = {name: getattr(pkg.model, name) for name in (
-        "CouplingBlock", "Game", "InteractionGradient", "PlayerBlock", "SmoothTerm",
-        "quadratic_smooth", "zero_smooth")}
-    names.update(proximal=pkg.proximal, Dense=pkg.linops.Dense,
-                 ScaledIdentity=pkg.linops.ScaledIdentity)
-    build = test_integration.kitchen_sink_game
-    game = types.FunctionType(build.__code__, {**vars(test_integration), **names})()
+    game = test_integration.kitchen_sink_game(pkg)
     schedule = pkg.synchronous() if prob is None else pkg.randomized(0, prob, max_lag=3, window=8)
     params = pkg.SolverParams.for_game(game, max_lag=3, window=8, max_iters=TICKS)
     return lambda: solved(pkg.solve(game, params, schedule, validate=False))
