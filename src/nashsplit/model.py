@@ -16,12 +16,13 @@ advisory: the ``validate_*`` functions return lists of violation strings
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .linops import Identity, LinOp
+from .linops import Identity, LinOp, Zero
 from .proximal import NonsmoothTerm, is_indicator
 
 __all__ = [
@@ -66,9 +67,11 @@ class SmoothTerm:
 
     ``stack`` is ``zero_smooth`` when the term declares a zero gradient,
     which the player and coupling steps and the certificate then skip
-    (``Game.smooth_players``, ``Game.smooth_couplings``). The declaration is
-    trusted over ``grad``, so ``dataclasses.replace`` of ``grad`` must also
-    set ``stack=None`` unless the new ``grad`` only wraps the old one.
+    (``Game.smooth_players``, ``Game.smooth_couplings``) and whose Lipschitz
+    bound ``validate_problem`` does not sample (it only asks for exact zeros
+    at the origin). The declaration is trusted over ``grad``, so
+    ``dataclasses.replace`` of ``grad`` must also set ``stack=None`` unless
+    the new ``grad`` only wraps the old one.
     """
 
     value: Callable[[np.ndarray], float]
@@ -476,33 +479,37 @@ def _step_caps(game: Game, eta: float) -> tuple:
     )
 
 
-def _sample_vec(rng, dim, scale=1.0):
-    return scale * rng.standard_normal(dim)
-
-
 def validate_problem(game: Game, samples: int = 25, seed: int = 0) -> list:
     """Check everything about a game that is checkable at desk scale.
 
-    Returns a list of violation strings (empty means no violation found).
-    Structural dimension mismatches are reported exactly; adjoint
-    consistency, gradient Lipschitz bounds, interaction monotonicity, and
-    the per-player curvature bound are sampled with ``samples`` draws from
-    the given seed. Violations are data, not failures.
+    Returns a list of violation strings (empty means none found); violations
+    are data, but a ``samples`` that is not a nonnegative integer raises
+    ValueError. Dimensions are checked exactly, then each gradient's shape at
+    zeros, where a term declaring ``zero_smooth`` must return exact zeros.
+    Then ``samples`` draws from ``default_rng(seed)`` test, in this order,
+    the adjoint of each player mix and coupling map (a ``standard_normal``
+    row ``[x | y]`` per sample), then the Lipschitz bound of each player's
+    and coupling's smooth gradient and the interaction gradient's
+    monotonicity, curvature and Lipschitz bounds (a ``standard_normal((2,
+    dim))`` draw ``r`` per sample, at ``a = 3 r[0]`` and ``b = a + r[1]``).
+    Each check draws all its samples at once, also when its answer is
+    trusted and not computed: the adjoint of an exact ``Identity`` or
+    ``Zero`` (one computation on both sides) and the bound of a declared
+    zero gradient, trusted as the steps and the certificate trust it, so a
+    misdeclared gradient that is zero at the origin goes unseen.
     """
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 0:
+        raise ValueError(f"samples must be a nonnegative integer, not {samples!r}")
     report = []
     rng = np.random.default_rng(seed)
 
     for i, p in enumerate(game.players):
         if p.mix.in_dim != p.dim_strategy or p.mix.out_dim != p.dim_interaction:
-            report.append(
-                f"player {i}: mix operator maps {p.mix.in_dim}->{p.mix.out_dim}, "
-                f"expected {p.dim_strategy}->{p.dim_interaction}"
-            )
+            report.append(f"player {i}: mix operator maps {p.mix.in_dim}->{p.mix.out_dim}, "
+                          f"expected {p.dim_strategy}->{p.dim_interaction}")
         if p.nonsmooth.dim is not None and p.nonsmooth.dim != p.dim_strategy:
-            report.append(
-                f"player {i}: nonsmooth term has dimension {p.nonsmooth.dim}, "
-                f"strategy space has {p.dim_strategy}"
-            )
+            report.append(f"player {i}: nonsmooth term has dimension {p.nonsmooth.dim}, "
+                          f"strategy space has {p.dim_strategy}")
     for k, c in enumerate(game.couplings):
         if c.nonsmooth.dim is not None and c.nonsmooth.dim != c.dim:
             report.append(f"coupling {k}: nonsmooth term dimension {c.nonsmooth.dim} != {c.dim}")
@@ -511,96 +518,85 @@ def validate_problem(game: Game, samples: int = 25, seed: int = 0) -> list:
                 report.append(f"coupling {k}: map references unknown player {i}")
                 continue
             if op.out_dim != c.dim or op.in_dim != game.players[i].dim_strategy:
-                report.append(
-                    f"coupling {k}: map for player {i} is {op.in_dim}->{op.out_dim}, "
-                    f"expected {game.players[i].dim_strategy}->{c.dim}"
-                )
+                report.append(f"coupling {k}: map for player {i} is {op.in_dim}->{op.out_dim}, "
+                              f"expected {game.players[i].dim_strategy}->{c.dim}")
     if report:
         # Sampled checks would only cascade spurious errors on top of a
         # structurally broken game.
         return report
 
     dim_y = game.total_interaction_dim
-    grads = [("interaction gradient", game.interaction.eval, dim_y)]
-    grads += [(f"player {i}: smooth gradient", p.smooth.grad, p.dim_strategy)
+    smooth = [(f"player {i}", p.smooth, p.dim_strategy, p.smooth_lipschitz)
               for i, p in enumerate(game.players)]
-    grads += [(f"coupling {k}: smooth gradient", c.smooth.grad, c.dim)
-              for k, c in enumerate(game.couplings)]
-    for name, grad, dim in grads:
-        shape = np.shape(grad(np.zeros(dim)))
-        if shape != (dim,):
-            report.append(f"{name} returned shape {shape}, expected ({dim},)")
+    smooth += [(f"coupling {k}", c.smooth, c.dim, c.smooth_lipschitz)
+               for k, c in enumerate(game.couplings)]
+    grads = [("interaction gradient", game.interaction.eval, dim_y, False)]
+    grads += [(f"{name}: smooth gradient", term.grad, dim, term.stack is zero_smooth)
+              for name, term, dim, _ in smooth]
+    for name, grad, dim, zero in grads:
+        g = grad(np.zeros(dim))
+        if np.shape(g) != (dim,):
+            report.append(f"{name} returned shape {np.shape(g)}, expected ({dim},)")
+        elif zero and np.any(g):
+            report.append(f"{name} declared zero returned nonzero values")
     if report:
-        # A wrong output shape would broadcast silently in the sampled checks.
+        # A wrong output shape would broadcast silently in the sampled checks,
+        # and a misdeclared zero gradient is not sampled.
         return report
 
     ops = [(f"player {i} mix", p.mix) for i, p in enumerate(game.players)]
-    ops += [
-        (f"coupling {k} map for player {i}", op)
-        for k, c in enumerate(game.couplings)
-        for i, op in sorted(c.maps.items())
-    ]
+    ops += [(f"coupling {k} map for player {i}", op)
+            for k, c in enumerate(game.couplings) for i, op in sorted(c.maps.items())]
     for name, op in ops:
+        draws = rng.standard_normal((samples, op.in_dim + op.out_dim))
+        if type(op) in (Identity, Zero):
+            continue
         worst = 0.0
-        for _ in range(samples):
-            xs = _sample_vec(rng, op.in_dim)
-            ys = _sample_vec(rng, op.out_dim)
+        for row in draws:
+            xs, ys = row[:op.in_dim], row[op.in_dim:]
             lhs = float(np.dot(op.apply(xs), ys))
             rhs = float(np.dot(xs, op.adjoint_apply(ys)))
-            scale = 1.0 + abs(lhs) + abs(rhs)
-            worst = max(worst, abs(lhs - rhs) / scale)
+            worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs)))
         if worst > _SAMPLE_TOL:
             report.append(f"{name}: adjoint inconsistency {worst:.3e}")
 
-    def lipschitz_violation(grad, dim, bound, scale=3.0):
+    for name, term, dim, bound in smooth:
+        draws = rng.standard_normal((samples, 2, dim))
+        if term.stack is zero_smooth:
+            continue
         worst = 0.0
-        for _ in range(samples):
-            a = _sample_vec(rng, dim, scale)
-            b = a + _sample_vec(rng, dim)
-            num = float(np.linalg.norm(np.asarray(grad(a)) - np.asarray(grad(b))))
-            den = float(np.linalg.norm(a - b))
+        for first, second in draws:
+            a = 3.0 * first
+            b = a + second
+            dg, step = np.asarray(term.grad(a)) - np.asarray(term.grad(b)), a - b
+            num, den = float(np.sqrt(np.dot(dg, dg))), float(np.sqrt(np.dot(step, step)))
             if den > 0:
                 worst = max(worst, num - bound * den * (1.0 + _SAMPLE_TOL))
-        return worst
+        if worst > _SAMPLE_TOL:
+            report.append(f"{name}: smooth gradient exceeds Lipschitz bound by {worst:.3e}")
 
-    for i, p in enumerate(game.players):
-        excess = lipschitz_violation(p.smooth.grad, p.dim_strategy, p.smooth_lipschitz)
-        if excess > _SAMPLE_TOL:
-            report.append(f"player {i}: smooth gradient exceeds Lipschitz bound by {excess:.3e}")
-    for k, c in enumerate(game.couplings):
-        excess = lipschitz_violation(c.smooth.grad, c.dim, c.smooth_lipschitz)
-        if excess > _SAMPLE_TOL:
-            report.append(f"coupling {k}: smooth gradient exceeds Lipschitz bound by {excess:.3e}")
-
-    bounds = np.array([p.interaction_bound for p in game.players])
     offs = game.interaction_offsets()
-    for _ in range(samples):
-        ya = _sample_vec(rng, dim_y, 3.0)
-        yb = ya + _sample_vec(rng, dim_y)
+    caps = [(p.interaction_bound, slice(offs[i], offs[i + 1])) for i, p in enumerate(game.players)]
+    for first, second in rng.standard_normal((samples, 2, dim_y)):
+        ya = 3.0 * first
+        yb = ya + second
         qa = np.asarray(game.interaction.eval(ya), dtype=float)
         qb = np.asarray(game.interaction.eval(yb), dtype=float)
         dy, dq = ya - yb, qa - qb
         inner = float(np.dot(dy, dq))
         sq = float(np.dot(dy, dy))
-        scale = 1.0 + abs(inner)
-        if inner < -_SAMPLE_TOL * scale:
+        if inner < -_SAMPLE_TOL * (1.0 + abs(inner)):
             report.append(f"interaction gradient not monotone: <dy, dQ> = {inner:.3e}")
             break
-        cap = sum(
-            bounds[i] * float(np.dot(dy[offs[i]:offs[i + 1]], dy[offs[i]:offs[i + 1]]))
-            for i in range(game.num_players)
-        )
+        cap = sum(bound * float(np.dot(dy[s], dy[s])) for bound, s in caps)
         if inner > cap * (1.0 + _SAMPLE_TOL) + _SAMPLE_TOL:
-            report.append(
-                f"interaction curvature bound violated: <dy, dQ> = {inner:.3e} > {cap:.3e}"
-            )
+            report.append(f"interaction curvature bound violated: "
+                          f"<dy, dQ> = {inner:.3e} > {cap:.3e}")
             break
-        lip = float(np.linalg.norm(dq))
+        lip = float(np.sqrt(np.dot(dq, dq)))
         if lip > game.interaction.lipschitz * np.sqrt(sq) * (1.0 + _SAMPLE_TOL) + _SAMPLE_TOL:
-            report.append(
-                f"interaction gradient exceeds Lipschitz constant: "
-                f"{lip:.3e} > {game.interaction.lipschitz:.3e} * |dy|"
-            )
+            report.append(f"interaction gradient exceeds Lipschitz constant: "
+                          f"{lip:.3e} > {game.interaction.lipschitz:.3e} * |dy|")
             break
     return report
 

@@ -1,6 +1,6 @@
 """Independent reference computations used by the tests.
 
-Everything here but the last item is deliberately written without
+Everything here but the last three items is deliberately written without
 importing the package under test (plain numpy only): a straight-line
 synchronous reference run of the half-space projection iteration, a
 finite-difference gradient, a grid-search simplex projection, an ISTA
@@ -8,13 +8,15 @@ reference for the l1 least squares instance, a closed-form mixed
 equilibrium for 2x2 zero-sum games, the random activation schedule as
 first written (one ``SeedSequence`` built from a tuple per generator,
 frozenset draws), and the solver's blockwise inner product as first
-written (a Python loop of per-block dots). The last two items are the
+written (a Python loop of per-block dots). The last three items are the
 equilibrium certificate as first written (per player: mix, gradient,
-adjoint, pullback, prox and one dot per residual) and the tick as first
+adjoint, pullback, prox and one dot per residual), the tick as first
 written (``player_local_step`` for every activated player, then a
-per-block write-back); they call the package's ``prox``, ``as_vector``,
-``Certificate`` and the tick's other steps, because what they check is
-the stacking of the certificate and of the player steps, not those.
+per-block write-back) and the problem check of the solve gate as first
+written (every check sampled, one draw per vector); they call the
+package's ``prox``, ``as_vector``, ``Certificate``, sampling tolerance and
+the tick's other steps, because what they check is the stacking of the
+certificate and of the player steps and the draws of the gate, not those.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from nashsplit import oracle
-from nashsplit.model import as_vector
+from nashsplit.model import _SAMPLE_TOL, as_vector
 from nashsplit.oracle import Certificate
 from nashsplit.proximal import is_indicator, prox
 from nashsplit.solver import (
@@ -593,4 +595,138 @@ def reference_tick(game: Game, params: SolverParams, schedule: Schedule, state: 
         coupling_lags=info.coupling_lags,
     )
     state.n = n + 1
+    return report
+
+
+# The solve gate's problem check as first written: every check sampled, one
+# ``standard_normal`` call per vector, the norms through ``np.linalg.norm``.
+# It shares the package's tolerance, since what it checks is the draws and
+# which checks are evaluated, not the slack.
+
+def _sample_vec(rng, dim, scale=1.0):
+    return scale * rng.standard_normal(dim)
+
+
+def validate_problem(game: Game, samples: int = 25, seed: int = 0) -> list:
+    """Check everything about a game that is checkable at desk scale.
+
+    Returns a list of violation strings (empty means no violation found).
+    Structural dimension mismatches are reported exactly; adjoint
+    consistency, gradient Lipschitz bounds, interaction monotonicity, and
+    the per-player curvature bound are sampled with ``samples`` draws from
+    the given seed. Violations are data, not failures.
+    """
+    report = []
+    rng = np.random.default_rng(seed)
+
+    for i, p in enumerate(game.players):
+        if p.mix.in_dim != p.dim_strategy or p.mix.out_dim != p.dim_interaction:
+            report.append(
+                f"player {i}: mix operator maps {p.mix.in_dim}->{p.mix.out_dim}, "
+                f"expected {p.dim_strategy}->{p.dim_interaction}"
+            )
+        if p.nonsmooth.dim is not None and p.nonsmooth.dim != p.dim_strategy:
+            report.append(
+                f"player {i}: nonsmooth term has dimension {p.nonsmooth.dim}, "
+                f"strategy space has {p.dim_strategy}"
+            )
+    for k, c in enumerate(game.couplings):
+        if c.nonsmooth.dim is not None and c.nonsmooth.dim != c.dim:
+            report.append(f"coupling {k}: nonsmooth term dimension {c.nonsmooth.dim} != {c.dim}")
+        for i, op in c.maps.items():
+            if i < 0 or i >= game.num_players:
+                report.append(f"coupling {k}: map references unknown player {i}")
+                continue
+            if op.out_dim != c.dim or op.in_dim != game.players[i].dim_strategy:
+                report.append(
+                    f"coupling {k}: map for player {i} is {op.in_dim}->{op.out_dim}, "
+                    f"expected {game.players[i].dim_strategy}->{c.dim}"
+                )
+    if report:
+        # Sampled checks would only cascade spurious errors on top of a
+        # structurally broken game.
+        return report
+
+    dim_y = game.total_interaction_dim
+    grads = [("interaction gradient", game.interaction.eval, dim_y)]
+    grads += [(f"player {i}: smooth gradient", p.smooth.grad, p.dim_strategy)
+              for i, p in enumerate(game.players)]
+    grads += [(f"coupling {k}: smooth gradient", c.smooth.grad, c.dim)
+              for k, c in enumerate(game.couplings)]
+    for name, grad, dim in grads:
+        shape = np.shape(grad(np.zeros(dim)))
+        if shape != (dim,):
+            report.append(f"{name} returned shape {shape}, expected ({dim},)")
+    if report:
+        # A wrong output shape would broadcast silently in the sampled checks.
+        return report
+
+    ops = [(f"player {i} mix", p.mix) for i, p in enumerate(game.players)]
+    ops += [
+        (f"coupling {k} map for player {i}", op)
+        for k, c in enumerate(game.couplings)
+        for i, op in sorted(c.maps.items())
+    ]
+    for name, op in ops:
+        worst = 0.0
+        for _ in range(samples):
+            xs = _sample_vec(rng, op.in_dim)
+            ys = _sample_vec(rng, op.out_dim)
+            lhs = float(np.dot(op.apply(xs), ys))
+            rhs = float(np.dot(xs, op.adjoint_apply(ys)))
+            scale = 1.0 + abs(lhs) + abs(rhs)
+            worst = max(worst, abs(lhs - rhs) / scale)
+        if worst > _SAMPLE_TOL:
+            report.append(f"{name}: adjoint inconsistency {worst:.3e}")
+
+    def lipschitz_violation(grad, dim, bound, scale=3.0):
+        worst = 0.0
+        for _ in range(samples):
+            a = _sample_vec(rng, dim, scale)
+            b = a + _sample_vec(rng, dim)
+            num = float(np.linalg.norm(np.asarray(grad(a)) - np.asarray(grad(b))))
+            den = float(np.linalg.norm(a - b))
+            if den > 0:
+                worst = max(worst, num - bound * den * (1.0 + _SAMPLE_TOL))
+        return worst
+
+    for i, p in enumerate(game.players):
+        excess = lipschitz_violation(p.smooth.grad, p.dim_strategy, p.smooth_lipschitz)
+        if excess > _SAMPLE_TOL:
+            report.append(f"player {i}: smooth gradient exceeds Lipschitz bound by {excess:.3e}")
+    for k, c in enumerate(game.couplings):
+        excess = lipschitz_violation(c.smooth.grad, c.dim, c.smooth_lipschitz)
+        if excess > _SAMPLE_TOL:
+            report.append(f"coupling {k}: smooth gradient exceeds Lipschitz bound by {excess:.3e}")
+
+    bounds = np.array([p.interaction_bound for p in game.players])
+    offs = game.interaction_offsets()
+    for _ in range(samples):
+        ya = _sample_vec(rng, dim_y, 3.0)
+        yb = ya + _sample_vec(rng, dim_y)
+        qa = np.asarray(game.interaction.eval(ya), dtype=float)
+        qb = np.asarray(game.interaction.eval(yb), dtype=float)
+        dy, dq = ya - yb, qa - qb
+        inner = float(np.dot(dy, dq))
+        sq = float(np.dot(dy, dy))
+        scale = 1.0 + abs(inner)
+        if inner < -_SAMPLE_TOL * scale:
+            report.append(f"interaction gradient not monotone: <dy, dQ> = {inner:.3e}")
+            break
+        cap = sum(
+            bounds[i] * float(np.dot(dy[offs[i]:offs[i + 1]], dy[offs[i]:offs[i + 1]]))
+            for i in range(game.num_players)
+        )
+        if inner > cap * (1.0 + _SAMPLE_TOL) + _SAMPLE_TOL:
+            report.append(
+                f"interaction curvature bound violated: <dy, dQ> = {inner:.3e} > {cap:.3e}"
+            )
+            break
+        lip = float(np.linalg.norm(dq))
+        if lip > game.interaction.lipschitz * np.sqrt(sq) * (1.0 + _SAMPLE_TOL) + _SAMPLE_TOL:
+            report.append(
+                f"interaction gradient exceeds Lipschitz constant: "
+                f"{lip:.3e} > {game.interaction.lipschitz:.3e} * |dy|"
+            )
+            break
     return report

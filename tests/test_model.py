@@ -1,5 +1,7 @@
 """Problem model validation: structure, sampled analytics, schedules."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,48 @@ def test_smooth_gradient_shape_mismatch_names_block():
         "player 1: smooth gradient returned shape (), expected (2,)",
         "coupling 0: smooth gradient returned shape (), expected (2,)",
     ]
+
+
+def test_misdeclared_zero_gradient_is_reported_from_its_value_at_zeros():
+    from nashsplit.model import CouplingBlock
+
+    # grads put into zero_smooth() by dataclasses.replace keep its declaration,
+    # which the gate trusts instead of sampling: one that is nonzero at the
+    # origin is reported, one that is zero there goes unseen
+    offset = dataclasses.replace(zero_smooth(), grad=lambda x: x + 1.0)
+    players = [
+        PlayerBlock(1, 1, proximal.zero(), offset, 5.0, Identity(1), 1.0),
+        PlayerBlock(2, 2, proximal.zero(), zero_smooth(), 0.0, Identity(2), 1.0),
+    ]
+    coup = CouplingBlock(2, proximal.zero(), offset, 5.0, {1: Identity(2)})
+    game = Game(players, InteractionGradient(lambda y: np.zeros_like(y), 1.0), [coup])
+    assert validate_problem(game) == [
+        "player 0: smooth gradient declared zero returned nonzero values",
+        "coupling 0: smooth gradient declared zero returned nonzero values",
+    ]
+    steep = dataclasses.replace(zero_smooth(), grad=lambda x: 9.0 * x)
+    players[0] = PlayerBlock(1, 1, proximal.zero(), steep, 1.0, Identity(1), 1.0)
+    game = Game(players, InteractionGradient(lambda y: np.zeros_like(y), 1.0))
+    assert validate_problem(game) == []
+    undeclared = PlayerBlock(1, 1, proximal.zero(), quadratic_smooth(9.0, [0.0]), 1.0,
+                             Identity(1), 1.0)
+    game = Game([undeclared, players[1]], InteractionGradient(lambda y: np.zeros_like(y), 1.0))
+    assert [line.split(" by ")[0] for line in validate_problem(game)] == [
+        "player 0: smooth gradient exceeds Lipschitz bound"]
+
+
+@pytest.mark.parametrize("samples", [-1, 2.5, 3.0, True, "3", None])
+def test_samples_must_be_a_nonnegative_integer(samples):
+    game, _ = consensus_instance([(2, 3), (0, 1)])
+    with pytest.raises(ValueError, match="samples"):
+        validate_problem(game, samples=samples)
+
+
+def test_zero_samples_run_only_the_exact_checks():
+    game = two_player_game(interaction=InteractionGradient(lambda y: -y, 1.0), chi=1.0)
+    assert validate_problem(game, samples=0) == []
+    assert validate_problem(game, samples=np.int64(20), seed=1) == validate_problem(
+        game, samples=20, seed=1)
 
 
 def test_validate_params_accepts_inequality_example():

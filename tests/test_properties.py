@@ -4,6 +4,7 @@ The examples are bounded and derandomized by the profile that
 ``conftest.py`` loads.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,10 +15,10 @@ from hypothesis import given, strategies as st  # noqa: E402
 
 import nashsplit as ns  # noqa: E402
 from nashsplit import proximal, schedules, solver  # noqa: E402
-from nashsplit.linops import Dense, Identity, ScaledIdentity  # noqa: E402
+from nashsplit.linops import Dense, Identity, ScaledIdentity, Zero  # noqa: E402
 from nashsplit.model import (  # noqa: E402
     CouplingBlock, Game, InteractionGradient, PlayerBlock, SmoothTerm, SolverParams,
-    quadratic_smooth, zero_smooth,
+    quadratic_smooth, validate_problem, zero_smooth,
 )
 from nashsplit.problems import lasso_instance, shared_constraint_instance  # noqa: E402
 from nashsplit.solver import IterState, tick  # noqa: E402
@@ -25,6 +26,7 @@ from nashsplit.solver import IterState, tick  # noqa: E402
 from _oracles import _block_inner as loop_block_inner, random_schedule_tick  # noqa: E402
 from _oracles import check_equilibrium as per_block_check_equilibrium  # noqa: E402
 from _oracles import reference_tick  # noqa: E402
+from _oracles import validate_problem as per_sample_validate_problem  # noqa: E402
 
 _RNG = np.random.default_rng(8)
 INSTANCES = {
@@ -383,3 +385,100 @@ def test_stacked_step_keeps_the_signed_zeros_of_the_per_block_step():
     assert np.signbit(reference.s_star).tolist() == [False, False]
     for name in ("flat", "point", "direction", "s_star"):
         assert getattr(state, name).tobytes() == getattr(reference, name).tobytes(), name
+
+
+class _SkewDense(Dense):
+    """A ``Dense`` map whose adjoint is 1.5 times the true one."""
+
+    def adjoint_apply(self, y):
+        return 1.5 * super().adjoint_apply(y)
+
+
+class _TwiceIdentity(Identity):
+    """An ``Identity`` whose adjoint doubles: only the exact type may go unsampled."""
+
+    def adjoint_apply(self, y):
+        return 2.0 * super().adjoint_apply(y)
+
+
+GATE_MAPS = ("identity", "zero", "scaled", "scaled 1e9", "dense", "dense 1e8", "skew dense",
+             "twice identity")
+GATE_SMOOTH = ("zero", "wrapped zero", "quadratic", "tanh")
+
+
+def _gate_map(kind: str, d_in: int, d_out: int, rng):
+    """A map of ``kind`` from ``d_in`` to ``d_out`` entries; square kinds become dense ones
+    when the widths differ."""
+    if kind == "zero":
+        return Zero(d_in, d_out)
+    if d_in == d_out and kind in ("identity", "twice identity"):
+        return Identity(d_in) if kind == "identity" else _TwiceIdentity(d_in)
+    if d_in == d_out and kind.startswith("scaled"):
+        return ScaledIdentity(d_in, 1e9 if kind.endswith("1e9") else float(rng.uniform(-2.0, 2.0)))
+    entries = rng.standard_normal((d_out, d_in)) * (1e8 if kind.endswith("1e8") else 1.0)
+    return _SkewDense(entries) if kind == "skew dense" else Dense(entries)
+
+
+def _gate_smooth(kind: str, d: int, rng):
+    """A smooth term of ``kind`` and its Lipschitz bound: for a nonzero gradient, half, once
+    or 1.5 times its true constant."""
+    if kind in ("zero", "wrapped zero"):
+        term = zero_smooth()
+        if kind == "wrapped zero":
+            term = dataclasses.replace(term, grad=lambda x, grad=term.grad: grad(x))
+        return term, float(rng.uniform(0.0, 1.0))
+    curvature = float(rng.uniform(0.1, 2.0))
+    bound = curvature * float(rng.choice((0.5, 1.0, 1.5)))
+    if kind == "quadratic":
+        return quadratic_smooth(curvature, rng.standard_normal(d)), bound
+    return SmoothTerm(lambda x: 0.0, lambda x: curvature * np.tanh(x)), bound
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_players=st.integers(1, 4),
+    num_couplings=st.integers(0, 2),
+    monotone=st.booleans(),
+    gates=st.lists(st.tuples(st.sampled_from((0, 1, 3, 16)), st.integers(0, 2**32 - 1)),
+                   min_size=1, max_size=3),
+    data=st.data(),
+)
+def test_gate_equals_the_per_sample_gate(seed, num_players, num_couplings, monotone, gates, data):
+    # games valid and invalid: every map kind as a mix and as a coupling map, the
+    # exact Identity and Zero and the declared zero gradients (trusted by the gate)
+    # ahead of sampled checks whose reported values depend on every earlier draw
+    mixes = data.draw(st.lists(st.sampled_from(GATE_MAPS), min_size=num_players,
+                               max_size=num_players), label="mixes")
+    smooths = data.draw(st.lists(st.sampled_from(GATE_SMOOTH), min_size=num_players + num_couplings,
+                                 max_size=num_players + num_couplings), label="smooth")
+    rng = np.random.default_rng(seed)
+    players = []
+    for mix, smooth in zip(mixes, smooths):
+        ds = int(rng.integers(1, 4))
+        di = ds if rng.random() < 0.7 else int(rng.integers(1, 4))
+        term, bound = _gate_smooth(smooth, ds, rng)
+        players.append(PlayerBlock(ds, di, proximal.zero(), term, bound,
+                                   _gate_map(mix, ds, di, rng), 1.0))
+    couplings = []
+    for smooth in smooths[num_players:]:
+        dc = int(rng.integers(1, 3))
+        members = rng.choice(num_players, size=int(rng.integers(1, num_players + 1)), replace=False)
+        kinds = data.draw(st.lists(st.sampled_from(GATE_MAPS), min_size=len(members),
+                                   max_size=len(members)), label="maps")
+        term, bound = _gate_smooth(smooth, dc, rng)
+        couplings.append(CouplingBlock(dc, proximal.zero(), term, bound, {
+            int(i): _gate_map(kind, players[i].dim_strategy, dc, rng)
+            for i, kind in zip(members, kinds)}))
+    ny = sum(p.dim_interaction for p in players)
+    skew = rng.standard_normal((ny, ny))
+    a_mat = 0.5 * (skew - skew.T) + (0.3 if monotone else -0.3) * np.eye(ny)
+    b_vec = rng.standard_normal(ny)
+    # the curvature and Lipschitz bounds are the true ones times a factor, some below 1
+    curvature = max(float(np.linalg.eigvalsh(0.5 * (a_mat + a_mat.T)).max()), 0.1)
+    players = [dataclasses.replace(p, interaction_bound=curvature * float(rng.choice((0.5, 1.5))))
+               for p in players]
+    lipschitz = float(np.linalg.norm(a_mat, 2)) * float(rng.choice((0.7, 1.5)))
+    game = Game(players, InteractionGradient(lambda y: a_mat @ y + b_vec, lipschitz), couplings)
+    for samples, gate_seed in gates:
+        want = per_sample_validate_problem(game, samples=samples, seed=gate_seed)
+        assert validate_problem(game, samples=samples, seed=gate_seed) == want

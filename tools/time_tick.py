@@ -20,7 +20,12 @@ Shapes, one row each:
   ``lasso100``, the lasso schedule over 100 players;
 - ``certificate <shape>``: ``CALLS`` per-tick certificates
   ``check_equilibrium(..., coerce=False)`` of a workload's game at the
-  views of an ``IterState`` filled with standard normal entries, per call.
+  views of an ``IterState`` filled with standard normal entries, per call;
+- ``setup <shape>``: ``SETUPS`` calls of a workload's ``setup`` at
+  workload seed ``SEED``, the work that ``perfbench`` times as
+  ``setup_s`` (build the game from the drawn data,
+  ``SolverParams.for_game``, the solve gate ``validate_game_and_params``,
+  which raises on any violation and so stops the script), per call.
 
 Each row's rep is one region of ``perfbench/calibration.Clock``, so its
 time is in reference-core seconds and core-speed swings of the host
@@ -36,8 +41,8 @@ checkouts use it. The script prints, per shape, the median over
 into the same process, under another module name, and times the two in
 interleaved pairs, each checkout first in every other pair: per shape the
 two medians, the change, and in how many pairs this checkout was faster.
-Both must give the same ticks and final iterate bytes, draws and
-certificates, or the script stops::
+Both must give the same ticks and final iterate bytes, draws,
+certificates and set-up parameters, or the script stops::
 
     python tools/time_tick.py --against ../parent --reps 8
 """
@@ -45,6 +50,7 @@ certificates, or the script stops::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.util
 import math
 import statistics
@@ -66,6 +72,7 @@ from calibration import PROBE_S, Clock  # noqa: E402
 SEED = 1
 TICKS = 1500
 CALLS = 2000
+SETUPS = 20
 DRAWS = 6000
 DRAW_SEED = 20211
 WORKLOAD_SHAPES = {"consensus": "consensus-sync", "lasso": "lasso-sparse", "shared": "shared-async"}
@@ -92,17 +99,25 @@ def load(root: Path, name: str):
     return module
 
 
+@contextlib.contextmanager
+def using(pkg):
+    """Point the module globals that ``workloads`` builds and sets up with at ``pkg``."""
+    names = ("problems", "schedules", "solver", "SolverParams")
+    saved = [getattr(workloads, name) for name in names]
+    for name in names:
+        setattr(workloads, name, getattr(pkg, name))
+    try:
+        yield
+    finally:
+        for name, value in zip(names, saved):
+            setattr(workloads, name, value)
+
+
 def workload_game(pkg, name: str):
     """The workload's game and schedules, built with ``pkg``'s problems and schedules."""
     workload = workloads.WORKLOADS[name]
-    data = workload.draw(SEED)
-    # the workload's builder reads these module globals: point them at pkg
-    saved = workloads.problems, workloads.schedules
-    workloads.problems, workloads.schedules = pkg.problems, pkg.schedules
-    try:
-        return workload.build(data)
-    finally:
-        workloads.problems, workloads.schedules = saved
+    with using(pkg):
+        return workload.build(workload.draw(SEED))
 
 
 def workload_run(pkg, name: str):
@@ -161,6 +176,20 @@ def certificate_run(pkg, name: str):
     return run
 
 
+def setup_run(pkg, name: str):
+    """``SETUPS`` calls of the workload's ``setup`` with ``pkg``; the last one's parameters."""
+    workload = workloads.WORKLOADS[name]
+    data = workload.draw(SEED)
+
+    def run():
+        with using(pkg):
+            for _ in range(SETUPS):
+                instance = workload.setup(data)
+        return SETUPS, instance.params
+
+    return run
+
+
 def shapes(pkg) -> dict:
     """Shape name -> (one rep, its unit), each rep from a cold activation cache as in the benchmark."""
     runs = {shape: (workload_run(pkg, name), "tick") for shape, name in WORKLOAD_SHAPES.items()}
@@ -169,6 +198,8 @@ def shapes(pkg) -> dict:
     runs.update({f"next_tick {shape}": (draw_run(pkg, *args), "call")
                  for shape, args in DRAW_SHAPES.items()})
     runs.update({f"certificate {shape}": (certificate_run(pkg, name), "call")
+                 for shape, name in WORKLOAD_SHAPES.items()})
+    runs.update({f"setup {shape}": (setup_run(pkg, name), "call")
                  for shape, name in WORKLOAD_SHAPES.items()})
 
     def cold(run):
