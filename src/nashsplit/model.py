@@ -222,10 +222,11 @@ class Game:
     Construction fixes the block widths (``strategy_dims``,
     ``interaction_dims``, ``coupling_dims``), the flat state layout
     ``[x | y | z | u* | v*]`` (``state_size`` entries, per-block slices
-    ``state_slices``, the ``x``, ``y`` and ``u*`` parts contiguous at
-    ``x_span``, ``y_span`` and ``u_span``, the start of every block in layout
-    order ``block_starts`` and, per field, the slice of those blocks
-    ``field_blocks``) and, per player, the ``x`` entries of the player step
+    ``state_slices``, the ``x``, ``y``, ``u*`` and ``v*`` parts contiguous at
+    ``x_span``, ``y_span``, ``u_span`` and ``v_span``, the last empty without
+    couplings, the start of every block in layout order ``block_starts``
+    and, per field, the slice of those blocks ``field_blocks``) and, per
+    player, the ``x`` entries of the player step
     and the couplings whose maps read that player's strategy (the players
     with at least one are ``coupled_players``).
 
@@ -268,12 +269,19 @@ class Game:
         object.__setattr__(self, "state_size", start)
         for name, group in (("x_span", groups[0]), ("y_span", groups[1]), ("u_span", groups[3])):
             object.__setattr__(self, name, slice(group[0].start, group[-1].stop))
+        object.__setattr__(self, "v_span", slice(start - sum(self.coupling_dims), start))
         # PlayerBlock and CouplingBlock reject zero widths, so no two starts
         # coincide and np.add.reduceat over them sums exactly one block each.
         starts = np.array([s.start for group in groups for s in group], dtype=np.intp)
         starts.flags.writeable = False
         object.__setattr__(self, "block_starts", starts)
         object.__setattr__(self, "field_blocks", StateBlocks(*fields))
+        # the certificate's stacked difference [x - prox | u* - Q(Mx) | x - P(x)], per player
+        nx, x_starts = self.x_span.stop, starts[fields[0]]
+        residual_starts = np.concatenate((x_starts, nx + self._offsets[:-1],
+                                          nx + self._offsets[-1] + x_starts))
+        residual_starts.flags.writeable = False
+        object.__setattr__(self, "_residual_starts", residual_starts)
         object.__setattr__(self, "_x_entries", tuple(np.arange(s.start, s.stop) for s in groups[0]))
         object.__setattr__(self, "prox_groups", _groups(
             [p.nonsmooth for p in self.players], self.strategy_dims, self._x_entries))

@@ -9,20 +9,19 @@ lines vanish exactly at solutions, so the maximum residual doubles as the
 solver's stopping rule.
 
 The certificate runs after every tick that moves the iterate, so it works
-on stacked vectors. The game groups the players whose nonsmooth terms
-declare the same entrywise ``stack`` (``Game.prox_groups``), and each
-group takes one prox call on its entries of the stacked strategies; every
-other term (a hand-made one stays alone, whatever its kind) is evaluated
-per player. The mixes and the smooth gradients go through ``Game.mix``,
-``Game.smooth_grad`` and ``Game.coupling_grad``, as in the solver's local
-steps, so ``Identity`` mixes and declared zero gradients cost nothing, and
-each coupling is evaluated on its own. The player and interaction
-residuals are per-block sums of squares (``np.add.reduceat``), and the
-maximum runs over the player, interaction and coupling residuals and then
-the gaps (players, then couplings). So on one-entry blocks every residual
-has the bits of the per-player evaluation (``tests/_oracles.py`` keeps it
-as the reference); on wider blocks the sums of squares agree with its dot
-products to rounding.
+on stacked vectors: per-block input is joined once, and the tick passes
+views of its flat state. Players whose nonsmooth terms declare the same
+entrywise ``stack`` share one prox call (``Game.prox_groups``); any other
+term, a hand-made one whatever its kind, is evaluated alone. The mixes and
+smooth gradients go through ``Game.mix``, ``Game.smooth_grad`` and
+``Game.coupling_grad``, as in the solver's local steps. The player and
+interaction residuals and the players' gaps are the per-block norms of one
+stacked difference (one ``np.add.reduceat``); each coupling's lines are
+``np.dot`` norms. The maximum runs over the player, interaction and
+coupling residuals and then the gaps (players, then couplings). So on
+one-entry blocks every residual has the bits of the per-player evaluation
+(``tests/_oracles.py`` keeps it as the reference); on wider blocks the
+sums of squares agree with its dot products to rounding.
 
 The reference solvers are diagnostic and deliberately independent of the
 main iteration: a Gauss-Seidel best-response sweep (which is expected to
@@ -49,11 +48,6 @@ __all__ = [
     "NoConsistentActiveSetError",
 ]
 
-# The certificate evaluates prox residuals at unit step. Any fixed positive
-# step has the same zero set; this one is unrelated to the solver's
-# per-block step schedules.
-_CERT_STEP = 1.0
-
 
 @dataclass(frozen=True)
 class Certificate:
@@ -70,98 +64,100 @@ def _norm(v) -> float:
     return float(np.sqrt(np.dot(v, v)))
 
 
-def _blocks(blocks, layout, what: str, coerce: bool = True):
-    """Per-block inputs checked against ``layout``: zeros when absent, as given when not ``coerce``."""
-    if blocks is None:
-        return [np.zeros(s.stop - s.start) for s in layout]
-    if not coerce:
-        return blocks
-    return [as_vector(b, s.stop - s.start, f"{what}[{i}]")
-            for i, (b, s) in enumerate(zip(blocks, layout))]
-
-
-def _block_norms(d: np.ndarray, starts) -> np.ndarray:
-    """The Euclidean norm of each block of ``d``, blocks starting at ``starts``."""
-    return np.sqrt(np.add.reduceat(d * d, starts))
+def _stacked(value, layout, what: str, coerce: bool = True) -> np.ndarray:
+    """The blocks ``layout`` as one vector: zeros when absent, a 1-D array as given, other
+    input joined; ``coerce`` checks each block (``what[i]``), then the whole (``what``)."""
+    stacked = isinstance(value, np.ndarray) and value.ndim == 1
+    if not coerce and value is not None:
+        return value if stacked else np.concatenate(value) if len(value) else np.zeros(0)
+    widths = [s.stop - s.start for s in layout]
+    if value is None:
+        return np.zeros(sum(widths))
+    if not stacked:
+        value = [as_vector(b, d, f"{what}[{i}]") for i, (b, d) in enumerate(zip(value, widths))]
+        value = np.concatenate(value) if value else np.zeros(0)
+    return as_vector(value, sum(widths), what)
 
 
 def check_equilibrium(game: Game, x, u_star=None, v_star=None, *,
                       coerce: bool = True) -> Certificate:
     """Evaluate the equilibrium residuals at ``(x, u*, v*)``.
 
-    ``u_star`` defaults to the stacked interaction gradient at the mixed
-    strategies (making the first line exact); ``v_star`` defaults to
-    zeros. For indicator coupling terms the dual-inclusion residual is the
-    projection identity distance. ``coerce=False`` skips input coercion
-    for callers that already hold validated blocks (the per-tick path).
+    Each of ``x``, ``u_star`` and ``v_star`` is per-block input or one
+    stacked 1-D vector, such as ``state.flat[game.x_span]`` (``u_span``,
+    ``v_span``). ``u_star`` defaults to the stacked interaction gradient at
+    the mixed strategies (making the first line exact); ``v_star`` defaults
+    to zeros. For indicator coupling terms the dual-inclusion residual is
+    the projection identity distance. ``coerce`` checks that each block and
+    each stacked vector is finite and of its width, raising ValueError
+    named ``x[i]``, ``x``, ``u*``, ...; ``coerce=False`` skips the checks
+    for callers that hold validated vectors (the per-tick path).
 
-    The lines run on the stacked ``x`` and ``u*`` as the module docstring
-    says, with one more prox call per indicator group for the gaps. An
-    output of the wrong shape from a smooth gradient, a mix, a prox or the
-    interaction gradient raises ValueError naming the operator and, but
+    An output of the wrong shape from a smooth gradient, a mix, a prox or
+    the interaction gradient raises ValueError naming the operator and, but
     for the last, the first such player or coupling.
     """
-    layout = game.state_slices
-    xs = _blocks(x, layout.x, "x", coerce)
-    x_flat = np.concatenate(xs)
-    y_flat = game.mix(x_flat)
-    q = np.asarray(game.interaction.eval(y_flat), dtype=float)
-    if q.shape != y_flat.shape:
-        raise ValueError(
-            f"interaction gradient returned shape {q.shape}, expected {y_flat.shape}"
-        )
-    u = q if u_star is None else np.concatenate(_blocks(u_star, layout.u_star, "u*", coerce))
-    vs = _blocks(v_star, layout.v_star, "v*", coerce)
+    layout, players = game.state_slices, game.num_players
+    x = _stacked(x, layout.x, "x", coerce)
+    y = game.mix(x)
+    q = np.asarray(game.interaction.eval(y), dtype=float)
+    if q.shape != y.shape:
+        raise ValueError(f"interaction gradient returned shape {q.shape}, expected {y.shape}")
+    u = q if u_star is None else _stacked(u_star, layout.u_star, "u*", coerce)
+    v, v0 = _stacked(v_star, layout.v_star, "v*", coerce), game.v_span.start
+    vs = [v[s.start - v0:s.stop - v0] for s in layout.v_star]
 
-    pull = game.smooth_grad(x_flat) + game.mix(u, adjoint=True)
+    pull = game.smooth_grad(x) + game.mix(u, adjoint=True)
     for i in game.coupled_players:
         pull[layout.x[i]] = game.coupling_pullback(i, pull[layout.x[i]], vs)
-    step = x_flat - _CERT_STEP * pull
-    starts = game.block_starts[game.field_blocks.x]
-    out = np.empty_like(x_flat)
+    # prox residuals at unit step: any fixed positive step has the same zero
+    # set, and this one is unrelated to the solver's step schedules
+    step = x - pull
+    # [x - prox(step) | u* - q | x - projection], the last with indicator players only
+    gapped = bool(game.indicator_players)
+    source = np.concatenate((x, u, x) if gapped else (x, u))
+    target = np.concatenate((step, q, x) if gapped else (step, q))
+    projected = target[len(x) + len(q):]
     for term, index in game.prox_groups:
-        a = prox(term, _CERT_STEP, step[index])
+        a = prox(term, 1.0, step[index])
         if np.shape(a) != index.shape:      # only a term alone in its group gets here
-            raise ValueError(f"player {int(np.searchsorted(starts, index[0]))}: prox returned "
-                             f"shape {np.shape(a)}, expected {index.shape}")
-        out[index] = a
-    player_res = _block_norms(x_flat - out, starts).tolist()
-    interaction_res = _block_norms(u - q, game.interaction_offsets()[:-1]).tolist()
-
-    gaps = []
-    if game.indicator_players:
-        out = x_flat.copy()
-        for term, index in game.prox_groups:
-            if is_indicator(term):
-                out[index] = prox(term, 1.0, x_flat[index])
-        gaps = _block_norms(x_flat - out, starts).take(game.indicator_players).tolist()
-    coupling_res = []
+            raise ValueError(f"player {int(np.searchsorted(game.block_starts, index[0]))}: "
+                             f"prox returned shape {np.shape(a)}, expected {index.shape}")
+        target[index] = a
+        if is_indicator(term):
+            projected[index] = prox(term, 1.0, x[index])
+    diff = source - target
+    starts = game._residual_starts[:(3 if gapped else 2) * players]
+    norms = np.sqrt(np.add.reduceat(diff * diff, starts)).tolist()
+    player_res, interaction_res = norms[:players], norms[players:2 * players]
+    gaps = [norms[2 * players + i] for i in game.indicator_players]
+    coupling_res, xs = [], [x[s] for s in layout.x] if game.couplings else ()
     for k, blk in enumerate(game.couplings):
         z = game.coupling_mixture(k, xs)
-        b = prox(blk.nonsmooth, _CERT_STEP, z + _CERT_STEP * (vs[k] - game.coupling_grad(k, z)))
+        b = prox(blk.nonsmooth, 1.0, z + (vs[k] - game.coupling_grad(k, z)))
         if np.shape(b) != z.shape:
             raise ValueError(f"coupling {k}: prox returned shape {np.shape(b)}, expected {z.shape}")
         coupling_res.append(_norm(z - b))
         if is_indicator(blk.nonsmooth):
             gaps.append(_norm(z - prox(blk.nonsmooth, 1.0, z)))
-
-    everything = player_res + interaction_res + coupling_res + gaps
-    return Certificate(
-        tuple(player_res), tuple(interaction_res), tuple(coupling_res), tuple(gaps), max(everything)
-    )
+    return Certificate(tuple(player_res), tuple(interaction_res), tuple(coupling_res),
+                       tuple(gaps), max(player_res + interaction_res + coupling_res + gaps))
 
 
 def equilibrium_tuple(game: Game, x, v_star=None):
-    """Assemble the full solution tuple ``(x, Mx, Lx, Q(Mx), v*)``.
+    """Assemble the full solution tuple ``(x, Mx, Lx, Q(Mx), v*)``, from per-block or
+    stacked ``x`` and ``v_star`` as ``check_equilibrium`` takes them.
 
     This is the reference point for the half-space and distance-monotone
     run invariants.
     """
-    xs = _blocks(x, game.state_slices.x, "x")
+    layout, v0 = game.state_slices, game.v_span.start
+    x, v = _stacked(x, layout.x, "x"), _stacked(v_star, layout.v_star, "v*")
+    xs = [x[s] for s in layout.x]
     ys = [p.mix.apply(xs[i]) for i, p in enumerate(game.players)]
     zs = [game.coupling_mixture(k, xs) for k in range(game.num_couplings)]
     us = game.split_interaction(np.asarray(game.interaction.eval(np.concatenate(ys)), dtype=float))
-    vs = _blocks(v_star, game.state_slices.v_star, "v*")
+    vs = [v[s.start - v0:s.stop - v0] for s in layout.v_star]
     return tuple(tuple(np.array(b) for b in group) for group in (xs, ys, zs, us, vs))
 
 

@@ -25,6 +25,7 @@ bitwise gates fix that order; pairwise ``np.sum`` and compensated
 
 from __future__ import annotations
 
+import math
 import numbers
 from itertools import accumulate
 from concurrent.futures import ThreadPoolExecutor
@@ -120,6 +121,9 @@ class IterState:
     Tick ``n`` of the history is row ``n % (max_lag + 1)`` of a ring with
     one row per retained tick; snapshots are read-only views of a row and
     may be read concurrently; only the coordinator mutates the live state.
+    A row's last columns are a memo of the interaction gradient at its
+    ``y``: ``lagged_interaction_grad`` evaluates it on the first read after
+    the row was pushed and returns the stored columns on later reads.
 
     The flat vectors and their views are bound once: rebinding one to
     another object raises ``AttributeError``, because that object would be
@@ -185,6 +189,7 @@ class IterState:
         self._ring_and_grads = np.empty((depth, game.state_size + game.total_interaction_dim))
         self._ring = self._ring_and_grads[:, :game.state_size]
         self._ring_stamps = [-1] * depth
+        self._grad_stamps = [-1] * depth    # the tick whose y a row's gradient columns hold
         frozen = self._ring_and_grads.view()
         frozen.flags.writeable = False
         self._frozen = frozen
@@ -195,6 +200,7 @@ class IterState:
         row = idx % len(self._ring)
         self._ring[row] = self.flat
         self._ring_stamps[row] = idx
+        self._grad_stamps[row] = -1
 
     def _row(self, tick_index: int) -> int:
         row = tick_index % len(self._ring)
@@ -215,15 +221,18 @@ class IterState:
         return self._row_blocks[self._row(tick_index)]
 
     def lagged_interaction_grad(self, tick_index: int) -> np.ndarray:
-        """Shape-checked interaction gradient at the ``y`` of a retained tick, kept in its row."""
+        """Shape-checked interaction gradient at the ``y`` of a retained tick, kept in its
+        row: a read-only view, evaluated on the first read after the row was pushed."""
         row = self._row(tick_index)
-        y = self._frozen[row, self.game.y_span]
-        grad = np.asarray(self.game.interaction.eval(y), dtype=float)
-        if grad.shape != y.shape:
-            raise ValueError(f"interaction gradient returned shape {grad.shape}, "
-                             f"expected {y.shape}, at the y of tick {tick_index}")
-        self._ring_and_grads[row, self.game.state_size:] = grad
-        return grad
+        if self._grad_stamps[row] != tick_index:
+            y = self._frozen[row, self.game.y_span]
+            grad = np.asarray(self.game.interaction.eval(y), dtype=float)
+            if grad.shape != y.shape:
+                raise ValueError(f"interaction gradient returned shape {grad.shape}, "
+                                 f"expected {y.shape}, at the y of tick {tick_index}")
+            self._ring_and_grads[row, self.game.state_size:] = grad
+            self._grad_stamps[row] = tick_index
+        return self._frozen[row, self.game.state_size:]
 
     def current_tuple(self) -> StateBlocks:
         """Copies of the live ``(x, y, z, u*, v*)`` blocks."""
@@ -429,7 +438,7 @@ def apply_update(game: Game, state: IterState, params: SolverParams):
     pi = state.pi
     state.pi = None
     n = state.n
-    if not np.isfinite(pi):
+    if not math.isfinite(pi):
         raise NumericalAbortError(
             f"scalar test is not finite at tick {n}: {pi}{_first_nonfinite(game, state)}"
         )
@@ -437,14 +446,14 @@ def apply_update(game: Game, state: IterState, params: SolverParams):
     step_norm = 0.0
     if pi < 0.0:
         den = _block_inner(game, state.direction, state.direction)
-        if not np.isfinite(den) or den <= 0.0:
+        if not math.isfinite(den) or den <= 0.0:
             raise NumericalAbortError(
                 f"projection denominator {den} with negative scalar test at tick {n}"
                 f"{_first_nonfinite(game, state)}"
             )
         theta = params.relaxation_at(n) * pi / den
         state.flat += theta * state.direction
-        step_norm = abs(theta) * float(np.sqrt(den))
+        step_norm = abs(theta) * math.sqrt(den)
     state._push_history(n + 1)
     return pi, theta, step_norm
 
@@ -495,8 +504,9 @@ def tick(game: Game, params: SolverParams, schedule: Schedule, state: IterState,
     pi, theta, step_norm = apply_update(game, state, params)
     key = state.flat.tobytes()
     if state._certified[0] != key:
+        flat = state.flat
         residual = oracle.check_equilibrium(
-            game, state.x, state.u_star, state.v_star, coerce=False
+            game, flat[game.x_span], flat[game.u_span], flat[game.v_span], coerce=False
         ).max_residual
         state._certified = (key, residual)
     residual = state._certified[1]

@@ -127,6 +127,25 @@ def test_certificate_names_a_wrong_output_shape(game, message):
         check_equilibrium(game, [np.zeros(1), np.zeros(1)], coerce=False)
 
 
+@pytest.mark.parametrize("field", ["x", "u*", "v*"])
+@pytest.mark.parametrize("fault", ["long", "nan"])
+def test_a_bad_stacked_vector_names_its_field(field, fault):
+    game, _ = shared_constraint_instance()     # two scalar players, one scalar coupling
+    args = {"x": np.ones(2), "u*": np.ones(2), "v*": np.ones(1)}
+    width = args[field].shape[0]
+    if fault == "long":
+        args[field] = np.ones(width + 1)
+        message = f"{field}: expected dimension {width}, got {width + 1}"
+    else:
+        args[field][-1] = np.nan
+        message = f"{field}: entries must be finite"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check_equilibrium(game, *args.values())
+    args[field] = np.ones(width)
+    assert check_equilibrium(game, *args.values()) == check_equilibrium(game, [[1.0], [1.0]],
+                                                                         [[1.0], [1.0]], [[1.0]])
+
+
 @pytest.mark.parametrize("bad, message", [
     (dict(bad_mix=_LongMix("apply")), "player 1: mix returned shape (2,), expected (1,)"),
     (dict(bad_mix=_LongMix("adjoint_apply")),

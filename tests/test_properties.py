@@ -234,10 +234,11 @@ def _cert_mix(kind: str, ds: int, di: int, rng):
     given_u=st.booleans(),
     given_v=st.booleans(),
     coerce=st.booleans(),
+    stacked=st.booleans(),
     data=st.data(),
 )
 def test_certificate_equals_the_per_block_certificate(seed, max_width, shuffle, num_couplings,
-                                                     given_u, given_v, coerce, data):
+                                                     given_u, given_v, coerce, stacked, data):
     # each kind twice, so that groups of several players are built, of
     # neighbouring players in kind order and of scattered ones when shuffled
     kinds = list(CERT_KINDS) * 2
@@ -276,6 +277,12 @@ def test_certificate_equals_the_per_block_certificate(seed, max_width, shuffle, 
               "feasibility_gaps")
     got_all = [*(r for f in fields for r in getattr(got, f)), got.max_residual]
     want_all = [*(r for f in fields for r in getattr(want, f)), want.max_residual]
+    if stacked:
+        # one 1-D vector per field: the bits of the block input, at every width
+        joined = [None if b is None else np.concatenate([np.zeros(0), *b]) for b in (x, u, v)]
+        one = ns.check_equilibrium(game, *joined, coerce=coerce)
+        one_all = [*(r for f in fields for r in getattr(one, f)), one.max_residual]
+        assert [r.hex() for r in one_all] == [r.hex() for r in got_all]
     assert [len(getattr(got, f)) for f in fields] == [len(getattr(want, f)) for f in fields]
     assert all(type(r) is float for r in got_all)
     if max_width == 1:

@@ -349,6 +349,56 @@ class TestHistoryRing:
         for given, before in zip(x0 + y0, kept):
             assert np.array_equal(given, before)
 
+    @staticmethod
+    def _counting_lasso(reads):
+        """A lasso game whose interaction gradient keeps each ``y`` of a history row it is
+        evaluated at: the read-only ones, which only the player step passes."""
+        rng = np.random.default_rng(5)
+        game, _ = lasso_instance(rng.standard_normal((3, 5)), rng.standard_normal(3), 0.5)
+        evaluate = game.interaction.eval
+
+        def counting(y):
+            if not y.flags.writeable:
+                reads.append(y.copy())
+            return evaluate(y)
+
+        return dataclasses.replace(game, interaction=dataclasses.replace(game.interaction,
+                                                                         eval=counting))
+
+    def test_interaction_gradient_is_evaluated_once_per_history_row(self):
+        reads = []
+        game = self._counting_lasso(reads)
+        params = SolverParams.for_game(game, max_lag=3, window=10)
+        schedule = ns.randomized(seed=2, activation_prob=0.3, max_lag=3, window=10)
+        state = IterState(game, max_lag=3)
+        seen, again = set(), 0
+        for _ in range(300):
+            before = len(reads)
+            rep = tick(game, params, schedule, state)
+            lags = {rep.player_lags[i] for i in rep.active_players}
+            assert len(reads) - before == len(lags - seen)     # the rows first read this tick
+            again += len(lags & seen)
+            seen |= lags
+        assert again > 100      # rows read again, from their memo
+
+    def test_write_into_y_between_ticks_reaches_the_lag_zero_gradient(self):
+        # the gradient of the row of the next tick is already held when y
+        # is written; the tick's own push must drop it
+        reads = []
+        game = self._counting_lasso(reads)
+        params = SolverParams.for_game(game, max_lag=3)
+        states = [IterState(game, max_lag=3) for _ in range(2)]
+        for state in states:
+            tick(game, params, ns.synchronous(), state)
+        states[0].lagged_interaction_grad(states[0].n)
+        for state in states:
+            state.y[1][:] += 1.0
+            written = state.flat[game.y_span].copy()
+            tick(game, params, ns.synchronous(), state)
+            assert np.array_equal(reads[-1], written)
+        assert states[0].point.tobytes() == states[1].point.tobytes()
+        assert states[0].flat.tobytes() == states[1].flat.tobytes()
+
     @pytest.mark.parametrize("max_lag", [-1, 1.5, True, "2", None])
     def test_max_lag_must_be_a_nonnegative_integer(self, max_lag):
         game, _ = shared_constraint_instance()

@@ -19,8 +19,12 @@ Shapes, one row each:
   the schedule and block count of a workload (seed ``DRAW_SEED``), and
   ``lasso100``, the lasso schedule over 100 players;
 - ``certificate <shape>``: ``CALLS`` per-tick certificates
-  ``check_equilibrium(..., coerce=False)`` of a workload's game at the
-  views of an ``IterState`` filled with standard normal entries, per call;
+  ``check_equilibrium(..., coerce=False)`` of a workload's game at an
+  ``IterState`` filled with standard normal entries, per call, given as
+  the checkout's tick gives them: the stacked views
+  ``state.flat[game.x_span]`` (``u_span``, ``v_span``), or the per-block
+  views ``state.x`` (``u_star``, ``v_star``) where ``Game`` has no
+  ``v_span``;
 - ``setup <shape>``: ``SETUPS`` calls of a workload's ``setup`` at
   workload seed ``SEED``, the work that ``perfbench`` times as
   ``setup_s`` (build the game from the drawn data,
@@ -45,12 +49,20 @@ Both must give the same ticks and final iterate bytes, draws,
 certificates and set-up parameters, or the script stops::
 
     python tools/time_tick.py --against ../parent --reps 8
+
+``--rows PATTERN`` (repeatable) keeps only the rows whose name matches one
+of the ``fnmatch`` patterns, so that a few rows can be timed in pairs
+without the whole sweep, which takes minutes per rep::
+
+    python tools/time_tick.py --against ../parent --reps 16 \
+        --rows consensus --rows lasso --rows shared
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import fnmatch
 import importlib.util
 import math
 import statistics
@@ -166,11 +178,14 @@ def certificate_run(pkg, name: str):
     """``CALLS`` per-tick certificates of the workload's game at one point."""
     game, _ = workload_game(pkg, name)
     state = pkg.IterState(game)
-    state.flat[:] = np.random.default_rng(SEED).standard_normal(game.state_size)
+    flat = state.flat
+    flat[:] = np.random.default_rng(SEED).standard_normal(game.state_size)
+    args = ((flat[game.x_span], flat[game.u_span], flat[game.v_span]) if hasattr(game, "v_span")
+            else (state.x, state.u_star, state.v_star))
 
     def run():
         for _ in range(CALLS):
-            cert = pkg.check_equilibrium(game, state.x, state.u_star, state.v_star, coerce=False)
+            cert = pkg.check_equilibrium(game, *args, coerce=False)
         return CALLS, cert
 
     return run
@@ -190,8 +205,9 @@ def setup_run(pkg, name: str):
     return run
 
 
-def shapes(pkg) -> dict:
-    """Shape name -> (one rep, its unit), each rep from a cold activation cache as in the benchmark."""
+def shapes(pkg, patterns=("*",)) -> dict:
+    """Shape name -> (one rep, its unit) of the shapes that match one of ``patterns``,
+    each rep from a cold activation cache as in the benchmark."""
     runs = {shape: (workload_run(pkg, name), "tick") for shape, name in WORKLOAD_SHAPES.items()}
     runs.update({f"lasso100 {label}": (lasso100_run(pkg, p), "tick") for label, p in LASSO100.items()})
     runs.update({f"kitchen {label}": (kitchen_run(pkg, p), "tick") for label, p in KITCHEN.items()})
@@ -206,7 +222,8 @@ def shapes(pkg) -> dict:
         pkg.schedules._raw_active.cache_clear()
         return run()
 
-    return {shape: (lambda run=run: cold(run), unit) for shape, (run, unit) in runs.items()}
+    return {shape: (lambda run=run: cold(run), unit) for shape, (run, unit) in runs.items()
+            if any(fnmatch.fnmatchcase(shape, pattern) for pattern in patterns)}
 
 
 def repeated(run, times: int):
@@ -235,11 +252,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--against", type=Path, help="a second checkout to time in interleaved pairs")
     parser.add_argument("--reps", type=int, default=5)
+    parser.add_argument("--rows", action="append", metavar="PATTERN",
+                        help="time only the rows whose name matches this fnmatch pattern; repeatable")
     args = parser.parse_args(argv)
 
-    versions = {"this": shapes(nashsplit)}
+    patterns = args.rows or ["*"]
+    versions = {"this": shapes(nashsplit, patterns)}
+    if not versions["this"]:
+        raise SystemExit(f"no row matches {patterns}")
     if args.against is not None:
-        versions["against"] = shapes(load(args.against.resolve(), "nashsplit_against"))
+        versions["against"] = shapes(load(args.against.resolve(), "nashsplit_against"), patterns)
     times = region_times(versions["this"])
     clock = Clock()
     us = {label: {shape: [] for shape in versions["this"]} for label in versions}
