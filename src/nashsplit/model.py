@@ -276,6 +276,10 @@ class Game:
         starts.flags.writeable = False
         object.__setattr__(self, "block_starts", starts)
         object.__setattr__(self, "field_blocks", StateBlocks(*fields))
+        # per player (column), the indices of its x, y and u* blocks
+        inner = np.add.outer((0, fields[1].start, fields[3].start), np.arange(fields[0].stop))
+        inner.flags.writeable = False
+        object.__setattr__(self, "_inner_blocks", inner)
         # the certificate's stacked difference [x - prox | u* - Q(Mx) | x - P(x)], per player
         nx, x_starts = self.x_span.stop, starts[fields[0]]
         residual_starts = np.concatenate((x_starts, nx + self._offsets[:-1],

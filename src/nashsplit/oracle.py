@@ -129,7 +129,6 @@ def check_equilibrium(game: Game, x, u_star=None, v_star=None, *,
     diff = source - target
     starts = game._residual_starts[:(3 if gapped else 2) * players]
     norms = np.sqrt(np.add.reduceat(diff * diff, starts)).tolist()
-    player_res, interaction_res = norms[:players], norms[players:2 * players]
     gaps = [norms[2 * players + i] for i in game.indicator_players]
     coupling_res, xs = [], [x[s] for s in layout.x] if game.couplings else ()
     for k, blk in enumerate(game.couplings):
@@ -140,8 +139,10 @@ def check_equilibrium(game: Game, x, u_star=None, v_star=None, *,
         coupling_res.append(_norm(z - b))
         if is_indicator(blk.nonsmooth):
             gaps.append(_norm(z - prox(blk.nonsmooth, 1.0, z)))
-    return Certificate(tuple(player_res), tuple(interaction_res), tuple(coupling_res),
-                       tuple(gaps), max(player_res + interaction_res + coupling_res + gaps))
+    norms[2 * players:] = coupling_res + gaps   # the max's order, which a NaN makes matter
+    norms, c = tuple(norms), 2 * players + len(coupling_res)
+    return Certificate(norms[:players], norms[players:2 * players], norms[2 * players:c],
+                       norms[c:], max(norms))
 
 
 def equilibrium_tuple(game: Game, x, v_star=None):

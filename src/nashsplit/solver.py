@@ -63,6 +63,7 @@ __all__ = [
 # The solve gate samples each analytic check 16 times from seed 0 and
 # evaluates callable step schedules at ticks 0..256.
 _GATE_SAMPLES, _GATE_SEED, _GATE_HORIZON = 16, 0, 256
+_MAX_PLANS = 64     # player-step plans that an IterState keeps
 
 
 class MissingHistoryError(RuntimeError):
@@ -129,6 +130,10 @@ class IterState:
     another object raises ``AttributeError``, because that object would be
     detached from the layout that the tick reads. Write into them instead.
 
+    The state, not the game that solves may share, keeps the player-step
+    plans of its first ``_MAX_PLANS`` (64) active sets, whose steps a new
+    ``_step_table`` (params, list edit, callable schedule) rebuilds.
+
     A write into the views between ticks reaches all of the next tick:
     the tick pushes its own history row from the live state before its
     local steps read it. To warm-start a run, pass the starting blocks and
@@ -182,6 +187,7 @@ class IterState:
         self.n = 0
         self.pi: Optional[float] = None
         self._steps = (None, (), None)      # see _step_table()
+        self._plans = {}                    # see player_local_step()
         # (flat bytes, residual) of the last per-tick certificate; see tick().
         self._certified = (None, None)
         depth = int(max_lag) + 1
@@ -266,45 +272,56 @@ def player_local_step(game: Game, params: SolverParams, state: IterState, player
     and smooth gradients go through ``Game.mix`` and ``Game.smooth_grad``,
     as in the certificate (a zero gradient is a ``+ 0.0``: ``-0.0 -> +0.0``).
     The entries are gathered by one ``take`` when every player has one
-    interaction entry, else by joining the columns of the ``players``.
+    interaction entry, else by joining the columns of the ``players``. These
+    gathers, the players' bounds, repeat counts and couplings and the steps
+    there are the set's plan, which the state may keep (see ``IterState``).
     """
     for tau in sorted({lags[i] for i in players}):
         state.lagged_interaction_grad(tau)      # checks the row of each lag, read below
-    frozen, entries, dims = state._frozen, game._entries, game.strategy_dims
-    lag_rows = [lags[i] % len(state._ring) for i in players]
-    if entries.shape[1] == game.num_players:    # one interaction entry per player
-        at, rows = entries.take(players, axis=1), lag_rows
-    else:
-        offs = game.interaction_offsets()
-        at = np.concatenate([entries[:, offs[i]:offs[i + 1]] for i in players], axis=1)
-        rows = np.repeat(lag_rows, [game.interaction_dims[i] for i in players])
+    plan = state._plans.get(players := tuple(players))
+    if plan is None:
+        entries, dims = game._entries, game.strategy_dims
+        if entries.shape[1] == game.num_players:    # one interaction entry per player
+            at, y_repeats = entries.take(players, axis=1), None
+        else:
+            offs = game.interaction_offsets()
+            at = np.concatenate([entries[:, offs[i]:offs[i + 1]] for i in players], axis=1)
+            y_repeats = [game.interaction_dims[i] for i in players]
+        x_at, x_repeats = ((at[3], None) if len(at) == 4 else (
+            np.concatenate([game._x_entries[i] for i in players]), [dims[i] for i in players]))
+        bounds = (range(len(players) + 1) if len(x_at) == len(players)
+                  else [0, *accumulate(dims[i] for i in players)])
+        coupled = [(i, slice(lo, hi)) for i, lo, hi in zip(players, bounds, bounds[1:])
+                   if game._incidence[i]]
+        plan = (at, x_at, bounds, y_repeats, x_repeats, coupled, [None])
+        if len(state._plans) < _MAX_PLANS:
+            state._plans[players] = plan
+    at, x_at, bounds, y_repeats, x_repeats, coupled, steps = plan
+    frozen, lag_rows = state._frozen, [lags[i] % len(state._ring) for i in players]
     # at one lag, index its row: about 2 us faster than a fancy index over rows
-    held = frozen[lag_rows[0]][at] if min(lag_rows) == max(lag_rows) else frozen[rows, at]
+    held = (frozen[lag_rows[0]][at] if min(lag_rows) == max(lag_rows)
+            else frozen[lag_rows if y_repeats is None else np.repeat(lag_rows, y_repeats), at])
+    x = held[3] if x_repeats is None else frozen[np.repeat(lag_rows, x_repeats), x_at]
     # rows: gradient, y, u* and, when every player's widths agree, x entries;
     # interaction, dual and, with x, strategy steps
     table = _step_table(state, params, lags)
-    step = table[at[1:]]
-    if len(at) == 4:
-        x, x_at, step_x = held[3], at[3], step[2]
-    else:
-        x_at = np.concatenate([game._x_entries[i] for i in players])
-        x, step_x = frozen[np.repeat(lag_rows, [dims[i] for i in players]), x_at], table[x_at]
-    x_bounds = (range(len(players) + 1) if len(x_at) == len(players)
-                else [0, *accumulate(dims[i] for i in players)])
+    if steps[0] is not table:
+        step = table[at[1:]]
+        step_x = step[2] if x_repeats is None else table[x_at]
+        steps[:] = table, step, step_x, step_x.tolist()
+    _, step, step_x, strategy = steps
     mixed_x = game.mix(x, players)
     right = held[2:] if len(at) == 4 and mixed_x is x else np.stack((held[2], mixed_x))
     # q = y + step_y * (u* - grad) and c* = u* + step_u * (M x - y) as two rows
     q_c = held[1:3] + step[:2] * (right - held[:2])
     pull = game.smooth_grad(x, players) + game.mix(held[2], players, adjoint=True)
-    for j, i in enumerate(players):
-        if game._incidence[i]:
-            seg = slice(x_bounds[j], x_bounds[j + 1])
-            pull[seg] = game.coupling_pullback(i, pull[seg], state.snapshot_at(lags[i]).v_star)
+    for i, seg in coupled:
+        pull[seg] = game.coupling_pullback(i, pull[seg], state.snapshot_at(lags[i]).v_star)
     x_star = x - step_x * pull
-    strategy, a = step_x.tolist(), []
-    for j, i in enumerate(players):     # the resolvents, one entry per strategy entry
-        seg = x_star[x_bounds[j]:x_bounds[j + 1]]
-        a.append(np.asarray(prox(game.players[i].nonsmooth, strategy[x_bounds[j]], seg)))
+    a = []
+    for i, lo, hi in zip(players, bounds, bounds[1:]):     # the resolvents
+        seg = x_star[lo:hi]
+        a.append(np.asarray(prox(game.players[i].nonsmooth, strategy[lo], seg)))
         if a[-1].shape != seg.shape:
             raise ValueError(f"player {i}: prox returned shape {a[-1].shape}, expected {seg.shape}")
     a = np.concatenate(a)
@@ -397,12 +414,17 @@ def _block_inner(game: Game, left: np.ndarray, right: np.ndarray) -> float:
     """Inner product of two flat state-layout vectors, accumulated block by block.
 
     Sums the entrywise products per block (``np.add.reduceat``) and adds the
-    block sums in the order that the module docstring fixes; the leading
-    ``+0.0`` turns a sum of ``-0.0`` terms into ``+0.0``, as the loop did.
+    block sums in the order that the module docstring fixes, ``(x + y) + u*``
+    per player in one reduce over ``Game._inner_blocks``. A running sum from
+    the first term is ``-0.0`` only while every term is ``-0.0``, where a sum
+    from ``+0.0`` would be ``+0.0``: the trailing ``+ 0.0`` gives those bits.
     """
     sums = np.add.reduceat(left * right, game.block_starts)
-    x, y, z, u, v = (sums[f] for f in game.field_blocks)
-    return float(np.add.accumulate(np.concatenate(([0.0], x + y + u, z + v)))[-1])
+    terms = np.add.reduce(sums[game._inner_blocks], axis=0)
+    if game.couplings:
+        _, _, z, _, v = game.field_blocks
+        terms = np.concatenate((terms, sums[z] + sums[v]))
+    return float(np.add.accumulate(terms)[-1]) + 0.0
 
 
 def compute_pi(game: Game, state: IterState) -> float:
@@ -559,9 +581,9 @@ def solve(game: Game, params: SolverParams, schedule: Schedule, x0=None, *,
         raise ValueError on any violation; pass False to override.
     stall_window
         Declare stagnation when the state has not moved for this many
-        consecutive ticks while the residual stays above tolerance. The
-        underlying theory offers no remedy for a persistent nonnegative
-        scalar test, so the run stops and reports it.
+        consecutive ticks while the residual stays above tolerance; 0 never
+        does. The underlying theory offers no remedy for a persistent
+        nonnegative scalar test, so the run stops and reports it.
 
     Returns
     -------
@@ -569,6 +591,9 @@ def solve(game: Game, params: SolverParams, schedule: Schedule, x0=None, *,
         Final tuple, per-tick reports, closing certificate, and status
         ("converged", "max_iters", or "stagnated").
     """
+    if isinstance(stall_window, bool) or not isinstance(stall_window, numbers.Integral) \
+            or stall_window < 0:
+        raise ValueError(f"stall_window must be a nonnegative integer, not {stall_window!r}")
     if state is None:
         state = IterState(game, x=x0, max_lag=params.max_lag)
     elif x0 is not None:

@@ -146,24 +146,40 @@ def test_block_inner_equals_the_per_block_loop(num_players, num_couplings, max_w
                               label="couplings")
     game = layout_game(player_dims, coupling_dims)
     one_entry = {w for dims in player_dims for w in dims} | set(coupling_dims) == {1}
+    _check_block_inner(game, np.random.default_rng(seed), zero_share, one_entry)
+
+
+@pytest.mark.parametrize("zero_share", (0.0, 0.3, 1.0))
+@pytest.mark.parametrize("num_players, num_couplings", [(1, 0), (1, 1), (1, 2), (4, 1), (4, 2)])
+def test_block_inner_at_the_edges(num_players, num_couplings, zero_share):
+    # one player, and one or two couplings, bit for bit against the loop
+    game = layout_game([(1, 1)] * num_players, [1] * num_couplings)
+    _check_block_inner(game, np.random.default_rng(10 * num_players + num_couplings), zero_share,
+                       one_entry=True)
+
+
+def _check_block_inner(game, rng, zero_share, one_entry):
     # generic floats, so that another summation order shows in the last bits,
-    # with a share of signed zeros in random places
-    rng = np.random.default_rng(seed)
-    for _ in range(20):
+    # with a share of signed zeros in random places, then -0.0 products only
+    for draw in range(21):
         left, right = rng.standard_normal((2, game.state_size))
-        zeros = rng.random((2, game.state_size)) < zero_share
-        left[zeros[0]], right[zeros[1]] = 0.0, -0.0
-        left[zeros[0] & (rng.random(game.state_size) < 0.5)] = -0.0
+        if draw == 20:
+            left, right = np.abs(left), np.full(game.state_size, -0.0)
+        else:
+            zeros = rng.random((2, game.state_size)) < zero_share
+            left[zeros[0]], right[zeros[1]] = 0.0, -0.0
+            left[zeros[0] & (rng.random(game.state_size) < 0.5)] = -0.0
         got = solver._block_inner(game, left, right)
         want = loop_block_inner(game, left, right)
         assert type(got) is float
-        if one_entry:
+        if one_entry or draw == 20:
             # one-entry blocks: the same products added in the same order
             assert got.hex() == want.hex()
         else:
             # a BLAS dot may fuse or reorder within a block: agree to rounding
             scale = float(np.abs(left) @ np.abs(right))
             assert abs(got - want) <= 4 * game.state_size * np.finfo(float).eps * scale
+    assert got.hex() == (0.0).hex()
 
 
 def test_block_inner_of_negative_zero_products_is_positive_zero():

@@ -18,6 +18,7 @@ from nashsplit.model import (
     PlayerBlock,
     SmoothTerm,
     SolverParams,
+    quadratic_smooth,
     zero_smooth,
 )
 from nashsplit.problems import (
@@ -1174,6 +1175,107 @@ def test_a_step_list_changed_between_ticks_reaches_the_stacked_players():
             reference_tick(game, params, ns.synchronous(), reference)
         for name in ("flat", "point", "direction", "s_star"):
             assert getattr(state, name).tobytes() == getattr(reference, name).tobytes(), name
+
+
+def _twelve_player_game(wide: bool):
+    """Twelve box-constrained players, every third with a smooth term, every
+    other with a ``Dense`` mix (of other widths too when ``wide``), and a
+    coupling on players 0, 5 and 7."""
+    rng = np.random.default_rng(12)
+    players = []
+    for i in range(12):
+        d, di = (int(rng.integers(1, 3)), int(rng.integers(1, 3))) if wide else (1, 1)
+        mix = Identity(d) if d == di and i % 2 else Dense(rng.standard_normal((di, d)))
+        smooth = quadratic_smooth(1.0, rng.standard_normal(d)) if i % 3 == 0 else zero_smooth()
+        players.append(PlayerBlock(d, di, proximal.box(-np.ones(d), np.ones(d)), smooth, 1.0,
+                                   mix, 1.0))
+    coupling = CouplingBlock(1, proximal.shifted_orthant([0.5]), zero_smooth(), 0.0,
+                             {i: Dense(rng.standard_normal((1, players[i].dim_strategy)))
+                              for i in (0, 5, 7)})
+    ny = sum(p.dim_interaction for p in players)
+    skew = rng.standard_normal((ny, ny))
+    a_mat, b_vec = 0.5 * (skew - skew.T) + 0.2 * np.eye(ny), rng.standard_normal(ny)
+    return Game(players, InteractionGradient(lambda y: a_mat @ y + b_vec, 1.0), [coupling])
+
+
+def _same_state(state, reference):
+    for name in ("flat", "point", "direction", "s_star"):
+        assert getattr(state, name).tobytes() == getattr(reference, name).tobytes(), name
+
+
+class TestStepPlans:
+    """``player_local_step`` keeps a plan per active set on the state; none of
+    them may change a bit of a tick."""
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_more_active_sets_than_plans_stay_equal_to_the_reference_tick(self, wide):
+        game = _twelve_player_game(wide)
+        params = SolverParams.for_game(game, max_lag=2, window=4)
+        schedule = ns.randomized(5, 0.5, max_lag=2, window=4)
+        state, reference = IterState(game, max_lag=2), IterState(game, max_lag=2)
+        seen = set()
+        for _ in range(150):
+            got = tick(game, params, schedule, state)
+            assert got == reference_tick(game, params, schedule, reference)
+            _same_state(state, reference)
+            seen.add(got.active_players)
+        assert len(seen) > solver._MAX_PLANS
+        assert len(state._plans) == solver._MAX_PLANS    # later sets stepped without a plan kept
+
+    def test_a_list_of_players_steps_as_the_tuple(self):
+        game = _twelve_player_game(wide=True)
+        params = SolverParams.for_game(game)
+        lags = dict.fromkeys(range(12), 0)
+        kept, listed = IterState(game), IterState(game)
+        player_local_step(game, params, kept, (7, 2, 5), lags)
+        player_local_step(game, params, kept, [7, 2, 5], lags)     # the stored plan of the tuple
+        player_local_step(game, params, listed, [7, 2, 5], lags)
+        assert list(kept._plans) == [(7, 2, 5)]
+        _same_state(kept, listed)
+
+    def test_new_params_and_an_edited_list_schedule_reach_a_stored_plan(self):
+        game = _twelve_player_game(wide=True)
+        lags = dict.fromkeys(range(12), 0)
+        state = IterState(game)
+        player_local_step(game, SolverParams.for_game(game), state, (0, 3, 4), lags)
+        params = SolverParams(strategy_steps=[0.3] * 12, interaction_steps=0.2)
+        for edit in (False, True):
+            if edit:
+                params.strategy_steps[3] = 0.1      # in place, between two steps
+            player_local_step(game, params, state, (0, 3, 4), lags)
+            fresh = IterState(game)
+            player_local_step(game, params, fresh, (0, 3, 4), lags)
+            _same_state(state, fresh)
+        assert list(state._plans) == [(0, 3, 4)]
+
+    def test_two_states_on_one_game_keep_their_own_steps(self):
+        game = _twelve_player_game(wide=False)
+        runs = []
+        for steps in (0.2, 0.4):
+            params = SolverParams.for_game(game, strategy_steps=steps)
+            runs.append((params, IterState(game), IterState(game)))
+        for _ in range(5):      # the two states take turns on the same active set
+            for params, state, reference in runs:
+                assert tick(game, params, ns.synchronous(), state) == \
+                    reference_tick(game, params, ns.synchronous(), reference)
+                _same_state(state, reference)
+        assert runs[0][1].flat.tobytes() != runs[1][1].flat.tobytes()
+
+
+@pytest.mark.parametrize("stall_window", [-1, 2.5, 3.0, True, False, "10"])
+def test_a_bad_stall_window_is_refused(stall_window):
+    game, _ = shared_constraint_instance()
+    with pytest.raises(ValueError, match=rf"stall_window must be a nonnegative integer, "
+                                         rf"not {re.escape(repr(stall_window))}$"):
+        ns.solve(game, SolverParams.for_game(game), ns.synchronous(), stall_window=stall_window)
+
+
+def test_an_integral_stall_window_is_taken():
+    game, _ = shared_constraint_instance()
+    params = SolverParams.for_game(game, max_iters=5)
+    for stall_window in (0, np.int64(3)):
+        result = ns.solve(game, params, ns.synchronous(), stall_window=stall_window)
+        assert result.status == "max_iters" and result.ticks == 5
 
 
 def test_a_wrong_interaction_gradient_shape_names_the_tick():

@@ -14,6 +14,15 @@ Shapes, one row each:
   strategy widths 2 and 1 against interaction width 1, a hand-made smooth
   term, two couplings) for ``TICKS`` ticks under a synchronous schedule
   and under ``randomized(0, 0.5, max_lag=3, window=8)``, per tick;
+- ``step <shape>``, for each shape above: ``player_local_step`` alone,
+  per call, once for each of the shape's first ``TICKS`` ticks in order,
+  with that tick's active players and its lags read back from tick
+  ``max_lag`` (tick ``n`` reading tick ``t`` becomes tick ``max_lag``
+  reading ``max_lag - (n - t)``), on a state that ``max_lag`` ticks from
+  zero filled, built anew for each run. The whole-tick rows swing more
+  than a change to the step can move them, and these rows isolate it. A
+  run meets every active set first as new, so ``step lasso100 p=0.1``,
+  whose 1500 sets are all distinct, times sets that were never seen;
 - ``next_tick <shape>``: ``Schedule.next_tick`` for ticks
   ``0..DRAWS - 1`` in order from a cold activation cache, per call, with
   the schedule and block count of a workload (seed ``DRAW_SEED``), and
@@ -132,30 +141,57 @@ def workload_game(pkg, name: str):
         return workload.build(workload.draw(SEED))
 
 
-def workload_run(pkg, name: str):
-    """A solve to tolerance of the workload's game with its first schedule."""
+def workload_case(pkg, name: str):
+    """The workload's game, parameters and first schedule."""
     game, scheds = workload_game(pkg, name)
     schedule = scheds[0]
-    params = pkg.SolverParams.for_game(game, max_lag=schedule.max_lag, window=schedule.window)
-    return lambda: solved(pkg.solve(game, params, schedule, validate=False))
+    return game, pkg.SolverParams.for_game(game, max_lag=schedule.max_lag,
+                                           window=schedule.window), schedule
 
 
-def lasso100_run(pkg, prob):
-    """``TICKS`` ticks of the 100-player lasso under the named schedule."""
+def lasso100_case(pkg, prob):
+    """The 100-player lasso for ``TICKS`` ticks under the named schedule."""
     rng = np.random.default_rng(0)
     design = rng.standard_normal((40, 100)) / np.sqrt(40)
     game, _ = pkg.problems.lasso_instance(design, rng.standard_normal(40), 0.5)
     schedule = pkg.synchronous() if prob is None else pkg.randomized(0, prob, max_lag=3, window=20)
-    params = pkg.SolverParams.for_game(game, max_lag=3, window=20, max_iters=TICKS)
-    return lambda: solved(pkg.solve(game, params, schedule, validate=False))
+    return game, pkg.SolverParams.for_game(game, max_lag=3, window=20, max_iters=TICKS), schedule
 
 
-def kitchen_run(pkg, prob):
-    """``TICKS`` ticks of the kitchen-sink game under the named schedule."""
+def kitchen_case(pkg, prob):
+    """The kitchen-sink game for ``TICKS`` ticks under the named schedule."""
     game = test_integration.kitchen_sink_game(pkg)
     schedule = pkg.synchronous() if prob is None else pkg.randomized(0, prob, max_lag=3, window=8)
-    params = pkg.SolverParams.for_game(game, max_lag=3, window=8, max_iters=TICKS)
+    return game, pkg.SolverParams.for_game(game, max_lag=3, window=8, max_iters=TICKS), schedule
+
+
+def solve_run(pkg, case):
+    """A solve of the case's game, to tolerance or ``max_iters``."""
+    game, params, schedule = case
     return lambda: solved(pkg.solve(game, params, schedule, validate=False))
+
+
+def step_run(pkg, case):
+    """``player_local_step`` alone, once per tick of the case's first ``TICKS`` ticks, with
+    that tick's players and lags, on a state that ``max_lag`` ticks from zero filled; each
+    run starts from a new such state."""
+    game, params, schedule = case
+    top = schedule.max_lag
+    calls = []
+    for n in range(TICKS):      # a lag read at tick n is read back from tick top
+        info = schedule.next_tick(n, game.num_players, game.num_couplings)
+        calls.append((info.active_players, {i: top - (n - t) for i, t in info.player_lags.items()}))
+
+    def run():
+        state = pkg.IterState(game, max_lag=top)
+        for _ in range(top):
+            pkg.tick(game, params, schedule, state)
+        for players, lags in calls:
+            pkg.solver.player_local_step(game, params, state, players, lags)
+        return len(calls), (state.point.tobytes(), state.direction.tobytes(),
+                            state.s_star.tobytes())
+
+    return run
 
 
 def solved(result):
@@ -208,21 +244,26 @@ def setup_run(pkg, name: str):
 def shapes(pkg, patterns=("*",)) -> dict:
     """Shape name -> (one rep, its unit) of the shapes that match one of ``patterns``,
     each rep from a cold activation cache as in the benchmark."""
-    runs = {shape: (workload_run(pkg, name), "tick") for shape, name in WORKLOAD_SHAPES.items()}
-    runs.update({f"lasso100 {label}": (lasso100_run(pkg, p), "tick") for label, p in LASSO100.items()})
-    runs.update({f"kitchen {label}": (kitchen_run(pkg, p), "tick") for label, p in KITCHEN.items()})
-    runs.update({f"next_tick {shape}": (draw_run(pkg, *args), "call")
-                 for shape, args in DRAW_SHAPES.items()})
-    runs.update({f"certificate {shape}": (certificate_run(pkg, name), "call")
-                 for shape, name in WORKLOAD_SHAPES.items()})
-    runs.update({f"setup {shape}": (setup_run(pkg, name), "call")
-                 for shape, name in WORKLOAD_SHAPES.items()})
+    cases = {shape: lambda name=name: workload_case(pkg, name)
+             for shape, name in WORKLOAD_SHAPES.items()}
+    cases.update({f"lasso100 {label}": lambda p=p: lasso100_case(pkg, p) for label, p in LASSO100.items()})
+    cases.update({f"kitchen {label}": lambda p=p: kitchen_case(pkg, p) for label, p in KITCHEN.items()})
+    # shape -> (what builds its rep, the rep's unit); only the shapes that match are built
+    makers = {shape: (lambda case=case: solve_run(pkg, case()), "tick") for shape, case in cases.items()}
+    makers.update({f"step {shape}": (lambda case=case: step_run(pkg, case()), "call")
+                   for shape, case in cases.items()})
+    makers.update({f"next_tick {shape}": (lambda args=args: draw_run(pkg, *args), "call")
+                   for shape, args in DRAW_SHAPES.items()})
+    makers.update({f"certificate {shape}": (lambda name=name: certificate_run(pkg, name), "call")
+                   for shape, name in WORKLOAD_SHAPES.items()})
+    makers.update({f"setup {shape}": (lambda name=name: setup_run(pkg, name), "call")
+                   for shape, name in WORKLOAD_SHAPES.items()})
 
     def cold(run):
         pkg.schedules._raw_active.cache_clear()
         return run()
 
-    return {shape: (lambda run=run: cold(run), unit) for shape, (run, unit) in runs.items()
+    return {shape: (lambda run=make(): cold(run), unit) for shape, (make, unit) in makers.items()
             if any(fnmatch.fnmatchcase(shape, pattern) for pattern in patterns)}
 
 
