@@ -309,10 +309,12 @@ class Game:
         object.__setattr__(self, "indicator_players", tuple(
             i for i, p in enumerate(self.players) if is_indicator(p.nonsmooth)
         ))
-        object.__setattr__(self, "_incidence", tuple(
-            tuple((k, c.maps[i]) for k, c in enumerate(self.couplings) if i in c.maps)
-            for i in range(len(self.players))
-        ))
+        v0, incidence = self.v_span.start, [[] for _ in self.players]
+        for s, c in zip(groups[4], self.couplings):     # per player, (v* slice, L_ki) by increasing k
+            for i, op in c.maps.items():
+                if 0 <= i < len(incidence):     # validate_problem reports the other keys
+                    incidence[i].append((slice(s.start - v0, s.stop - v0), op))
+        object.__setattr__(self, "_incidence", tuple(map(tuple, incidence)))
         object.__setattr__(self, "coupled_players",
                            tuple(i for i, links in enumerate(self._incidence) if links))
 
@@ -340,12 +342,12 @@ class Game:
         """Per-block views of a flat state vector (writes go through to it)."""
         return StateBlocks(*(tuple(vec[s] for s in group) for group in self.state_slices))
 
-    def coupling_mixture(self, k: int, strategies) -> np.ndarray:
-        """Evaluate the mixture sum of coupling ``k`` over the given strategies."""
-        blk = self.couplings[k]
+    def coupling_mixture(self, k: int, x: np.ndarray) -> np.ndarray:
+        """``sum_i L_ki x_i`` on the stacked ``x`` or a whole state, from zeros by increasing ``i``."""
+        blk, xs = self.couplings[k], self.state_slices.x
         acc = np.zeros(blk.dim)
         for i in sorted(blk.maps):
-            acc = acc + blk.maps[i].apply(strategies[i])
+            acc = acc + blk.maps[i].apply(x[xs[i]])
         return acc
 
     def _walk(self, v, players, ins, outs, call, what) -> np.ndarray:
@@ -398,10 +400,10 @@ class Game:
                              f"expected {np.shape(z)}")
         return g
 
-    def coupling_pullback(self, i: int, acc: np.ndarray, duals) -> np.ndarray:
-        """``acc + sum_k L_ki^* duals[k]`` over player ``i``'s couplings, in increasing ``k``."""
-        for k, op in self._incidence[i]:
-            acc = acc + op.adjoint_apply(duals[k])
+    def coupling_pullback(self, i: int, acc: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """``acc + sum_k L_ki^* v_k`` on the stacked ``v*``, from ``acc`` in increasing ``k``."""
+        for vk, op in self._incidence[i]:
+            acc = acc + op.adjoint_apply(v[vk])
         return acc
 
 

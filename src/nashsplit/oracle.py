@@ -105,11 +105,10 @@ def check_equilibrium(game: Game, x, u_star=None, v_star=None, *,
         raise ValueError(f"interaction gradient returned shape {q.shape}, expected {y.shape}")
     u = q if u_star is None else _stacked(u_star, layout.u_star, "u*", coerce)
     v, v0 = _stacked(v_star, layout.v_star, "v*", coerce), game.v_span.start
-    vs = [v[s.start - v0:s.stop - v0] for s in layout.v_star]
 
     pull = game.smooth_grad(x) + game.mix(u, adjoint=True)
     for i in game.coupled_players:
-        pull[layout.x[i]] = game.coupling_pullback(i, pull[layout.x[i]], vs)
+        pull[layout.x[i]] = game.coupling_pullback(i, pull[layout.x[i]], v)
     # prox residuals at unit step: any fixed positive step has the same zero
     # set, and this one is unrelated to the solver's step schedules
     step = x - pull
@@ -129,11 +128,10 @@ def check_equilibrium(game: Game, x, u_star=None, v_star=None, *,
     diff = source - target
     starts = game._residual_starts[:(3 if gapped else 2) * players]
     norms = np.sqrt(np.add.reduceat(diff * diff, starts)).tolist()
-    gaps = [norms[2 * players + i] for i in game.indicator_players]
-    coupling_res, xs = [], [x[s] for s in layout.x] if game.couplings else ()
-    for k, blk in enumerate(game.couplings):
-        z = game.coupling_mixture(k, xs)
-        b = prox(blk.nonsmooth, 1.0, z + (vs[k] - game.coupling_grad(k, z)))
+    coupling_res, gaps = [], [norms[2 * players + i] for i in game.indicator_players]
+    for k, (blk, s) in enumerate(zip(game.couplings, layout.v_star)):
+        z = game.coupling_mixture(k, x)
+        b = prox(blk.nonsmooth, 1.0, z + (v[s.start - v0:s.stop - v0] - game.coupling_grad(k, z)))
         if np.shape(b) != z.shape:
             raise ValueError(f"coupling {k}: prox returned shape {np.shape(b)}, expected {z.shape}")
         coupling_res.append(_norm(z - b))
@@ -156,7 +154,7 @@ def equilibrium_tuple(game: Game, x, v_star=None):
     x, v = _stacked(x, layout.x, "x"), _stacked(v_star, layout.v_star, "v*")
     xs = [x[s] for s in layout.x]
     ys = [p.mix.apply(xs[i]) for i, p in enumerate(game.players)]
-    zs = [game.coupling_mixture(k, xs) for k in range(game.num_couplings)]
+    zs = [game.coupling_mixture(k, x) for k in range(game.num_couplings)]
     us = game.split_interaction(np.asarray(game.interaction.eval(np.concatenate(ys)), dtype=float))
     vs = [v[s.start - v0:s.stop - v0] for s in layout.v_star]
     return tuple(tuple(np.array(b) for b in group) for group in (xs, ys, zs, us, vs))

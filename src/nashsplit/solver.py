@@ -7,12 +7,11 @@ underlying monotone operator, and relaxedly projects the full iterate
 ``(x, y, z, u*, v*)`` onto the half-space that the candidate pair
 separates from the solution set.
 
-All activated players step together in ``player_local_step``. Both
-execution modes run one tick path, with lags from the schedule.
-Simulated-async mode runs it on one thread and is bit-reproducible. Parallel
-mode maps the coupling steps on worker threads that read read-only history
-rows; the coordinator runs the player step, mutates the state and projects
-serially in tick order, so parallel runs are bitwise equal to simulated runs.
+All activated players step together in ``player_local_step``, all activated
+couplings in ``coupling_local_step``. Both execution modes run one tick path,
+with lags from the schedule. Simulated-async mode runs it on one thread and
+is bit-reproducible. Thread mode runs the coupling step on one worker thread
+during the player step; the two write disjoint entries, so it is bitwise equal.
 
 Arithmetic is double precision throughout. The scalar test, the step size
 and the separation gap share one inner product: per-block sums of the
@@ -120,8 +119,7 @@ class IterState:
     writes the activated blocks into the views in place, so the inactive
     blocks keep their last values.
     Tick ``n`` of the history is row ``n % (max_lag + 1)`` of a ring with
-    one row per retained tick; snapshots are read-only views of a row and
-    may be read concurrently; only the coordinator mutates the live state.
+    one row per retained tick; the local steps read it through a read-only view.
     A row's last columns are a memo of the interaction gradient at its
     ``y``: ``lagged_interaction_grad`` evaluates it on the first read after
     the row was pushed and returns the stored columns on later reads.
@@ -199,7 +197,6 @@ class IterState:
         frozen = self._ring_and_grads.view()
         frozen.flags.writeable = False
         self._frozen = frozen
-        self._row_blocks = [game.split_state(row) for row in frozen]
         self._push_history(0)
 
     def _push_history(self, idx: int) -> None:
@@ -224,7 +221,7 @@ class IterState:
         The views alias a ring row, which is overwritten ``max_lag + 1``
         ticks later; copy them to keep them longer.
         """
-        return self._row_blocks[self._row(tick_index)]
+        return self.game.split_state(self._frozen[self._row(tick_index)])
 
     def lagged_interaction_grad(self, tick_index: int) -> np.ndarray:
         """Shape-checked interaction gradient at the ``y`` of a retained tick, kept in its
@@ -316,7 +313,7 @@ def player_local_step(game: Game, params: SolverParams, state: IterState, player
     q_c = held[1:3] + step[:2] * (right - held[:2])
     pull = game.smooth_grad(x, players) + game.mix(held[2], players, adjoint=True)
     for i, seg in coupled:
-        pull[seg] = game.coupling_pullback(i, pull[seg], state.snapshot_at(lags[i]).v_star)
+        pull[seg] = game.coupling_pullback(i, pull[seg], frozen[lags[i] % len(frozen), game.v_span])
     x_star = x - step_x * pull
     a = []
     for i, lo, hi in zip(players, bounds, bounds[1:]):     # the resolvents
@@ -359,26 +356,29 @@ def _step_table(state: IterState, params: SolverParams, lags: dict) -> np.ndarra
     return table
 
 
-def coupling_local_step(game: Game, params: SolverParams, state: IterState, k: int, delta: int):
-    """Candidate computation for coupling ``k`` reading history tick ``delta``.
+def coupling_local_step(game: Game, params: SolverParams, state: IterState, couplings,
+                        lags: dict) -> None:
+    """The candidates of the activated ``couplings``, coupling ``k`` reading history
+    tick ``lags[k]`` with its steps indexed there, into the point and the direction::
 
-    Returns ``(d*_k, b_k, e*_k, b*_k)``; the primal gap ``e_k`` is not
-    computed here because it must be refreshed from the newest player
-    candidates every tick (see :func:`refresh_e`). The smooth gradients go
-    through ``Game.coupling_grad``, as in the certificate.
+        d* = z + step_z (v* - grad(z))         b  = prox(d*)
+        e* = v* + step_v (L x - z)             b* = (d* - b) / step_z + grad(b) - e*
+
+    ``refresh_e`` computes ``e`` from the newest player candidates; the smooth
+    gradients go through ``Game.coupling_grad``, as in the certificate.
     """
-    snap = state.snapshot_at(delta)
-    blk = game.couplings[k]
-    step_z = params.coupling_step(k, delta)
-    step_v = params.coupling_dual_step(k, delta)
-
-    d_star = snap.z[k] + step_z * (snap.v_star[k] - game.coupling_grad(k, snap.z[k]))
-    b_k = np.asarray(prox(blk.nonsmooth, step_z, d_star))
-    if b_k.shape != d_star.shape:
-        raise ValueError(f"coupling {k}: prox returned shape {b_k.shape}, expected {d_star.shape}")
-    e_star_k = snap.v_star[k] + step_v * (game.coupling_mixture(k, snap.x) - snap.z[k])
-    b_star_k = (d_star - b_k) / step_z + game.coupling_grad(k, b_k) - e_star_k
-    return d_star, b_k, e_star_k, b_star_k
+    zs, vs = game.state_slices.z, game.state_slices.v_star
+    for k in couplings:
+        row = state._frozen[state._row(lags[k])]
+        z, v = row[zs[k]], row[vs[k]]
+        step_z = params.coupling_step(k, lags[k])
+        d_star = z + step_z * (v - game.coupling_grad(k, z))
+        b = np.asarray(prox(game.couplings[k].nonsmooth, step_z, d_star))
+        if b.shape != d_star.shape:
+            raise ValueError(f"coupling {k}: prox returned shape {b.shape}, expected {d_star.shape}")
+        e_star = v + params.coupling_dual_step(k, lags[k]) * (game.coupling_mixture(k, row) - z)
+        state.point[zs[k]], state.point[vs[k]] = b, e_star
+        state.direction[zs[k]] = (d_star - b) / step_z + game.coupling_grad(k, b) - e_star
 
 
 def refresh_e(game: Game, state: IterState) -> tuple:
@@ -390,7 +390,7 @@ def refresh_e(game: Game, state: IterState) -> tuple:
     ``e`` views.
     """
     for k, e_k in enumerate(state.cand_e):
-        e_k[:] = state.cand_b[k] - game.coupling_mixture(k, state.cand_a)
+        e_k[:] = state.cand_b[k] - game.coupling_mixture(k, state.point)
     return state.cand_e
 
 
@@ -406,7 +406,8 @@ def assemble_duals(game: Game, state: IterState):
     state.direction[game.y_span] = grads - state.point[game.u_span]
     state.direction[game.x_span] = state.s_star
     for i in game.coupled_players:
-        state.dual_a_star[i][:] = game.coupling_pullback(i, state.cand_s_star[i], state.cand_e_star)
+        state.dual_a_star[i][:] = game.coupling_pullback(i, state.cand_s_star[i],
+                                                         state.point[game.v_span])
     return state.dual_a_star, state.dual_q_star
 
 
@@ -415,16 +416,14 @@ def _block_inner(game: Game, left: np.ndarray, right: np.ndarray) -> float:
 
     Sums the entrywise products per block (``np.add.reduceat``) and adds the
     block sums in the order that the module docstring fixes, ``(x + y) + u*``
-    per player in one reduce over ``Game._inner_blocks``. A running sum from
-    the first term is ``-0.0`` only while every term is ``-0.0``, where a sum
-    from ``+0.0`` would be ``+0.0``: the trailing ``+ 0.0`` gives those bits.
+    per player in one reduce over ``Game._inner_blocks``.
     """
     sums = np.add.reduceat(left * right, game.block_starts)
     terms = np.add.reduce(sums[game._inner_blocks], axis=0)
     if game.couplings:
         _, _, z, _, v = game.field_blocks
         terms = np.concatenate((terms, sums[z] + sums[v]))
-    return float(np.add.accumulate(terms)[-1]) + 0.0
+    return float(np.add.accumulate(terms)[-1])
 
 
 def compute_pi(game: Game, state: IterState) -> float:
@@ -485,10 +484,10 @@ def tick(game: Game, params: SolverParams, schedule: Schedule, state: IterState,
     """Run one full iteration and return its report.
 
     Queries the schedule and runs the local steps for the activated blocks:
-    every player in one ``player_local_step``, each coupling alone (through
-    ``executor.map`` when an executor is supplied). Their results are
-    written into the point ``p`` and the direction ``p*``, whose inactive
-    blocks carry their last values forward. The coupling gaps ``e`` and the
+    every player in one ``player_local_step``, every coupling in one
+    ``coupling_local_step`` (on the ``executor``'s thread, if given, during
+    the player step). They write ``p`` and ``p*``, whose inactive blocks
+    keep their last values. The coupling gaps ``e`` and the
     player duals ``a*``, ``q*`` are then refreshed, and the iterate is
     projected onto the half-space ``{w : <w - p, p*> <= 0}``.
     The reported residual certifies the post-update iterate. That
@@ -504,17 +503,18 @@ def tick(game: Game, params: SolverParams, schedule: Schedule, state: IterState,
     state._push_history(n)      # so a write into the views since the last tick is read
     info = schedule.next_tick(n, game.num_players, game.num_couplings)
 
-    def step_coupling(k):
-        return coupling_local_step(game, params, state, k, info.coupling_lags[k])
-
+    args = (game, params, state, info.active_couplings, info.coupling_lags)
     try:
-        coupling_results = (map if executor is None else executor.map)(step_coupling,
-                                                                       info.active_couplings)
-        player_local_step(game, params, state, info.active_players, info.player_lags)
-        coupling_caches = (state.cand_b, state.cand_e_star, state.cand_b_star)
-        for k, (_, *results) in zip(info.active_couplings, coupling_results):
-            for cache, value in zip(coupling_caches, results):
-                cache[k][:] = value
+        pending = (executor.submit(coupling_local_step, *args)
+                   if executor is not None and info.active_couplings else None)
+        try:
+            player_local_step(game, params, state, info.active_players, info.player_lags)
+        finally:    # a raised player step, too, waits for the worker, which writes the state
+            failure = pending and pending.exception()
+        if failure:
+            raise failure
+        if info.active_couplings and not pending:
+            coupling_local_step(*args)
     except ValueError as exc:   # a local step's error names the block and the operator
         if "tick" not in str(exc):  # the interaction gradient's names the tick of its y already
             exc.args = (f"{exc}, at tick {n}",)
@@ -573,9 +573,9 @@ def solve(game: Game, params: SolverParams, schedule: Schedule, x0=None, *,
         history depth (``IterState(..., max_lag=...)``) must cover the
         schedule's ``max_lag``.
     parallel
-        Evaluate the coupling steps on worker threads (the player step
-        stays on this one). The tick path is the same as in simulated mode,
-        so results are bitwise equal to it.
+        Run each tick's coupling step on one worker thread while this one
+        runs the player step. The tick path is the same as in simulated
+        mode, so results are bitwise equal to it.
     validate
         Run the desk-scale problem and parameter validations first and
         raise ValueError on any violation; pass False to override.
@@ -608,11 +608,10 @@ def solve(game: Game, params: SolverParams, schedule: Schedule, x0=None, *,
         if issues:
             raise ValueError("validation failed:\n" + "\n".join(issues))
 
-    workers = min(8, game.num_players + game.num_couplings)
     reports = []
     status = "max_iters"
     frozen_ticks = 0
-    with ThreadPoolExecutor(max_workers=workers) if parallel else nullcontext() as executor:
+    with ThreadPoolExecutor(1) if parallel else nullcontext() as executor:
         for _ in range(params.max_iters):
             report = tick(game, params, schedule, state, executor=executor)
             reports.append(report)

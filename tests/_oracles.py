@@ -11,12 +11,16 @@ frozenset draws), and the solver's blockwise inner product as first
 written (a Python loop of per-block dots). The last three items are the
 equilibrium certificate as first written (per player: mix, gradient,
 adjoint, pullback, prox and one dot per residual), the tick as first
-written (``player_local_step`` for every activated player, then a
-per-block write-back) and the problem check of the solve gate as first
-written (every check sampled, one draw per vector); they call the
-package's ``prox``, ``as_vector``, ``Certificate``, sampling tolerance and
-the tick's other steps, because what they check is the stacking of the
-certificate and of the player steps and the draws of the gate, not those.
+written (a ``player_local_step`` for every activated player and a
+``coupling_local_step`` for every activated coupling, each on per-block
+snapshots, then a per-block write-back, the gaps ``e`` and the duals
+``a*``, ``q*``) and the problem check of the solve gate as first written
+(every check sampled, one draw per vector). Their coupling mixtures and
+pullbacks are summed block by block from ``CouplingBlock.maps``, not by
+the ``Game`` methods they check. They call the package's ``prox``,
+``as_vector``, ``Certificate``, sampling tolerance, scalar test, update
+and (in the tick) certificate, because what they check is the stacking of
+the certificate and of the local steps and the draws of the gate, not those.
 """
 
 from __future__ import annotations
@@ -29,9 +33,7 @@ from nashsplit import oracle
 from nashsplit.model import _SAMPLE_TOL, as_vector
 from nashsplit.oracle import Certificate
 from nashsplit.proximal import is_indicator, prox
-from nashsplit.solver import (
-    TickReport, apply_update, assemble_duals, compute_pi, coupling_local_step, refresh_e,
-)
+from nashsplit.solver import TickReport, apply_update, compute_pi
 
 
 def reference_run(init, players, couplings, interaction_grad, relaxation, n_ticks):
@@ -469,10 +471,26 @@ def _blocks(blocks, dims, what: str, coerce: bool = True):
     return [as_vector(b, d, f"{what}[{i}]") for i, (b, d) in enumerate(zip(blocks, dims))]
 
 
+def _mixture(blk, xs) -> np.ndarray:
+    """``sum_i L_ki x_i`` of a coupling over per-block strategies: from zeros, in increasing ``i``."""
+    acc = np.zeros(blk.dim)
+    for i in sorted(blk.maps):
+        acc = acc + blk.maps[i].apply(xs[i])
+    return acc
+
+
+def _pullback(game: Game, i: int, acc, vs) -> np.ndarray:
+    """``acc + sum_k L_ki^* v_k`` over player ``i``'s couplings and per-block duals, in increasing ``k``."""
+    for k, blk in enumerate(game.couplings):
+        if i in blk.maps:
+            acc = acc + blk.maps[i].adjoint_apply(vs[k])
+    return acc
+
+
 def _first_order(game: Game, xs):
     """The mixes ``M_i x_i``, the coupling mixtures ``L_k x`` and ``Q(Mx)``, per block."""
     ys = [p.mix.apply(xs[i]) for i, p in enumerate(game.players)]
-    zs = [game.coupling_mixture(k, xs) for k in range(game.num_couplings)]
+    zs = [_mixture(blk, xs) for blk in game.couplings]
     qs = game.split_interaction(np.asarray(game.interaction.eval(np.concatenate(ys)), dtype=float))
     return ys, zs, qs
 
@@ -494,7 +512,7 @@ def check_equilibrium(game: Game, x, u_star=None, v_star=None, *, coerce: bool =
     interaction_res = [_norm(us[i] - qs[i]) for i in range(game.num_players)]
     player_res, coupling_res, gaps = [], [], []
     for i, p in enumerate(game.players):
-        pull = game.coupling_pullback(i, p.smooth.grad(xs[i]) + p.mix.adjoint_apply(us[i]), vs)
+        pull = _pullback(game, i, p.smooth.grad(xs[i]) + p.mix.adjoint_apply(us[i]), vs)
         player_res.append(_norm(xs[i] - prox(p.nonsmooth, _CERT_STEP, xs[i] - _CERT_STEP * pull)))
         if is_indicator(p.nonsmooth):
             gaps.append(_norm(xs[i] - prox(p.nonsmooth, 1.0, xs[i])))
@@ -511,9 +529,10 @@ def check_equilibrium(game: Game, x, u_star=None, v_star=None, *, coerce: bool =
 
 
 # The tick as first written: every activated player through
-# ``player_local_step`` (its mix, smooth gradient, pullback and prox), and
-# the results written back block by block. The annotations stay
-# unevaluated, as ``Game``'s above.
+# ``player_local_step`` (its mix, smooth gradient, pullback and prox) and
+# every activated coupling through ``coupling_local_step``, the results
+# written back block by block. The annotations stay unevaluated, as
+# ``Game``'s above.
 
 def player_local_step(game: Game, params: SolverParams, state: IterState, i: int, tau: int,
                       interaction_grad: Optional[np.ndarray] = None):
@@ -536,14 +555,30 @@ def player_local_step(game: Game, params: SolverParams, state: IterState, i: int
 
     q_i = snap.y[i] + step_y * (snap.u_star[i] - grad_y)
     c_star_i = snap.u_star[i] + step_u * (p.mix.apply(snap.x[i]) - snap.y[i])
-    pull = game.coupling_pullback(
-        i, p.smooth.grad(snap.x[i]) + p.mix.adjoint_apply(snap.u_star[i]), snap.v_star
-    )
+    pull = _pullback(game, i, p.smooth.grad(snap.x[i]) + p.mix.adjoint_apply(snap.u_star[i]),
+                     snap.v_star)
     x_star = snap.x[i] - step_x * pull
     a_i = prox(p.nonsmooth, step_x, x_star)
     s_star_i = (x_star - a_i) / step_x + p.smooth.grad(a_i) + p.mix.adjoint_apply(c_star_i)
     c_i = q_i - p.mix.apply(a_i)
     return q_i, c_star_i, a_i, s_star_i, c_i
+
+
+def coupling_local_step(game: Game, params: SolverParams, state: IterState, k: int, delta: int):
+    """Candidate computation for coupling ``k`` reading history tick ``delta``.
+
+    Returns ``(d*_k, b_k, e*_k, b*_k)``, the steps indexed at ``delta``.
+    """
+    snap = state.snapshot_at(delta)
+    blk = game.couplings[k]
+    step_z = params.coupling_step(k, delta)
+    step_v = params.coupling_dual_step(k, delta)
+
+    d_star = snap.z[k] + step_z * (snap.v_star[k] - blk.smooth.grad(snap.z[k]))
+    b_k = prox(blk.nonsmooth, step_z, d_star)
+    e_star_k = snap.v_star[k] + step_v * (_mixture(blk, snap.x) - snap.z[k])
+    b_star_k = (d_star - b_k) / step_z + blk.smooth.grad(b_k) - e_star_k
+    return d_star, b_k, e_star_k, b_star_k
 
 
 def reference_tick(game: Game, params: SolverParams, schedule: Schedule, state: IterState) -> TickReport:
@@ -572,8 +607,13 @@ def reference_tick(game: Game, params: SolverParams, schedule: Schedule, state: 
         for cache, value in zip(coupling_caches, results):
             cache[k][:] = value
 
-    refresh_e(game, state)
-    assemble_duals(game, state)
+    for k, blk in enumerate(game.couplings):
+        state.cand_e[k][:] = state.cand_b[k] - _mixture(blk, state.cand_a)
+    grads = game.split_interaction(np.asarray(game.interaction.eval(np.concatenate(state.cand_q)),
+                                              dtype=float))
+    for i in range(game.num_players):
+        state.dual_q_star[i][:] = grads[i] - state.cand_c_star[i]
+        state.dual_a_star[i][:] = _pullback(game, i, state.cand_s_star[i], state.cand_e_star)
     compute_pi(game, state)
     pi, theta, step_norm = apply_update(game, state, params)
     key = state.flat.tobytes()

@@ -323,11 +323,12 @@ def _signed(rng, d: int) -> np.ndarray:
     max_width=st.sampled_from((1, 3)),
     num_couplings=st.integers(0, 2),
     steps=st.sampled_from(("constant", "per-block", "callable")),
+    coupling_steps=st.sampled_from(("constant", "per-block", "callable")),
     max_lag=st.integers(0, 3),
     prob=st.floats(0.2, 1.0),
 )
 def test_tick_equals_the_reference_tick(seed, num_players, max_width, num_couplings,
-                                       steps, max_lag, prob):
+                                       steps, coupling_steps, max_lag, prob):
     # about half the players have an Identity mix and a zero smooth term, the
     # others a drawn mix (a Dense one of other widths too) and smooth term;
     # every nonsmooth kind, and signed zeros in the start, the term data and
@@ -361,16 +362,19 @@ def test_tick_equals_the_reference_tick(seed, num_players, max_width, num_coupli
     b_vec = _signed(rng, ny)
     game = Game(players, InteractionGradient(lambda y: a_mat @ y + b_vec, 1.0), couplings)
 
-    per_player = [tuple(rng.uniform(0.2, 0.9, num_players)) for _ in range(3)]
-    schedules_by_kind = {
-        "constant": [float(v[0]) for v in per_player],
-        "per-block": per_player,
-        "callable": [lambda i, n, v=v: v[i] * (1.0 - 0.5 * (n % 2)) for v in per_player],
-    }
-    strategy, interaction, dual = schedules_by_kind[steps]
+    def schedules_of(kind, num_blocks, count):
+        per_block = [tuple(rng.uniform(0.2, 0.9, num_blocks)) for _ in range(count)]
+        return {
+            "constant": [float(v[0]) if num_blocks else 0.5 for v in per_block],
+            "per-block": per_block,
+            "callable": [lambda j, n, v=v: v[j] * (1.0 - 0.5 * (n % 2)) for v in per_block],
+        }[kind]
+
+    strategy, interaction, dual = schedules_of(steps, num_players, 3)
+    coupling, coupling_dual = schedules_of(coupling_steps, num_couplings, 2)
     params = SolverParams(strategy_steps=strategy, interaction_steps=interaction,
-                          player_dual_steps=dual, coupling_steps=0.5, coupling_dual_steps=0.7,
-                          relaxation=1.5)
+                          player_dual_steps=dual, coupling_steps=coupling,
+                          coupling_dual_steps=coupling_dual, relaxation=1.5)
     schedule = ns.randomized(seed, prob, max_lag=max_lag, window=4)
     start = dict(
         x=[_signed(rng, p.dim_strategy) for p in players],

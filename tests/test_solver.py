@@ -42,6 +42,7 @@ from nashsplit.solver import (
 
 from _oracles import (consensus_reference_pieces, reference_run, reference_run_scheduled,
                       reference_tick)
+from test_integration import kitchen_sink_game
 
 
 def free_scalar_game(num_players=1):
@@ -146,21 +147,18 @@ class TestPlayerLocalStep:
 
 
 class TestCouplingLocalStep:
-    def coupled_game(self, maps):
-        from nashsplit.model import CouplingBlock
-
+    def coupled_game(self, maps, num_couplings=1):
         players = [PlayerBlock(1, 1, proximal.zero(), zero_smooth(), 0.0, Identity(1), 1.0)]
-        coup = CouplingBlock(1, proximal.zero(), zero_smooth(), 0.0, maps)
-        return Game(players, InteractionGradient(lambda y: np.zeros_like(y), 1.0), [coup])
+        coups = [CouplingBlock(1, proximal.zero(), zero_smooth(), 0.0, maps)] * num_couplings
+        return Game(players, InteractionGradient(lambda y: np.zeros_like(y), 1.0), coups)
 
     def test_zero_functions_direct_substitution(self):
         game = self.coupled_game({})
         state = IterState(game, z=[[1.0]], v_star=[[2.0]])
-        d_star, b, e_star, b_star = coupling_local_step(game, unit_params(), state, 0, 0)
-        assert d_star == np.array([3.0])
-        assert b == np.array([3.0])
-        assert e_star == np.array([1.0])
-        assert b_star == np.array([-1.0])
+        coupling_local_step(game, unit_params(), state, [0], {0: 0})
+        assert state.cand_b[0] == np.array([3.0])      # b = d* under the zero term
+        assert state.cand_e_star[0] == np.array([1.0])
+        assert state.cand_b_star[0] == np.array([-1.0])
 
     def test_equilibrium_is_fixed_point(self):
         game, _ = shared_constraint_instance()
@@ -173,20 +171,34 @@ class TestCouplingLocalStep:
             v_star=[[-1.0]],
         )
         params = SolverParams.for_game(game)
-        _, b, e_star, b_star = coupling_local_step(game, params, state, 0, 0)
-        assert np.array_equal(b, np.array([5.0]))
-        assert np.array_equal(b_star, np.zeros(1))
-        assert np.array_equal(e_star, np.array([-1.0]))
+        coupling_local_step(game, params, state, [0], {0: 0})
+        assert np.array_equal(state.cand_b[0], np.array([5.0]))
+        assert np.array_equal(state.cand_b_star[0], np.zeros(1))
+        assert np.array_equal(state.cand_e_star[0], np.array([-1.0]))
 
     def test_orthant_projection_in_step(self):
-        from nashsplit.model import CouplingBlock
-
         players = [PlayerBlock(1, 1, proximal.zero(), zero_smooth(), 0.0, Identity(1), 1.0)]
         coup = CouplingBlock(1, proximal.shifted_orthant([5.0]), zero_smooth(), 0.0, {})
         game = Game(players, InteractionGradient(lambda y: np.zeros_like(y), 1.0), [coup])
         state = IterState(game, z=[[4.2]], v_star=[[0.0]])
-        _, b, _, _ = coupling_local_step(game, unit_params(), state, 0, 0)
-        assert b == np.array([5.0])
+        coupling_local_step(game, unit_params(), state, [0], {0: 0})
+        assert state.cand_b[0] == np.array([5.0])
+
+    def test_two_couplings_at_different_lags_read_their_own_rows(self):
+        # both couplings read player 0: at tick 0 x = 1, z = (1, 4), v* = (2, -1);
+        # at tick 1 x = 3, z = (10, 5), v* = (20, 6)
+        game = self.coupled_game({0: Identity(1)}, num_couplings=2)
+        state = IterState(game, x=[[1.0]], z=[[1.0], [4.0]], v_star=[[2.0], [-1.0]], max_lag=1)
+        state.x[0][:], state.z[0][:], state.z[1][:] = 3.0, 10.0, 5.0
+        state.v_star[0][:], state.v_star[1][:] = 20.0, 6.0
+        state._push_history(1)
+        params = unit_params(coupling_steps=[0.5, 0.25], coupling_dual_steps=[1.0, 2.0])
+        coupling_local_step(game, params, state, [0, 1], {0: 1, 1: 0})
+        # coupling 0 at tick 1: b = 10 + 0.5 * 20, e* = 20 + (3 - 10), b* = -e*
+        # coupling 1 at tick 0: b = 4 + 0.25 * -1, e* = -1 + 2 * (1 - 4), b* = -e*
+        assert [b[0] for b in state.cand_b] == [20.0, 3.75]
+        assert [e[0] for e in state.cand_e_star] == [13.0, -7.0]
+        assert [b[0] for b in state.cand_b_star] == [-13.0, 7.0]
 
 
 class TestRefreshAndDuals:
@@ -679,15 +691,19 @@ class TestSolve:
 
     def test_parallel_mode_same_contract(self):
         game, _ = shared_constraint_instance()
+        sink = kitchen_sink_game()
         runs = [
-            (ns.synchronous(), SolverParams.for_game(game)),
-            (ns.randomized(seed=5, activation_prob=0.5, max_lag=5, window=4),
-             SolverParams.for_game(game, max_lag=5, window=4)),
+            (game, ns.synchronous(), SolverParams.for_game(game), "converged"),
+            (game, ns.randomized(seed=5, activation_prob=0.5, max_lag=5, window=4),
+             SolverParams.for_game(game, max_lag=5, window=4), "converged"),
+            # two couplings, stepped on the worker at lags of their own
+            (sink, ns.randomized(1, 0.5, max_lag=3, window=8),
+             SolverParams.for_game(sink, max_lag=3, window=8, max_iters=150), "max_iters"),
         ]
-        for schedule, params in runs:
+        for game, schedule, params, status in runs:
             serial = ns.solve(game, params, schedule)
             threaded = ns.solve(game, params, schedule, parallel=True)
-            assert threaded.status == "converged"
+            assert serial.status == threaded.status == status
             for group in ("x", "y", "z", "u_star", "v_star"):
                 for a, b in zip(getattr(serial, group), getattr(threaded, group), strict=True):
                     assert a.tobytes() == b.tobytes()
@@ -1103,7 +1119,8 @@ def _two_entry_coupling_game(resolvent=lambda gamma, z: z, grad=None):
     return Game(players, InteractionGradient(lambda y: y - 0.5, 1.0), [coupling])
 
 
-def test_a_wrong_coupling_prox_shape_names_the_coupling_and_the_tick():
+@pytest.mark.parametrize("parallel", [False, True], ids=["simulated", "thread"])
+def test_a_wrong_coupling_prox_shape_names_the_coupling_and_the_tick(parallel):
     # the gate cannot see a resolvent's output shape; without the step's own
     # check the one entry was broadcast into both for the whole run
     game = _two_entry_coupling_game(resolvent=lambda gamma, z: z[:1])
@@ -1111,7 +1128,7 @@ def test_a_wrong_coupling_prox_shape_names_the_coupling_and_the_tick():
     assert solver.validate_game_and_params(game, params) == []
     message = "coupling 0: prox returned shape (1,), expected (2,), at tick 0"
     with pytest.raises(ValueError, match=re.escape(message)):
-        ns.solve(game, params, ns.synchronous())
+        ns.solve(game, params, ns.synchronous(), parallel=parallel)
 
 
 def test_a_wrong_coupling_gradient_shape_names_the_coupling():
