@@ -485,11 +485,16 @@ class SolverParams:
 
 def _step_caps(game: Game, eta: float) -> tuple:
     """Per-block upper ends ``1/(alpha_i + eta)``, ``1/(chi_i + eta)`` and
-    ``1/(beta_k + eta)`` of the strategy, interaction and coupling steps."""
+    ``1/(beta_k + eta)`` of the strategy, interaction and coupling steps.
+    A zero denominator, which only a nonpositive ``eta`` (refused by
+    ``validate_params``) can give, makes that end ``inf``."""
+    def cap(bound):
+        return 1.0 / (bound + eta) if bound + eta != 0.0 else float("inf")
+
     return (
-        tuple(1.0 / (p.smooth_lipschitz + eta) for p in game.players),
-        tuple(1.0 / (p.interaction_bound + eta) for p in game.players),
-        tuple(1.0 / (c.smooth_lipschitz + eta) for c in game.couplings),
+        tuple(cap(p.smooth_lipschitz) for p in game.players),
+        tuple(cap(p.interaction_bound) for p in game.players),
+        tuple(cap(c.smooth_lipschitz) for c in game.couplings),
     )
 
 
@@ -622,7 +627,8 @@ def validate_params(game: Game, params: SolverParams, horizon: int = 1000) -> li
     per-block schedules once (their values cannot depend on the tick), and
     reports the first interval breach of each schedule and block; also
     checks the global coupling between ``epsilon``, ``eta``, and the
-    Lipschitz data.
+    Lipschitz data, and that ``max_iters`` is a positive and ``max_lag`` and
+    ``window`` nonnegative integers (a bool or a float is not one).
     """
     report = []
     eps, eta = params.epsilon, params.eta
@@ -630,9 +636,13 @@ def validate_params(game: Game, params: SolverParams, horizon: int = 1000) -> li
         report.append(f"epsilon must lie in (0, 1), got {eps}")
     if not eta > 0.0:
         report.append(f"eta must be positive, got {eta}")
-    if params.max_lag < 0 or params.window < 0:
+    counts = {"max_iters": params.max_iters, "max_lag": params.max_lag, "window": params.window}
+    type_errors = [f"{name} must be an integer, got {value!r}" for name, value in counts.items()
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral)]
+    report += type_errors
+    if not type_errors and (params.max_lag < 0 or params.window < 0):
         report.append("max_lag and window must be nonnegative")
-    if params.max_iters < 1:
+    if not type_errors and params.max_iters < 1:
         report.append("max_iters must be positive")
     if not params.tol > 0.0:
         report.append("tol must be positive")

@@ -66,6 +66,26 @@ def _as_term(term) -> NonsmoothTerm:
     raise TypeError(f"expected a NonsmoothTerm or None, got {type(term)!r}")
 
 
+def _require_players(m: int) -> None:
+    # the Game's own refusal, made before a builder's array work fails otherwise
+    if m == 0:
+        raise ValueError("a game needs at least one player")
+
+
+def _player_blocks(strategy_dims, terms, bounds, mixes=None, smooths=None, lipschitz=None):
+    """One :class:`PlayerBlock` per player, of interaction width its mix's ``out_dim``.
+    Unless given, mixes are ``Identity``, smooth terms ``zero_smooth()`` and their
+    Lipschitz constants zero. Sequences of different lengths are refused."""
+    mixes = mixes if mixes is not None else [Identity(int(d)) for d in strategy_dims]
+    smooths = smooths if smooths is not None else [zero_smooth() for _ in strategy_dims]
+    lipschitz = lipschitz if lipschitz is not None else [0.0] * len(strategy_dims)
+    return [
+        PlayerBlock(int(d), mix.out_dim, _as_term(term), smooth, float(alpha), mix, bound)
+        for d, term, bound, mix, smooth, alpha
+        in zip(strategy_dims, terms, bounds, mixes, smooths, lipschitz, strict=True)
+    ]
+
+
 def build_quadratic_coupling(
     strategy_dims: Sequence[int],
     constraints: Sequence,
@@ -91,13 +111,11 @@ def build_quadratic_coupling(
     report when the check fails.
     """
     m = len(strategy_dims)
+    _require_players(m)
     if len(constraints) != m or len(weights) != m:
         raise ValueError("constraints and weights must match the number of players")
     if interaction_dim is None:
-        if mixes is not None:
-            interaction_dim = mixes[0].out_dim
-        else:
-            interaction_dim = strategy_dims[0]
+        interaction_dim = mixes[0].out_dim if mixes is not None else strategy_dims[0]
     d = int(interaction_dim)
     mixes = list(mixes) if mixes is not None else [Identity(d) for _ in range(m)]
     for i, op in enumerate(mixes):
@@ -105,8 +123,6 @@ def build_quadratic_coupling(
             raise ValueError(
                 f"mix {i} must map {strategy_dims[i]} -> {d}, got {op.in_dim} -> {op.out_dim}"
             )
-    smooths = list(smooths) if smooths is not None else [zero_smooth() for _ in range(m)]
-    alphas = list(smooth_lipschitz) if smooth_lipschitz is not None else [0.0] * m
 
     norm_weights = []
     for i in range(m):
@@ -124,15 +140,15 @@ def build_quadratic_coupling(
             entries.append((kappa, dict(sorted(omega.items()))))
         norm_weights.append(entries)
 
-    grad_matrix = np.zeros((m * d, m * d))
-    eye = np.eye(d)
+    # W (x) I_d, W written on the d diagonals: np.kron would put -0.0 beside W's negatives
+    weight_matrix = np.zeros((m, m))
     for i in range(m):
-        bi = slice(i * d, (i + 1) * d)
         for kappa, omega in norm_weights[i]:
-            grad_matrix[bi, bi] += kappa * eye
+            weight_matrix[i, i] += kappa
             for j, w in omega.items():
-                bj = slice(j * d, (j + 1) * d)
-                grad_matrix[bi, bj] -= kappa * w * eye
+                weight_matrix[i, j] -= kappa * w
+    grad_matrix = np.zeros((m * d, m * d))
+    grad_matrix.reshape(m, d, m, d)[:, np.arange(d), :, np.arange(d)] = weight_matrix
 
     sym_eigs = np.linalg.eigvalsh(0.5 * (grad_matrix + grad_matrix.T))
     floor = -1e-10 * max(1.0, float(np.max(np.abs(sym_eigs))))
@@ -153,18 +169,7 @@ def build_quadratic_coupling(
         max(sum(kappa * (1.0 + sum(omega.values())) for kappa, omega in norm_weights[i]), 1e-12)
         for i in range(m)
     ]
-    players = [
-        PlayerBlock(
-            dim_strategy=int(strategy_dims[i]),
-            dim_interaction=d,
-            nonsmooth=_as_term(constraints[i]),
-            smooth=smooths[i],
-            smooth_lipschitz=float(alphas[i]),
-            mix=mixes[i],
-            interaction_bound=chis[i],
-        )
-        for i in range(m)
-    ]
+    players = _player_blocks(strategy_dims, constraints, chis, mixes, smooths, smooth_lipschitz)
     game = Game(players, InteractionGradient(interaction_eval, kappa_global))
     return game, InstanceMeta("quadratic_coupling", extras={"gradient_matrix": grad_matrix})
 
@@ -224,6 +229,7 @@ def build_minimax(
     p, q = len(min_dims), len(max_dims)
     dims = [int(v) for v in min_dims] + [int(v) for v in max_dims]
     m = p + q
+    _require_players(m)
     offs = np.cumsum([0] + dims)
     pairs = {}
     for (a, b), mat in bilinear.items():
@@ -256,21 +262,9 @@ def build_minimax(
     kappa = float(saddle_lipschitz) + max(float(np.linalg.norm(skew, 2)), 1e-12)
     chi = max(float(saddle_lipschitz), 1.0)
 
-    terms = [_as_term(t) for t in list(min_terms) + list(max_terms)]
     smooths = list(min_smooths or [zero_smooth()] * p) + list(max_smooths or [zero_smooth()] * q)
     alphas = list(min_lipschitz or [0.0] * p) + list(max_lipschitz or [0.0] * q)
-    players = [
-        PlayerBlock(
-            dim_strategy=dims[i],
-            dim_interaction=dims[i],
-            nonsmooth=terms[i],
-            smooth=smooths[i],
-            smooth_lipschitz=float(alphas[i]),
-            mix=Identity(dims[i]),
-            interaction_bound=chi,
-        )
-        for i in range(m)
-    ]
+    players = _player_blocks(dims, [*min_terms, *max_terms], [chi] * m, None, smooths, alphas)
     game = Game(players, InteractionGradient(interaction_eval, kappa))
     return game, InstanceMeta("minimax", extras={"skew_matrix": skew, "num_min": p, "num_max": q})
 
@@ -326,6 +320,7 @@ def build_shared_constraint(
     shifted orthant; its smooth part is zero.
     """
     m = len(strategy_dims)
+    _require_players(m)
     t_blocks = [np.atleast_1d(np.asarray(t, dtype=float)) for t in targets]
     if len(t_blocks) != m:
         raise ValueError("need one target per player")
@@ -346,18 +341,7 @@ def build_shared_constraint(
     def interaction_eval(y):
         return y - t_stacked
 
-    players = [
-        PlayerBlock(
-            dim_strategy=int(strategy_dims[i]),
-            dim_interaction=int(strategy_dims[i]),
-            nonsmooth=_as_term(constraints[i]),
-            smooth=zero_smooth(),
-            smooth_lipschitz=0.0,
-            mix=Identity(int(strategy_dims[i])),
-            interaction_bound=1.0,
-        )
-        for i in range(m)
-    ]
+    players = _player_blocks(strategy_dims, constraints, [1.0] * m)
     coupling = CouplingBlock(
         dim=int(rhs_vec.shape[0]),
         nonsmooth=proximal.shifted_orthant(rhs_vec),
@@ -400,22 +384,8 @@ def build_minimization(
     m = len(terms)
     if strategy_dims is None:
         strategy_dims = [t.dim if t.dim is not None else 1 for t in terms]
-    mixes = list(mixes) if mixes is not None else [Identity(int(d)) for d in strategy_dims]
-    smooths = list(smooths) if smooths is not None else [zero_smooth() for _ in range(m)]
-    alphas = list(smooth_lipschitz) if smooth_lipschitz is not None else [0.0] * m
     kappa = max(float(joint_lipschitz), 1e-12)
-    players = [
-        PlayerBlock(
-            dim_strategy=int(strategy_dims[i]),
-            dim_interaction=mixes[i].out_dim,
-            nonsmooth=terms[i],
-            smooth=smooths[i],
-            smooth_lipschitz=float(alphas[i]),
-            mix=mixes[i],
-            interaction_bound=kappa,
-        )
-        for i in range(m)
-    ]
+    players = _player_blocks(strategy_dims, terms, [kappa] * m, mixes, smooths, smooth_lipschitz)
     game = Game(
         players,
         InteractionGradient(lambda y: np.asarray(joint_grad(y), dtype=float), kappa),

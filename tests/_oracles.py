@@ -5,7 +5,9 @@ importing the package under test (plain numpy only): a straight-line
 synchronous reference run of the half-space projection iteration, a
 finite-difference gradient, a grid-search simplex projection, an ISTA
 reference for the l1 least squares instance, a closed-form mixed
-equilibrium for 2x2 zero-sum games, the random activation schedule as
+equilibrium for 2x2 zero-sum games, the quadratic-coupling gradient
+matrix as first built (one ``d x d`` block update per mismatch term and
+per mixture weight), the random activation schedule as
 first written (one ``SeedSequence`` built from a tuple per generator,
 frozenset draws), and the solver's blockwise inner product as first
 written (a Python loop of per-block dots). The last three items are the
@@ -358,6 +360,25 @@ def zero_sum_2x2_mixed(a_mat):
     v1 = (a_mat[1, 1] - a_mat[0, 1]) / den
     u1 = (a_mat[1, 1] - a_mat[1, 0]) / den
     return np.array([u1, 1.0 - u1]), np.array([v1, 1.0 - v1])
+
+
+def quadratic_coupling_gradient(weights, d: int) -> np.ndarray:
+    """Gradient matrix of ``build_quadratic_coupling(..., weights, interaction_dim=d)``
+    as first built: per player and mismatch term, ``kappa I_d`` added on the
+    diagonal block, then ``kappa w I_d`` subtracted from each neighbour's
+    block, neighbours in increasing order."""
+    m = len(weights)
+    grad_matrix = np.zeros((m * d, m * d))
+    eye = np.eye(d)
+    for i in range(m):
+        bi = slice(i * d, (i + 1) * d)
+        for kappa, omega in weights[i]:
+            kappa = float(kappa)
+            grad_matrix[bi, bi] += kappa * eye
+            for j, w in sorted((int(j), float(w)) for j, w in dict(omega).items()):
+                bj = slice(j * d, (j + 1) * d)
+                grad_matrix[bi, bj] -= kappa * w * eye
+    return grad_matrix
 
 
 # The random schedule's draws as first written: ``_tick_rng``,

@@ -120,6 +120,11 @@ class TestRun:
         assert main(["solve", "--config", str(path)]) == 3
         assert "validation refused" in capsys.readouterr().err
 
+    def test_zero_eta_exits_3(self, tmp_path, capsys):
+        path = write_config(tmp_path, consensus_payload(tmp_path, params={"eta": 0}))
+        assert main(["solve", "--config", str(path)]) == 3
+        assert "eta must be positive, got 0.0" in capsys.readouterr().err
+
     def test_uncovering_cyclic_schedule_exits_3(self, tmp_path, capsys):
         # cyclic singles with window 0 cannot cover two players per window
         payload = consensus_payload(

@@ -224,6 +224,32 @@ def test_malformed_schedule_reported_not_raised():
     assert any("schedule evaluation failed" in line for line in report)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("max_iters", 1.5, "max_iters must be an integer, got 1.5"),
+    ("max_iters", True, "max_iters must be an integer, got True"),
+    ("max_iters", 0, "max_iters must be positive"),
+    ("max_lag", 2.0, "max_lag must be an integer, got 2.0"),
+    ("max_lag", -1, "max_lag and window must be nonnegative"),
+    ("window", 2.5, "window must be an integer, got 2.5"),
+    ("window", False, "window must be an integer, got False"),
+    ("max_iters", np.int64(5), None),
+    ("window", np.int32(3), None),
+], ids=["max_iters-fraction", "max_iters-bool", "max_iters-zero", "max_lag-float",
+        "max_lag-negative", "window-fraction", "window-bool", "max_iters-numpy", "window-numpy"])
+def test_run_counts_must_be_integers(field, value, message):
+    game, _ = consensus_instance([(2, 3), (0, 1)])
+    params = SolverParams.for_game(game, **{field: value})
+    assert validate_params(game, params, horizon=5) == ([message] if message else [])
+
+
+@pytest.mark.parametrize("eta", [0.0, -2.0])  # -2 is minus the players' chi
+def test_nonpositive_eta_is_reported_not_raised(eta):
+    game, _ = consensus_instance([(2, 3), (0, 1)])
+    assert {p.interaction_bound for p in game.players} == {2.0}
+    params = SolverParams.for_game(game, eta=eta)
+    assert validate_params(game, params, horizon=5) == [f"eta must be positive, got {eta}"]
+
+
 def test_relaxation_interval_checked():
     game, _ = consensus_instance([(2, 3), (0, 1)])
     params = SolverParams.for_game(game, relaxation=2.5)

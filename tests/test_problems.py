@@ -33,6 +33,27 @@ def all_shipped_instances():
     ]
 
 
+@pytest.mark.parametrize("build", [
+    lambda: build_quadratic_coupling([], [], []),
+    lambda: consensus_instance([]),
+    lambda: build_minimax([], [], [], [], {}),
+    lambda: build_shared_constraint([], [], [], [], [1.0]),
+    lambda: shared_constraint_instance(()),
+    lambda: build_minimization([], lambda y: y, 1.0),
+    lambda: lasso_instance(np.zeros((3, 0)), np.zeros(3)),
+], ids=["quadratic", "consensus", "minimax", "shared", "shared-instance", "minimization",
+        "lasso"])
+def test_every_builder_refuses_an_empty_player_list(build):
+    with pytest.raises(ValueError, match="^a game needs at least one player$"):
+        build()
+
+
+@pytest.mark.parametrize("lipschitz", [[0.0], [0.0, 0.0, 0.0]], ids=["short", "long"])
+def test_per_player_lists_of_another_length_are_refused(lipschitz):
+    with pytest.raises(ValueError, match="is (shorter|longer) than"):
+        build_minimization([None, None], lambda y: y, 1.0, smooth_lipschitz=lipschitz)
+
+
 def test_every_built_instance_validates_clean():
     for game, meta in all_shipped_instances():
         assert validate_problem(game, samples=40, seed=0) == [], meta.family

@@ -20,10 +20,13 @@ from nashsplit.model import (  # noqa: E402
     CouplingBlock, Game, InteractionGradient, PlayerBlock, SmoothTerm, SolverParams,
     quadratic_smooth, validate_problem, zero_smooth,
 )
-from nashsplit.problems import lasso_instance, shared_constraint_instance  # noqa: E402
+from nashsplit.problems import (  # noqa: E402
+    build_quadratic_coupling, lasso_instance, shared_constraint_instance,
+)
 from nashsplit.solver import IterState, tick  # noqa: E402
 
 from _oracles import _block_inner as loop_block_inner, random_schedule_tick  # noqa: E402
+from _oracles import quadratic_coupling_gradient  # noqa: E402
 from _oracles import check_equilibrium as per_block_check_equilibrium  # noqa: E402
 from _oracles import reference_tick  # noqa: E402
 from _oracles import validate_problem as per_sample_validate_problem  # noqa: E402
@@ -509,3 +512,33 @@ def test_gate_equals_the_per_sample_gate(seed, num_players, num_couplings, monot
     for samples, gate_seed in gates:
         want = per_sample_validate_problem(game, samples=samples, seed=gate_seed)
         assert validate_problem(game, samples=samples, seed=gate_seed) == want
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_players=st.integers(1, 6),
+    width=st.integers(1, 3),
+)
+def test_quadratic_gradient_equals_the_per_pair_reference(seed, num_players, width):
+    # 1-3 mismatch terms per player; each names a random subset of the others
+    # in random order, some weights exactly zero, and may name none
+    rng = np.random.default_rng(seed)
+    weights = []
+    for i in range(num_players):
+        others = [j for j in range(num_players) if j != i]
+        terms = []
+        for _ in range(int(rng.integers(1, 4))):
+            named = rng.permutation(others)[:int(rng.integers(0, len(others) + 1))]
+            terms.append((float(rng.uniform(0.1, 3.0)), {
+                int(j): float(rng.choice((0.0, rng.uniform(0.0, 1.0)))) for j in named}))
+        weights.append(terms)
+    expected = quadratic_coupling_gradient(weights, width)
+    try:
+        _, meta = build_quadratic_coupling([width] * num_players, [None] * num_players, weights,
+                                           interaction_dim=width)
+    except ValueError as exc:
+        # a refused build reports the least eigenvalue of the reference's symmetric part
+        least = np.linalg.eigvalsh(0.5 * (expected + expected.T))[0]
+        assert f"(symmetric part has eigenvalue {least:.6e})" in str(exc)
+        return
+    assert meta.extras["gradient_matrix"].tobytes() == expected.tobytes()

@@ -22,6 +22,7 @@ from nashsplit.model import (
     zero_smooth,
 )
 from nashsplit.problems import (
+    build_quadratic_coupling,
     consensus_instance,
     lasso_instance,
     matching_pennies_instance,
@@ -935,6 +936,16 @@ def _consensus_10():
     return consensus_instance([(c - 0.5, c + 0.5) for c in centres])[0]
 
 
+def _quadratic_width_2():
+    # mismatch terms with several neighbours, on an interaction width of 2
+    return build_quadratic_coupling(
+        [2, 2, 2],
+        [proximal.box([-1, -1], [1, 1]), None, proximal.box([0, 0], [2, 2])],
+        [[(1.0, {1: 0.5, 2: 0.25})], [(2.0, {0: 1.0})], [(1.5, {0: 0.5}), (0.5, {1: 1.0})]],
+        interaction_dim=2,
+    )[0]
+
+
 @pytest.mark.parametrize("build, schedule, expected", [
     (_lasso_4x8, ns.randomized(0, 0.1, max_lag=3, window=20),
      "a4ef6b2930772a823744bc383ba7cdab229ca4d7b306d4306f0e8189506d92fa"),
@@ -942,7 +953,13 @@ def _consensus_10():
      "4d38a265c507c267838bb89372b6d50000ee0e067bc06d7841c9843f7ef7fe07"),
     (_consensus_10, ns.synchronous(),
      "aea4a7806ff25e766f46674a2d052c2c36fcb560727581de47f6618c81df2c57"),
-], ids=["lasso-4x8-p0.1", "shared-p0.5", "consensus-10-sync"])
+    (lambda: matching_pennies_instance(((2.0, -1.0), (-1.0, 1.0)))[0],
+     ns.randomized(3, 0.5, max_lag=2, window=6),
+     "90c52b61ea8b62f50408f45c43507b627ccf52d9a5e7e8b313e582e5ce2e7450"),
+    (_quadratic_width_2, ns.randomized(4, 0.5, max_lag=2, window=6),
+     "376995280c81cb6ba231a8146ffa58578730f8d69f03d455b58a1ee9e3971b69"),
+], ids=["lasso-4x8-p0.1", "shared-p0.5", "consensus-10-sync", "pennies-p0.5",
+        "quadratic-width-2-p0.5"])
 def test_trajectories_are_stable_across_versions(build, schedule, expected):
     # pinned hashes of the first 300 ticks on one-entry blocks, where every
     # rewrite of the tick's bookkeeping must reproduce each float exactly

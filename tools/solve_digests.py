@@ -12,7 +12,7 @@ kkt_residual, active sets, lags)`` and the closing certificate's
 ``max_residual`` as ``float.hex``. A change that keeps
 trajectories bitwise prints the same bytes::
 
-    python tools/solve_digests.py > after.json   # about a minute and a half on 2 vCPUs
+    python tools/solve_digests.py > after.json   # about 25-45 s on 2 vCPUs
     cmp before.json after.json
 """
 
