@@ -15,24 +15,24 @@ the Bernoulli draws (players, then couplings) and then, only when forced
 coverage leaves a set empty, the fallback block; the ``"lags"`` stream
 gives the player lags, then the coupling lags. The generator is
 ``Generator(PCG64(SeedSequence(entropy=(seed, n, tag))))`` with tag 0 for
-activation and 1 for lags. It is transcribed, not built, for 64 aligned
+activation and 1 for lags. It is transcribed, not built, for 256 aligned
 ticks at once: the ``SeedSequence`` hash runs as uint32 numpy arithmetic,
 PCG64's jump-ahead gives each output as one 128-bit multiply-add in uint64
 arrays, and coverage, fallbacks and lags are array operations. A tick
 whose fallback or lag draw Lemire's method rejects (about one in 10**9),
 or whose lag span exceeds 2**32, replays its draws through numpy's own
-generators, so the replay equals the definition by construction; the 34
-solves of ``tools/solve_digests.py`` never take it. The numpy-built
+generators, so the replay equals the definition by construction; the 36
+solves of ``tools/solve_digests.py`` make no replay. The numpy-built
 original in ``tests/_oracles.py`` and SHA-256 hashes pinned in the tests
 guard the transcription, since these draws are part of a run's
 reproducible trace.
 Forced coverage reads the raw draws of the previous ``window`` ticks; the
 memo of each of the 64 streams used last holds the batches that one
 window reaches, so memory is bounded by the window and the batch size,
-not by the tick count. The batch amortises only over in-order queries, as
-``solve`` and ``audit`` make them: out-of-order or interleaved queries pay
-for a batch per tick, or more when the window reaches into batches not
-held.
+not by the tick count. A batch is resolved whole, its lags as absolute
+ticks, so a query inside a held batch, in any order, is one index; a
+query outside the held batches resolves its whole batch, and hashes the
+batches its window reaches that are not held.
 """
 
 from __future__ import annotations
@@ -105,11 +105,10 @@ class Schedule:
             memo = _raw_active(self.seed, self.activation_prob, self.window, self.max_lag,
                                num_players, num_couplings)
             slot = memo.held(n // _BATCH)
-            if slot is None or slot[2] > n:
-                slot = _resolve(memo, self, n, num_players, num_couplings)
-            players, coups, lo, p_offs, c_offs = slot[3][n - slot[2]]
-            return Tick(players, coups, {i: lo + d for i, d in zip(players, p_offs)},
-                        {k: lo + d for k, d in zip(coups, c_offs)})
+            if slot is None or slot[2] is None:
+                slot = _resolve(memo, self, n // _BATCH, num_players, num_couplings)
+            (players, p_lags), (coups, c_lags) = slot[2][n % _BATCH]
+            return Tick(players, coups, dict(zip(players, p_lags)), dict(zip(coups, c_lags)))
         if self.kind == "cyclic" and n > 0:
             players = _rotation(n, num_players, self.block_size)
             coups = _rotation(n, num_couplings, self.block_size)
@@ -154,7 +153,7 @@ def _words(value: int) -> list:
 # numpy's SeedSequence (O'Neill's seed_seq hash, pool of 4 words) and its
 # PCG64 bit generator (128-bit LCG, XSL-RR output), transcribed
 _ACTIVATION, _LAGS = 0, 1  # the stream tags
-_BATCH = 64  # ticks hashed at once; it divides 2**32, so a batch's ticks have equally many words
+_BATCH = 256  # ticks hashed at once; it divides 2**32, so a batch's ticks have equally many words
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -277,10 +276,10 @@ def _draw_batch(seed: int, index: int, prob: float, num_blocks: int) -> tuple:
 class _Memo:
     """What one random stream keeps between queries: a slot per batch that one window reaches.
 
-    Slot ``index % len(slots)`` holds ``(index, draws, start, ticks)``, the
-    ``_draw_batch`` of batch ``index`` and its ticks from ``start`` on, as
-    ``_resolve`` makes them. A slot is replaced by one store and checked
-    against its index when read, so concurrent queries at worst draw twice.
+    Slot ``index % len(slots)`` holds ``(index, draws, ticks)``: batch
+    ``index``'s ``_draw_batch`` and all its ticks from ``_resolve``, or
+    ``None`` for ticks while only a later window reads the draws. One store
+    replaces a slot, and a read checks its index: concurrent queries at worst draw twice.
     """
 
     __slots__ = ("seed", "slots")
@@ -304,54 +303,55 @@ def _raw_active(seed, prob, window, max_lag, num_players, num_couplings) -> _Mem
     return _Memo(seed, window)
 
 
-def _resolve(memo: _Memo, sched: Schedule, n: int, num_players: int, num_couplings: int):
-    """Store and return the slot of ticks ``n`` to the end of their batch, resolved as arrays.
+def _resolve(memo: _Memo, sched: Schedule, index: int, num_players: int, num_couplings: int):
+    """Store and return the slot of batch ``index`` with all its ticks resolved.
 
-    A tick is ``(players, couplings, lo, player lag offsets, coupling lag
-    offsets)``. A block missing from every raw draw of the last ``window``
-    ticks is force-activated, so every ``window + 1`` ticks cover all blocks.
+    A tick is ``((players, their lags), (couplings, their lags))``, lags as
+    ticks. A block missing from every raw draw of the last ``window`` ticks
+    is force-activated, so every ``window + 1`` ticks cover all blocks.
     """
-    num_blocks, window = num_players + num_couplings, sched.window
-    index, first = divmod(n, _BATCH)
-    oldest, stop = n - window, (index + 1) * _BATCH
+    num_blocks, window, base = num_players + num_couplings, sched.window, index * _BATCH
+    oldest = base - window
     held = {b: (memo.held(b) or memo.store(
-        (b, _draw_batch(memo.seed, b, sched.activation_prob, num_blocks), (b + 1) * _BATCH, ())))[1]
+        (b, _draw_batch(memo.seed, b, sched.activation_prob, num_blocks), None)))[1]
         for b in range(max(oldest, 0) // _BATCH, index + 1)}
-    # the raw rows of ticks n - window onwards after a zero row; a window
+    # the raw rows of ticks base - window onwards after a zero row; a window
     # that reaches before tick 0 holds tick 0, whose row is full
     rows = [np.zeros((1 + max(-oldest, 0), num_blocks), dtype=bool)]
     rows += [draws[0][max(oldest - b * _BATCH, 0):] for b, draws in held.items()]
     seen = np.add.accumulate(np.concatenate(rows), axis=0, dtype=np.intp)
     raw, fallback, halves = held[index]
-    active = raw[first:] | (seen[window:-1] == seen[:_BATCH - first])
+    active = raw | (seen[window:-1] == seen[:_BATCH])
     players, coups = active[:, :num_players], active[:, num_players:]
     # the fallbacks continue the activation stream: the player's, then the coupling's half
-    low, high = fallback[first:] & _M32, fallback[first:] >> 32
+    low, high = fallback & _M32, fallback >> 32
     empty_p, empty_c = ~players.any(axis=1), ~coups.any(axis=1) & (num_couplings > 0)
     pick_p, bad_p = _lemire(low, num_players)
     pick_c, bad_c = _lemire(np.where(empty_p & (num_players > 1), high, low), max(num_couplings, 1))
     players[empty_p, pick_p[empty_p]] = True
     coups[empty_c, pick_c[empty_c]] = True
     cap = min(sched.max_lag, 1 << 32)  # a span over 2**32 draws 64 bits, so it replays
-    back = np.minimum(np.arange(first, _BATCH) + min(stop - _BATCH, cap), cap)
-    offsets, bad = _lemire(halves[first:], back[:, None].astype(np.uint64) + 1)
+    back = np.minimum(np.arange(_BATCH) + min(base, cap), cap)
+    offsets, bad = _lemire(halves, back[:, None].astype(np.uint64) + 1)
+    # the lags as ticks: int64 holds them in a batch that ends by 2**63, Python ints after
+    lags = offsets.astype(np.int64 if base <= (1 << 63) - _BATCH else object)
+    lags = lags + (np.arange(_BATCH) - back)[:, None] + base
     replay = empty_p & bad_p | empty_c & bad_c | bad.any(axis=1) | (back >= 1 << 32)
-    ticks = [(ps, cs, t - reach, po, co) for t, reach, (ps, po), (cs, co) in zip(
-        range(n, stop), back.tolist(), _per_tick(players, offsets[:, :num_players]),
-        _per_tick(coups, offsets[:, num_players:]))]
+    ticks = list(zip(_per_tick(players, lags[:, :num_players]),
+                     _per_tick(coups, lags[:, num_players:])))
     for j in np.flatnonzero(replay).tolist():
-        t, (ps, cs) = n + j, ticks[j][:2]
+        t, ((ps, _), (cs, _)) = base + j, ticks[j]
         ticks[j] = _replay(memo, t, max(0, t - sched.max_lag), () if empty_p[j] else ps,
                            () if empty_c[j] else cs, num_players, num_couplings)
-    return memo.store((index, held[index], n, ticks))
+    return memo.store((index, held[index], ticks))
 
 
-def _per_tick(active: np.ndarray, offsets: np.ndarray) -> list:
-    """``(indices, offsets)`` of the true entries of each row of ``active``, as Python values."""
+def _per_tick(active: np.ndarray, lags: np.ndarray) -> list:
+    """``(indices, lags)`` of the true entries of each row of ``active``, as Python values."""
     rows, cols = np.nonzero(active)
     ends = np.add.accumulate(active.sum(axis=1)).tolist()
-    cols, offsets = cols.tolist(), offsets[rows, cols].tolist()
-    return [(tuple(cols[a:b]), offsets[a:b]) for a, b in zip([0, *ends], ends)]
+    cols, lags = cols.tolist(), lags[rows, cols].tolist()
+    return [(tuple(cols[a:b]), lags[a:b]) for a, b in zip([0, *ends], ends)]
 
 
 def _replay(memo, n, lo, players, coups, num_players, num_couplings):
@@ -365,7 +365,7 @@ def _replay(memo, n, lo, players, coups, num_players, num_couplings):
         coups = (int(rng.integers(num_couplings)),)
     all_p = lags.integers(n + 1 - lo, size=num_players).tolist()
     all_c = lags.integers(n + 1 - lo, size=num_couplings).tolist()
-    return players, coups, lo, [all_p[i] for i in players], [all_c[k] for k in coups]
+    return (players, [lo + all_p[i] for i in players]), (coups, [lo + all_c[k] for k in coups])
 
 
 def audit(schedule: Schedule, horizon: int, num_players: int, num_couplings: int) -> list:

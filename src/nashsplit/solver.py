@@ -62,7 +62,7 @@ __all__ = [
 # The solve gate samples each analytic check 16 times from seed 0 and
 # evaluates callable step schedules at ticks 0..256.
 _GATE_SAMPLES, _GATE_SEED, _GATE_HORIZON = 16, 0, 256
-_MAX_PLANS = 64     # player-step plans that an IterState keeps
+_MAX_PLANS = 256    # player-step plans that an IterState keeps
 
 
 class MissingHistoryError(RuntimeError):
@@ -129,7 +129,7 @@ class IterState:
     detached from the layout that the tick reads. Write into them instead.
 
     The state, not the game that solves may share, keeps the player-step
-    plans of its first ``_MAX_PLANS`` (64) active sets, whose steps a new
+    plans of its first ``_MAX_PLANS`` (256) active sets, whose steps a new
     ``_step_table`` (params, list edit, callable schedule) rebuilds.
 
     A write into the views between ticks reaches all of the next tick:

@@ -215,24 +215,69 @@ def test_lag_spans_beyond_32_bits_equal_the_original_draws():
         assert sched.next_tick(n, 3, 1) == schedules.Tick(*expected), n
 
 
-def test_cache_clear_drops_the_hashed_words(monkeypatch):
-    # every timed benchmark solve starts from a cold memo, hashing included
-    hashed = []
+def test_lags_stay_exact_across_tick_2_to_the_63():
+    # int64 holds a lag only up to 2**63 - 1: the last two batches below it
+    # equal the original draws, and above it, where the original's int64
+    # lag draw raises, the lags keep their window and coverage still holds
+    seed, prob, window, max_lag, batch = 8, 0.4, 9, 5, schedules._BATCH
+    sched = randomized(seed, prob, max_lag=max_lag, window=window)
+    schedules._raw_active.cache_clear()
+    for n in range(2**63 - 2 * batch, 2**63):
+        expected = random_schedule_tick(seed, prob, window, max_lag, n, 3, 1)
+        assert sched.next_tick(n, 3, 1) == schedules.Tick(*expected), n
+    history = []
+    for n in range(2**63 - window, 2**63 + 2 * batch):
+        tick = sched.next_tick(n, 3, 1)
+        for tau in [*tick.player_lags.values(), *tick.coupling_lags.values()]:
+            assert type(tau) is int and n - max_lag <= tau <= n, (n, tau)
+        history.append(set(tick.active_players))
+        if len(history) > window:
+            assert set().union(*history[-window - 1:]) == {0, 1, 2}, n
+        assert tick.active_couplings == (0,)
+
+
+@pytest.fixture
+def hashed(monkeypatch):
+    """The batches that ``_hash_batch`` hashes, in order, from a cold memo."""
+    batches, hash_batch = [], schedules._hash_batch
 
     def counting(seed, batch):
-        hashed.append(batch)
+        batches.append(batch)
         return hash_batch(seed, batch)
 
-    hash_batch = schedules._hash_batch
     monkeypatch.setattr(schedules, "_hash_batch", counting)
-    sched = randomized(4, 0.3, max_lag=2, window=5)
     schedules._raw_active.cache_clear()
-    for n in range(1, 70):
+    yield batches
+    schedules._raw_active.cache_clear()
+
+
+def test_cache_clear_drops_the_hashed_words(hashed):
+    # every timed benchmark solve starts from a cold memo, hashing included;
+    # a batch resolves from its first tick, whose window reaches the batch before
+    sched, batch = randomized(4, 0.3, max_lag=2, window=5), schedules._BATCH
+    for n in range(1, batch + 5):
         sched.next_tick(n, 3, 1)
     assert hashed == [0, 1]
     schedules._raw_active.cache_clear()
-    sched.next_tick(69, 3, 1)
-    assert hashed == [0, 1, 1]
+    sched.next_tick(batch + 4, 3, 1)
+    assert hashed == [0, 1, 0, 1]
+
+
+def test_shuffled_queries_inside_held_batches_hash_nothing_new(hashed):
+    # a held batch is resolved whole, so a query inside it, in any order, is
+    # one index; a batch held only for a later window's raw draws resolves
+    # from those draws without hashing them again
+    seed, prob, window, max_lag, batch = 4, 0.3, 5, 2, schedules._BATCH
+    sched = randomized(seed, prob, max_lag=max_lag, window=window)
+    second = list(range(batch, 2 * batch))
+    in_order = {n: sched.next_tick(n, 3, 1) for n in second}
+    assert hashed == [0, 1]
+    for n in random.Random(3).sample(second, len(second)):
+        assert sched.next_tick(n, 3, 1) == in_order[n], n
+    for n in random.Random(4).sample(range(1, batch), 40):
+        expected = random_schedule_tick(seed, prob, window, max_lag, n, 3, 1)
+        assert sched.next_tick(n, 3, 1) == schedules.Tick(*expected), n
+    assert hashed == [0, 1]
 
 
 def test_random_schedule_memory_is_bounded_by_the_window():
@@ -259,17 +304,23 @@ def test_random_schedule_memory_is_bounded_by_the_window():
 
 def test_concurrent_queries_match_a_sequential_replay():
     # more threads than cores share the activation memo and query ticks in
-    # their own orders, with frequent thread switches
+    # their own orders, with frequent thread switches; the 300 ticks span
+    # more batches than the memo holds
     sched = randomized(9, 0.2, max_lag=3, window=6)
-    ticks = range(300)
+    ticks = range(0, 1500, 5)
     schedules._raw_active.cache_clear()
-    expected = [sched.next_tick(n, 5, 2) for n in ticks]
-    mismatches = []
+    expected = {n: sched.next_tick(n, 5, 2) for n in ticks}
+    mismatches, errors, done = [], [], []
 
     def query(order):
-        for n in order:
-            if sched.next_tick(n, 5, 2) != expected[n]:
-                mismatches.append(n)
+        # a worker that raises would otherwise only end its thread
+        try:
+            for n in order:
+                if sched.next_tick(n, 5, 2) != expected[n]:
+                    mismatches.append(n)
+            done.append(len(order))
+        except Exception as exc:
+            errors.append(exc)
 
     orders = [list(ticks), list(reversed(ticks))]
     orders += [random.Random(s).sample(ticks, len(ticks)) for s in (1, 2)]
@@ -285,4 +336,6 @@ def test_concurrent_queries_match_a_sequential_replay():
     finally:
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
+    assert errors == []
+    assert done == [len(ticks)] * len(orders)
     assert mismatches == []

@@ -1242,7 +1242,8 @@ class TestStepPlans:
     them may change a bit of a tick."""
 
     @pytest.mark.parametrize("wide", [False, True])
-    def test_more_active_sets_than_plans_stay_equal_to_the_reference_tick(self, wide):
+    def test_more_active_sets_than_plans_stay_equal_to_the_reference_tick(self, wide, monkeypatch):
+        monkeypatch.setattr(solver, "_MAX_PLANS", 16)    # so that 150 ticks pass the cap
         game = _twelve_player_game(wide)
         params = SolverParams.for_game(game, max_lag=2, window=4)
         schedule = ns.randomized(5, 0.5, max_lag=2, window=4)
