@@ -1,7 +1,7 @@
 """Experiment runner: config in, trace CSV and summary out.
 
 Configs are JSON with four sections (``problem``, ``schedule``, ``params``,
-``output``) and a ``parallel`` switch; every field but the problem family
+``output``) and no other top-level key; every field but the problem family
 defaults to its ``Schedule`` or ``SolverParams`` field default, and every
 problem key but the required ones to its builder's default. Flags are
 written into their config keys before the one parse, so they get its checks:
@@ -10,7 +10,7 @@ The trace has one row per tick with columns ``n, pi, theta, step_norm,
 kkt_residual, activated_players, activated_couplings`` (theta empty when
 the scalar test was nonnegative), RFC-4180 quoting, LF line endings, and
 numbers at 17 significant digits so repeated runs with one seed are
-byte-identical in simulated-async mode.
+byte-identical.
 
 Exit statuses: 0 tolerance reached, 2 tick limit (or stagnation), 3
 validation refusal, 4 numerical abort, 1 config errors.
@@ -91,7 +91,7 @@ _FAMILIES = {
         "design": ("design", _matrix), "rhs": ("rhs", tuple), "l1_weight": ("weight", float)}),
 }
 _KIND_ALIASES = {"sync": "synchronous", **{kind: kind for kind in ("synchronous", "cyclic", "random")}}
-# flag -> (config section, or None for the top level; key; argparse options)
+# flag -> (config section, key, argparse options)
 _FLAGS = {
     "--schedule": ("schedule", "kind", {"choices": ["sync", "cyclic", "random"]}),
     "--seed": ("schedule", "seed", {"type": int}),
@@ -101,7 +101,6 @@ _FLAGS = {
     "--tol": ("params", "tol", {"type": float}),
     "--trace": ("output", "trace", {}),
     "--summary": ("output", "summary", {}),
-    "--parallel": (None, "parallel", {"action": "store_const", "const": True}),
 }
 
 
@@ -118,7 +117,6 @@ class RunConfig:
     params: Mapping[str, Any]
     trace_path: Optional[str] = None
     summary_path: Optional[str] = None
-    parallel: bool = False
 
     def canonical(self) -> str:
         """Canonical JSON form; parse(canonical()) reproduces the config."""
@@ -127,7 +125,6 @@ class RunConfig:
             "schedule": dict(self.schedule),
             "params": dict(self.params),
             "output": {"trace": self.trace_path, "summary": self.summary_path},
-            "parallel": self.parallel,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -178,7 +175,7 @@ def _check(name: str, key: str, value, convert) -> None:
 
 
 def _parse(raw: dict) -> RunConfig:
-    unknown = set(raw) - {"problem", "schedule", "params", "output", "parallel"}
+    unknown = set(raw) - {"problem", "schedule", "params", "output"}
     if unknown:
         raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
 
@@ -202,10 +199,7 @@ def _parse(raw: dict) -> RunConfig:
     params = _section(raw, "params", defaults, types, optional=_FROM_GAME)
 
     output = _section(raw, "output", dict.fromkeys(("trace", "summary")), {})
-    parallel = raw.get("parallel", RunConfig.parallel)
-    if not isinstance(parallel, bool):
-        raise ConfigError(f"bad configuration values: parallel must be true or false, got {parallel!r}")
-    return RunConfig(problem, sched, params, output["trace"], output["summary"], parallel)
+    return RunConfig(problem, sched, params, output["trace"], output["summary"])
 
 
 def build_instance(problem: Mapping[str, Any]):
@@ -243,16 +237,11 @@ def build_instance(problem: Mapping[str, Any]):
 
 
 def build_solver_inputs(config: RunConfig, game: Game):
-    """Schedule and solver parameters from a parsed config."""
-    schedule = schedules.Schedule(
-        **dict(config.schedule, activation_prob=float(config.schedule["activation_prob"]))
-    )
-    params = SolverParams.for_game(
-        game, max_lag=schedule.max_lag, window=schedule.window,
-        **{field: convert(config.params[key])
-           for key, (field, convert) in _PARAM_FIELDS.items() if key in config.params},
-    )
-    return schedule, params
+    """Schedule and solver parameters from a parsed config; the schedule alone holds the lags."""
+    schedule = schedules.Schedule(**config.schedule)
+    overrides = {field: convert(config.params[key])
+                 for key, (field, convert) in _PARAM_FIELDS.items() if key in config.params}
+    return schedule, SolverParams.for_game(game, **overrides)
 
 
 def _fmt(value: float) -> str:
@@ -328,9 +317,7 @@ def run(config: RunConfig, out=None, err=None) -> int:
 
     started = time.perf_counter()
     try:
-        result = solve(
-            game, params, schedule, parallel=config.parallel, validate=False
-        )
+        result = solve(game, params, schedule, validate=False)
     except NumericalAbortError as exc:
         print(f"numerical abort: {exc}", file=err)
         return 4
@@ -366,7 +353,7 @@ def main(argv=None) -> int:
     try:
         raw = _load(text)
         for section, key, _ in _FLAGS.values():   # a flag is parsed as its file key
-            target = raw.setdefault(section, {}) if section else raw
+            target = raw.setdefault(section, {})
             if args[key] is not None and isinstance(target, dict):
                 target[key] = args[key]
         config = _parse(raw)

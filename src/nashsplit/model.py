@@ -430,8 +430,9 @@ class SolverParams:
     ``[epsilon, 1/(chi_i + eta)]``, the coupling steps in
     ``[epsilon, 1/(beta_k + eta)]``, and both dual steps in
     ``[epsilon, 1/epsilon]``. The relaxation stays in
-    ``[epsilon, 2 - epsilon]``. ``max_lag`` bounds how stale a block
-    computation may be and ``window`` is the quasi-cyclic covering span.
+    ``[epsilon, 2 - epsilon]``. ``max_lag`` and ``window`` are validated
+    but read by nothing in this package: the schedule alone sets a run's lags
+    and covering window. They stay because ``perfbench/workloads.py`` passes them.
     """
 
     epsilon: float = 0.01

@@ -66,7 +66,8 @@ def _norm(v) -> float:
 
 def _stacked(value, layout, what: str, coerce: bool = True) -> np.ndarray:
     """The blocks ``layout`` as one vector: zeros when absent, a 1-D array as given, other
-    input joined; ``coerce`` checks each block (``what[i]``), then the whole (``what``)."""
+    input joined; ``coerce`` checks the block count and each block (``what[i]``), then the
+    whole (``what``)."""
     stacked = isinstance(value, np.ndarray) and value.ndim == 1
     if not coerce and value is not None:
         return value if stacked else np.concatenate(value) if len(value) else np.zeros(0)
@@ -74,6 +75,8 @@ def _stacked(value, layout, what: str, coerce: bool = True) -> np.ndarray:
     if value is None:
         return np.zeros(sum(widths))
     if not stacked:
+        if len(value := list(value)) != len(widths):
+            raise ValueError(f"{what}: expected {len(widths)} blocks, got {len(value)}")
         value = [as_vector(b, d, f"{what}[{i}]") for i, (b, d) in enumerate(zip(value, widths))]
         value = np.concatenate(value) if value else np.zeros(0)
     return as_vector(value, sum(widths), what)

@@ -86,6 +86,10 @@ class Schedule:
             raise ValueError("max_lag and window must be nonnegative")
         if self.block_size < 1:
             raise ValueError("block_size must be positive")
+        prob = self.activation_prob
+        if isinstance(prob, bool) or not isinstance(prob, numbers.Real):
+            raise ValueError(f"activation_prob must be a real number, not {prob!r}")
+        object.__setattr__(self, "activation_prob", float(prob))
         if not 0.0 < self.activation_prob <= 1.0:
             raise ValueError("activation_prob must lie in (0, 1]")
         if self.seed < 0:

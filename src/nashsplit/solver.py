@@ -8,10 +8,9 @@ underlying monotone operator, and relaxedly projects the full iterate
 separates from the solution set.
 
 All activated players step together in ``player_local_step``, all activated
-couplings in ``coupling_local_step``. Both execution modes run one tick path,
-with lags from the schedule. Simulated-async mode runs it on one thread and
-is bit-reproducible. Thread mode runs the coupling step on one worker thread
-during the player step; the two write disjoint entries, so it is bitwise equal.
+couplings in ``coupling_local_step``. A tick runs on the calling thread, and
+its asynchrony is the schedule's: which blocks it activates and how many ticks
+stale their reads are. A run is therefore bit-reproducible.
 
 Arithmetic is double precision throughout. The scalar test, the step size
 and the separation gap share one inner product: per-block sums of the
@@ -26,9 +25,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
 from itertools import accumulate
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
@@ -63,6 +61,8 @@ __all__ = [
 # evaluates callable step schedules at ticks 0..256.
 _GATE_SAMPLES, _GATE_SEED, _GATE_HORIZON = 16, 0, 256
 _MAX_PLANS = 256    # player-step plans that an IterState keeps
+# the end of lagged_interaction_grad's shape error, which names its tick already
+_LAGGED_GRAD_ERROR = re.compile(r", at the y of tick \d+\Z")
 
 
 class MissingHistoryError(RuntimeError):
@@ -479,15 +479,15 @@ def apply_update(game: Game, state: IterState, params: SolverParams):
     return pi, theta, step_norm
 
 
-def tick(game: Game, params: SolverParams, schedule: Schedule, state: IterState,
-         executor=None) -> TickReport:
+def tick(game: Game, params: SolverParams, schedule: Schedule, state: IterState) -> TickReport:
     """Run one full iteration and return its report.
 
     Queries the schedule and runs the local steps for the activated blocks:
-    every player in one ``player_local_step``, every coupling in one
-    ``coupling_local_step`` (on the ``executor``'s thread, if given, during
-    the player step). They write ``p`` and ``p*``, whose inactive blocks
-    keep their last values. The coupling gaps ``e`` and the
+    every player in one ``player_local_step``, then every coupling in one
+    ``coupling_local_step``. They write ``p`` and ``p*``, whose inactive
+    blocks keep their last values. A ``ValueError`` that a step raises gets
+    ``, at tick N`` appended, unless it is the interaction gradient's, which
+    names the tick of its ``y`` already. The coupling gaps ``e`` and the
     player duals ``a*``, ``q*`` are then refreshed, and the iterate is
     projected onto the half-space ``{w : <w - p, p*> <= 0}``.
     The reported residual certifies the post-update iterate. That
@@ -503,20 +503,12 @@ def tick(game: Game, params: SolverParams, schedule: Schedule, state: IterState,
     state._push_history(n)      # so a write into the views since the last tick is read
     info = schedule.next_tick(n, game.num_players, game.num_couplings)
 
-    args = (game, params, state, info.active_couplings, info.coupling_lags)
     try:
-        pending = (executor.submit(coupling_local_step, *args)
-                   if executor is not None and info.active_couplings else None)
-        try:
-            player_local_step(game, params, state, info.active_players, info.player_lags)
-        finally:    # a raised player step, too, waits for the worker, which writes the state
-            failure = pending and pending.exception()
-        if failure:
-            raise failure
-        if info.active_couplings and not pending:
-            coupling_local_step(*args)
+        player_local_step(game, params, state, info.active_players, info.player_lags)
+        if info.active_couplings:
+            coupling_local_step(game, params, state, info.active_couplings, info.coupling_lags)
     except ValueError as exc:   # a local step's error names the block and the operator
-        if "tick" not in str(exc):  # the interaction gradient's names the tick of its y already
+        if not _LAGGED_GRAD_ERROR.search(str(exc)):
             exc.args = (f"{exc}, at tick {n}",)
         raise
 
@@ -568,14 +560,15 @@ def solve(game: Game, params: SolverParams, schedule: Schedule, x0=None, *,
     game, params, schedule
         The problem, its step schedules, and the activation schedule.
     x0
-        Initial strategies (per-player blocks); defaults to all zeros.
-        Pass a prebuilt ``state`` instead to warm-start the full tuple; its
-        history depth (``IterState(..., max_lag=...)``) must cover the
-        schedule's ``max_lag``.
+        Initial strategies (per-player blocks); defaults to all zeros. The
+        run's history then holds ``min(schedule.max_lag, params.max_iters)``
+        ticks back, as far as any tick can read. Pass a prebuilt ``state``
+        instead to warm-start the full tuple; its history depth
+        (``IterState(..., max_lag=...)``) must cover the schedule's
+        ``max_lag``.
     parallel
-        Run each tick's coupling step on one worker thread while this one
-        runs the player step. The tick path is the same as in simulated
-        mode, so results are bitwise equal to it.
+        Does nothing. It is kept only because ``perfbench/run.py`` passes
+        it on every solve; every tick runs on the calling thread.
     validate
         Run the desk-scale problem and parameter validations first and
         raise ValueError on any violation; pass False to override.
@@ -594,34 +587,32 @@ def solve(game: Game, params: SolverParams, schedule: Schedule, x0=None, *,
     if isinstance(stall_window, bool) or not isinstance(stall_window, numbers.Integral) \
             or stall_window < 0:
         raise ValueError(f"stall_window must be a nonnegative integer, not {stall_window!r}")
-    if state is None:
-        state = IterState(game, x=x0, max_lag=params.max_lag)
-    elif x0 is not None:
-        raise ValueError("pass either x0 or a prebuilt state, not both")
-    depth = len(state._ring) - 1
-    if schedule.max_lag > depth:
-        raise ValueError(
-            f"schedule lags up to {schedule.max_lag} exceed the retained history depth max_lag={depth}"
-        )
-    if validate:
+    if validate:    # first, so that a bad max_iters is named before it sizes the history
         issues = validate_game_and_params(game, params)
         if issues:
             raise ValueError("validation failed:\n" + "\n".join(issues))
+    if state is None:
+        state = IterState(game, x=x0, max_lag=min(schedule.max_lag, params.max_iters))
+    elif x0 is not None:
+        raise ValueError("pass either x0 or a prebuilt state, not both")
+    elif schedule.max_lag > (depth := len(state._ring) - 1):
+        raise ValueError(
+            f"schedule lags up to {schedule.max_lag} exceed the retained history depth max_lag={depth}"
+        )
 
     reports = []
     status = "max_iters"
     frozen_ticks = 0
-    with ThreadPoolExecutor(1) if parallel else nullcontext() as executor:
-        for _ in range(params.max_iters):
-            report = tick(game, params, schedule, state, executor=executor)
-            reports.append(report)
-            if report.kkt_residual <= params.tol:
-                status = "converged"
-                break
-            frozen_ticks = frozen_ticks + 1 if report.theta is None else 0
-            if stall_window and frozen_ticks >= stall_window:
-                status = "stagnated"
-                break
+    for _ in range(params.max_iters):
+        report = tick(game, params, schedule, state)
+        reports.append(report)
+        if report.kkt_residual <= params.tol:
+            status = "converged"
+            break
+        frozen_ticks = frozen_ticks + 1 if report.theta is None else 0
+        if stall_window and frozen_ticks >= stall_window:
+            status = "stagnated"
+            break
     certificate = oracle.check_equilibrium(game, state.x, state.u_star, state.v_star)
     return SolveResult(*state.current_tuple(), reports, certificate, status, state.n)
 

@@ -220,12 +220,6 @@ class TestRun:
         mult = float(summary.split("multiplier[0]: [")[1].split("]")[0])
         assert abs(mult - 1.0) <= 1e-4
 
-    def test_parallel_flag_runs(self, tmp_path):
-        path = write_config(tmp_path, consensus_payload(tmp_path))
-        assert main(["solve", "--config", str(path), "--parallel"]) == 0
-        summary = (tmp_path / "summary.txt").read_text()
-        assert "status: converged" in summary
-
     def test_numerical_abort_exits_4(self, tmp_path, monkeypatch, capsys):
         import nashsplit.cli as cli_mod
         from nashsplit.solver import NumericalAbortError
@@ -253,8 +247,7 @@ class TestRun:
     {"schedule": {"seed": "abc"}},
     {"params": {"max_iters": None}},
     {"schedule": {"max_lag": 2.7}},
-    {"parallel": "false"},
-], ids=["seed-string", "max_iters-null", "max_lag-fraction", "parallel-string"])
+], ids=["seed-string", "max_iters-null", "max_lag-fraction"])
 def test_badly_typed_values_exit_1(tmp_path, capsys, extra):
     payload = consensus_payload(tmp_path, **extra)
     path = write_config(tmp_path, payload)
@@ -272,13 +265,12 @@ EVERY_KEY = {
     "params": {"epsilon": 0.02, "eta": 0.2, "lambda": 1.5, "sigma": 0.5, "rho": 2,
                "tol": 1e-7, "max_iters": 5000, "gamma": [0.5, 0.4], "mu": 0.3, "nu": 0.5},
     "output": {"trace": "trace.csv", "summary": "summary.txt"},
-    "parallel": True,
 }
 
 
 @pytest.mark.parametrize("payload, canonical, schedule, params", [
     (MINIMAL,
-     {"output": {"summary": None, "trace": None}, "parallel": False,
+     {"output": {"summary": None, "trace": None},
       "params": {"epsilon": 0.01, "eta": 0.1, "lambda": 1.8, "max_iters": 100000,
                  "rho": 1.0, "sigma": 1.0, "tol": 1e-08},
       "problem": MINIMAL["problem"],
@@ -290,14 +282,14 @@ EVERY_KEY = {
      "player_dual_steps=1.0, coupling_steps=1.0, coupling_dual_steps=1.0, max_iters=100000, "
      "tol=1e-08)"),
     (EVERY_KEY,
-     {"output": {"summary": "summary.txt", "trace": "trace.csv"}, "parallel": True,
+     {"output": {"summary": "summary.txt", "trace": "trace.csv"},
       "params": {"epsilon": 0.02, "eta": 0.2, "gamma": [0.5, 0.4], "lambda": 1.5,
                  "max_iters": 5000, "mu": 0.3, "nu": 0.5, "rho": 2, "sigma": 0.5, "tol": 1e-07},
       "problem": EVERY_KEY["problem"],
       "schedule": {"activation_prob": 0.25, "block_size": 2, "kind": "random", "max_lag": 3,
                    "seed": 42, "window": 4}},
      "Schedule(kind='random', max_lag=3, window=4, block_size=2, seed=42, activation_prob=0.25)",
-     "SolverParams(epsilon=0.02, eta=0.2, max_lag=3, window=4, relaxation=1.5, "
+     "SolverParams(epsilon=0.02, eta=0.2, max_lag=0, window=0, relaxation=1.5, "
      "strategy_steps=(0.5, 0.4), interaction_steps=0.3, player_dual_steps=0.5, coupling_steps=0.5, "
      "coupling_dual_steps=2.0, max_iters=5000, tol=1e-07)"),
 ], ids=["minimal", "every-key"])
@@ -319,7 +311,6 @@ def test_flags_and_file_keys_give_the_same_run(tmp_path, capsys):
         "schedule": {"kind": "random", "seed": 3, "max_lag": 4, "window": 3},
         "params": {"max_iters": 300, "tol": 1e-7},
         "output": {"trace": str(trace), "summary": str(summary)},
-        "parallel": True,
     }, name="keys.json")
     as_flags = write_config(tmp_path, MINIMAL, name="flags.json")
     runs = []
@@ -327,7 +318,7 @@ def test_flags_and_file_keys_give_the_same_run(tmp_path, capsys):
         ["--config", str(as_keys)],
         ["--config", str(as_flags), "--schedule", "random", "--seed", "3", "--max-lag", "4",
          "--window", "3", "--max-iters", "300", "--tol", "1e-7", "--trace", str(trace),
-         "--summary", str(summary), "--parallel"],
+         "--summary", str(summary)],
     ):
         assert main(["solve", *argv]) == 2           # stops at the tick limit
         runs.append((trace.read_bytes(), summary.read_text().split("config:")[1],
@@ -412,6 +403,13 @@ def test_unknown_consensus_key_is_refused(tmp_path, capsys):
         build_instance(problem)
     assert main(["solve", "--config", str(write_config(tmp_path, {"problem": problem}))]) == 1
     assert capsys.readouterr().err == "error: unknown consensus keys: ['radius']\n"
+
+
+def test_a_parallel_key_is_an_unknown_top_level_key(tmp_path, capsys):
+    path = write_config(tmp_path, consensus_payload(tmp_path, parallel=True))
+    assert main(["solve", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == "error: unknown top-level config keys: ['parallel']\n"
+    assert not (tmp_path / "trace.csv").exists()
 
 
 @pytest.mark.parametrize("problem, missing", [

@@ -128,7 +128,7 @@ def test_certificate_names_a_wrong_output_shape(game, message):
 
 
 @pytest.mark.parametrize("field", ["x", "u*", "v*"])
-@pytest.mark.parametrize("fault", ["long", "nan"])
+@pytest.mark.parametrize("fault", ["long", "nan", "extra-block"])
 def test_a_bad_stacked_vector_names_its_field(field, fault):
     game, _ = shared_constraint_instance()     # two scalar players, one scalar coupling
     args = {"x": np.ones(2), "u*": np.ones(2), "v*": np.ones(1)}
@@ -136,11 +136,17 @@ def test_a_bad_stacked_vector_names_its_field(field, fault):
     if fault == "long":
         args[field] = np.ones(width + 1)
         message = f"{field}: expected dimension {width}, got {width + 1}"
-    else:
+    elif fault == "nan":
         args[field][-1] = np.nan
         message = f"{field}: entries must be finite"
+    else:   # per-block input with one block more than the layout has
+        args[field] = [[1.0]] * (width + 1)
+        message = f"{field}: expected {width} blocks, got {width + 1}"
     with pytest.raises(ValueError, match=re.escape(message)):
         check_equilibrium(game, *args.values())
+    if field != "u*":
+        with pytest.raises(ValueError, match=re.escape(message)):
+            equilibrium_tuple(game, args["x"], args["v*"])
     args[field] = np.ones(width)
     assert check_equilibrium(game, *args.values()) == check_equilibrium(game, [[1.0], [1.0]],
                                                                          [[1.0], [1.0]], [[1.0]])

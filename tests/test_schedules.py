@@ -6,6 +6,7 @@ import random
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -116,6 +117,18 @@ def test_schedule_rejects_non_integer_fields(make, field):
     # without the check these fail only at the first tick that uses the field
     with pytest.raises(ValueError, match=field):
         make()
+
+
+@pytest.mark.parametrize("prob", [True, "0.5", None, [0.5]], ids=repr)
+def test_schedule_rejects_a_non_real_activation_prob(prob):
+    with pytest.raises(ValueError, match=r"^activation_prob must be a real number, not "):
+        randomized(1, prob)
+
+
+def test_schedule_stores_activation_prob_as_a_float():
+    for prob in (1, np.float32(0.25), Fraction(1, 2)):
+        sched = randomized(1, prob)
+        assert type(sched.activation_prob) is float and sched.activation_prob == float(prob)
 
 
 def test_schedule_accepts_numpy_integers():

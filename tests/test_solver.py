@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import pickle
 import re
 from collections import Counter
 
@@ -43,7 +44,6 @@ from nashsplit.solver import (
 
 from _oracles import (consensus_reference_pieces, reference_run, reference_run_scheduled,
                       reference_tick)
-from test_integration import kitchen_sink_game
 
 
 def free_scalar_game(num_players=1):
@@ -690,26 +690,6 @@ class TestSolve:
         cyc_x = np.concatenate(ns.solve(game, params, cyc).x)
         assert np.linalg.norm(cyc_x - sync_x) <= 1e-4
 
-    def test_parallel_mode_same_contract(self):
-        game, _ = shared_constraint_instance()
-        sink = kitchen_sink_game()
-        runs = [
-            (game, ns.synchronous(), SolverParams.for_game(game), "converged"),
-            (game, ns.randomized(seed=5, activation_prob=0.5, max_lag=5, window=4),
-             SolverParams.for_game(game, max_lag=5, window=4), "converged"),
-            # two couplings, stepped on the worker at lags of their own
-            (sink, ns.randomized(1, 0.5, max_lag=3, window=8),
-             SolverParams.for_game(sink, max_lag=3, window=8, max_iters=150), "max_iters"),
-        ]
-        for game, schedule, params, status in runs:
-            serial = ns.solve(game, params, schedule)
-            threaded = ns.solve(game, params, schedule, parallel=True)
-            assert serial.status == threaded.status == status
-            for group in ("x", "y", "z", "u_star", "v_star"):
-                for a, b in zip(getattr(serial, group), getattr(threaded, group), strict=True):
-                    assert a.tobytes() == b.tobytes()
-            assert threaded.reports == serial.reports
-
     def test_warm_start_from_near_equilibrium(self):
         game, _ = consensus_instance([(2, 3), (0, 1)])
         params = SolverParams.for_game(game)
@@ -749,12 +729,22 @@ class TestSolve:
         with pytest.raises(ValueError, match="validation failed"):
             ns.solve(game, bad, ns.synchronous())
 
-    def test_schedule_lag_must_fit_history(self):
+    def test_the_schedule_alone_sets_the_history_depth(self):
+        # params.max_lag and window are read by nothing: the schedule sizes the ring
         game, _ = consensus_instance([(2, 3), (0, 1)])
-        params = SolverParams.for_game(game)  # max_lag 0
         sched = ns.randomized(seed=0, activation_prob=0.5, max_lag=3, window=2)
-        with pytest.raises(ValueError, match="exceed the retained history"):
-            ns.solve(game, params, sched)
+        bare = ns.solve(game, SolverParams.for_game(game), sched)
+        lagged = ns.solve(game, SolverParams.for_game(game, max_lag=3, window=2), sched)
+        assert bare.status == "converged"
+        assert pickle.dumps(bare) == pickle.dumps(lagged)
+
+    def test_a_huge_lag_bound_runs_on_a_history_of_max_iters(self):
+        game, _ = consensus_instance([(2, 3), (0, 1)])
+        sched = ns.randomized(seed=0, activation_prob=0.5, max_lag=2**40, window=2)
+        result = ns.solve(game, SolverParams.for_game(game, max_iters=50), sched)
+        assert result.status == "max_iters" and result.ticks == 50
+        # lags are drawn from all of the run's past, so reads reach far back
+        assert max(rep.n - t for rep in result.reports for t in rep.player_lags.values()) > 25
 
     def test_warm_start_state_must_hold_the_schedule_lags(self):
         # the run reads the history ring of the state it is given, so that
@@ -1136,8 +1126,7 @@ def _two_entry_coupling_game(resolvent=lambda gamma, z: z, grad=None):
     return Game(players, InteractionGradient(lambda y: y - 0.5, 1.0), [coupling])
 
 
-@pytest.mark.parametrize("parallel", [False, True], ids=["simulated", "thread"])
-def test_a_wrong_coupling_prox_shape_names_the_coupling_and_the_tick(parallel):
+def test_a_wrong_coupling_prox_shape_names_the_coupling_and_the_tick():
     # the gate cannot see a resolvent's output shape; without the step's own
     # check the one entry was broadcast into both for the whole run
     game = _two_entry_coupling_game(resolvent=lambda gamma, z: z[:1])
@@ -1145,7 +1134,18 @@ def test_a_wrong_coupling_prox_shape_names_the_coupling_and_the_tick(parallel):
     assert solver.validate_game_and_params(game, params) == []
     message = "coupling 0: prox returned shape (1,), expected (2,), at tick 0"
     with pytest.raises(ValueError, match=re.escape(message)):
-        ns.solve(game, params, ns.synchronous(), parallel=parallel)
+        ns.solve(game, params, ns.synchronous())
+
+
+@pytest.mark.parametrize("text", ["resolvent refused", "sticky resolvent refused"])
+def test_a_user_error_gets_its_tick_whatever_its_text(text):
+    # a user's message that happens to contain "tick" still gets the tick
+    def refuse(gamma, z):
+        raise ValueError(text)
+
+    game = _two_entry_coupling_game(resolvent=refuse)
+    with pytest.raises(ValueError, match=re.escape(f"{text}, at tick 0") + "$"):
+        ns.solve(game, SolverParams.for_game(game), ns.synchronous(), validate=False)
 
 
 def test_a_wrong_coupling_gradient_shape_names_the_coupling():

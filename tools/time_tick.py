@@ -59,6 +59,12 @@ certificates and set-up parameters, or the script stops::
 
     python tools/time_tick.py --against ../parent --reps 8
 
+The cases pass the schedule's ``max_lag`` and ``window`` to
+``SolverParams.for_game`` although this checkout's ``solve`` reads
+neither (it sizes its history from the schedule): an older checkout
+sized its history from ``SolverParams.max_lag``, and ``--against`` must
+still drive it.
+
 ``--rows PATTERN`` (repeatable) keeps only the rows whose name matches one
 of the ``fnmatch`` patterns, so that a few rows can be timed in pairs
 without the whole sweep, which takes minutes per rep::
