@@ -22,7 +22,7 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .linops import Identity, LinOp, Zero
+from .linops import Dense, Identity, LinOp, ScaledIdentity, Zero
 from .proximal import NonsmoothTerm, is_indicator
 
 __all__ = [
@@ -193,6 +193,99 @@ class ProxGroup(NamedTuple):
     index: np.ndarray
 
 
+class _Incidence(NamedTuple):
+    """Maps that act on their blocks one product per output entry, and the calls of the
+    others: a row per member, one column per output entry. Row ``j`` holds the ``j``-th
+    member of each column, the product ``coef * source[at]``, ``-0.0`` where ``pad``
+    flat-indexes (a column with fewer members), plus ``shift``, ``+0.0`` at a ``Dense`` product
+    and ``-0.0`` elsewhere (None: no ``Dense`` product, or the shift does not matter).
+    ``coef`` is None when every coefficient is ``1.0``, and ``pad`` when no column has
+    fewer members than the table has rows.
+    ``calls`` are ``(row, columns, source entries, map, block)`` of the other maps, which
+    fill their place with their own call."""
+
+    at: np.ndarray
+    coef: Optional[np.ndarray]
+    pad: Optional[np.ndarray]
+    shift: Optional[np.ndarray]
+    calls: tuple
+
+
+def _incidence_table(outputs, width: int, adjoint: bool) -> _Incidence:
+    """The table of ``outputs``, one ``(columns, members)`` per output block, over ``width``
+    columns, each member ``(source entries, map, block)`` in accumulation order: a map
+    (its adjoint) of the right widths is a product per entry when it is an ``Identity`` or a
+    ``ScaledIdentity``, or a ``Dense`` of one column (one row). Without outputs it is the
+    shared empty table."""
+    if not outputs:
+        return _NO_TABLE
+    rows = max(len(members) for _, members in outputs) or 1
+    at, coef, live, dense, calls = [0] * (rows * width), [1.0] * (rows * width), set(), [], []
+    for cols, members in outputs:       # built in lists: numpy costs more per member
+        for j, (src, op, block) in enumerate(members):
+            ins, outs = src.stop - src.start, cols.stop - cols.start
+            flat = range(j * width + cols.start, j * width + cols.stop)
+            live.update(flat)
+            fits = (op.in_dim, op.out_dim) == ((outs, ins) if adjoint else (ins, outs))
+            if fits and type(op) in (Identity, ScaledIdentity):
+                at[flat.start:flat.stop] = range(src.start, src.stop)
+                coef[flat.start:flat.stop] = [getattr(op, "scale", 1.0)] * outs
+            elif fits and ins == 1 and type(op) is Dense:
+                at[flat.start:flat.stop] = [src.start] * outs
+                coef[flat.start:flat.stop] = op.matrix().ravel().tolist()
+                dense += flat   # its BLAS gemv returns +0.0 for a lone -0.0 product
+            else:
+                calls.append((j, cols, src, op, block))
+    pad, shape, shift = [p for p in range(rows * width) if p not in live], (rows, width), None
+    if adjoint and dense:
+        shift = np.full(shape, -0.0)
+        shift.flat[dense] = 0.0
+        shift.flags.writeable = False
+    return _Incidence(_readonly(at, np.intp, shape),
+                      None if coef.count(1.0) == len(coef) else _readonly(coef, float, shape),
+                      _readonly(pad, np.intp, -1) if pad else None, shift, tuple(calls))
+
+
+def _readonly(values: list, dtype, shape) -> np.ndarray:
+    """``values`` as a read-only array of ``shape``."""
+    out = np.array(values, dtype=dtype).reshape(shape)
+    out.flags.writeable = False
+    return out
+
+
+_NO_TABLE = _Incidence(_readonly([], np.intp, (1, 0)), None, None, None, ())
+
+
+def _terms(table: _Incidence, values: np.ndarray) -> np.ndarray:
+    """The products of ``table``: ``values`` (the source at ``table.at``, a fresh array)
+    times the coefficients, ``-0.0`` at the pads, plus the shift. The places of its calls
+    are the caller's to fill."""
+    terms = values if table.coef is None else values * table.coef
+    if table.pad is not None:
+        terms.put(table.pad, -0.0)     # -0.0, the one exact additive identity
+    if table.shift is not None:
+        terms = terms + table.shift     # not "+=": an in-place ufunc call costs more here
+    return terms
+
+
+def _added(start, terms: np.ndarray) -> np.ndarray:
+    """``start`` plus the rows of ``terms``, one at a time: a reduce would add in another
+    order."""
+    acc = start + terms[0]
+    for j in range(1, len(terms)):
+        acc = acc + terms[j]
+    return acc
+
+
+def _contiguous(index: np.ndarray):
+    """``index`` as a slice when it runs up by one from its first entry, else read-only."""
+    entries = index.tolist()
+    if entries and entries == list(range(entries[0], entries[0] + len(entries))):
+        return slice(entries[0], entries[0] + len(entries))
+    index.flags.writeable = False
+    return index
+
+
 def _groups(terms, dims, entries) -> tuple:
     """One ``ProxGroup`` per ``stack[:2]`` that the terms declare, and one per other term,
     on the ``entries`` of their players; one whose ``stack`` vectors miss its width
@@ -228,7 +321,24 @@ class Game:
     and, per field, the slice of those blocks ``field_blocks``) and, per
     player, the ``x`` entries of the player step
     and the couplings whose maps read that player's strategy (the players
-    with at least one are ``coupled_players``).
+    with at least one are ``coupled_players``). A map key that is not a
+    player index (an ``int`` in ``range(num_players)``, not a ``bool``)
+    raises ValueError.
+
+    The couplings' maps become two incidence tables over the stacked
+    layout, built once: per coupling entry its members in increasing player
+    order (``coupling_mix``), per coupled player's strategy entry its
+    couplings in increasing ``k`` (``coupling_pull``). A map of the right
+    widths whose every output entry is one product, an ``Identity``, a
+    ``ScaledIdentity`` or a one-column (for the adjoint, one-row) ``Dense``,
+    is a coefficient and a source entry; any other map fills its row with
+    its own ``apply`` (``adjoint_apply``) call. The rows are added one at a
+    time, so the bits are those of calling each map in turn: the mixture
+    from ``+0.0``, the adjoint from the given accumulator, a ``Dense``
+    product plus ``+0.0`` (its BLAS gemv turns a lone ``-0.0`` into
+    ``+0.0``), and absent members ``-0.0``, the one exact additive identity.
+    One coupling's mixture alone (``coupling_mix(x, k)``) calls its maps in
+    turn.
 
     For the stacked certificate, ``prox_groups`` puts every player in one
     ``ProxGroup``: players whose terms declare the same constructor and
@@ -270,6 +380,7 @@ class Game:
         for name, group in (("x_span", groups[0]), ("y_span", groups[1]), ("u_span", groups[3])):
             object.__setattr__(self, name, slice(group[0].start, group[-1].stop))
         object.__setattr__(self, "v_span", slice(start - sum(self.coupling_dims), start))
+        object.__setattr__(self, "z_span", slice(self.y_span.stop, self.u_span.start))
         # PlayerBlock and CouplingBlock reject zero widths, so no two starts
         # coincide and np.add.reduceat over them sums exactly one block each.
         starts = np.array([s.start for group in groups for s in group], dtype=np.intp)
@@ -309,14 +420,38 @@ class Game:
         object.__setattr__(self, "indicator_players", tuple(
             i for i, p in enumerate(self.players) if is_indicator(p.nonsmooth)
         ))
-        v0, incidence = self.v_span.start, [[] for _ in self.players]
-        for s, c in zip(groups[4], self.couplings):     # per player, (v* slice, L_ki) by increasing k
-            for i, op in c.maps.items():
-                if 0 <= i < len(incidence):     # validate_problem reports the other keys
-                    incidence[i].append((slice(s.start - v0, s.stop - v0), op))
-        object.__setattr__(self, "_incidence", tuple(map(tuple, incidence)))
-        object.__setattr__(self, "coupled_players",
-                           tuple(i for i, links in enumerate(self._incidence) if links))
+        self._coupling_tables(groups)
+
+    def _coupling_tables(self, groups) -> None:
+        """Refuse a map key that is not a player, then build ``_mixture``, each coupling's
+        members by increasing player (``_members``), ``_pullback`` with its columns
+        (``_pull_columns``) and ``x`` entries (``_pulled``) per coupled player, and
+        ``coupled_players``."""
+        mixes, links, v0 = [], [[] for _ in self.players], self.v_span.start
+        for k, (c, s) in enumerate(zip(self.couplings, groups[4])):
+            for i in c.maps:
+                if isinstance(i, bool) or not isinstance(i, numbers.Integral) \
+                        or not 0 <= i < len(self.players):
+                    raise ValueError(f"coupling {k}: map references unknown player {i}")
+            cols = slice(s.start - v0, s.stop - v0)   # its columns of the mixture, its v* entries
+            mixes.append((cols, [(groups[0][i], c.maps[i], k) for i in sorted(c.maps)]))
+            for i in sorted(c.maps):
+                links[i].append((cols, c.maps[i], i))
+        object.__setattr__(self, "_mixture", _incidence_table(mixes, self.v_span.stop - v0,
+                                                              adjoint=False))
+        object.__setattr__(self, "_members", tuple(members for _, members in mixes))
+        coupled = tuple(i for i, ls in enumerate(links) if ls)
+        columns, start = {}, 0      # per coupled player, its columns of the pullback
+        for i in coupled:
+            columns[i] = slice(start, start + self.strategy_dims[i])
+            start += self.strategy_dims[i]
+        object.__setattr__(self, "_pullback", _incidence_table(
+            [(columns[i], links[i]) for i in coupled], start, adjoint=True))
+        pulled = [self._x_entries[i] for i in coupled]
+        object.__setattr__(self, "_pulled",
+                           _contiguous(np.concatenate(pulled)) if pulled else slice(0, 0))
+        object.__setattr__(self, "_pull_columns", columns)
+        object.__setattr__(self, "coupled_players", coupled)
 
     @property
     def num_players(self) -> int:
@@ -342,12 +477,30 @@ class Game:
         """Per-block views of a flat state vector (writes go through to it)."""
         return StateBlocks(*(tuple(vec[s] for s in group) for group in self.state_slices))
 
-    def coupling_mixture(self, k: int, x: np.ndarray) -> np.ndarray:
-        """``sum_i L_ki x_i`` on the stacked ``x`` or a whole state, from zeros by increasing ``i``."""
-        blk, xs = self.couplings[k], self.state_slices.x
-        acc = np.zeros(blk.dim)
-        for i in sorted(blk.maps):
-            acc = acc + blk.maps[i].apply(x[xs[i]])
+    def coupling_mix(self, x: np.ndarray, k: Optional[int] = None) -> np.ndarray:
+        """``L_k x = sum_i L_ki x_i`` of coupling ``k``, or of every coupling stacked, on the
+        stacked ``x`` or a whole state: from ``+0.0``, members by increasing ``i``. One
+        coupling calls its own maps, which costs less than a table when it has few members
+        or wide maps."""
+        if k is not None:
+            acc = np.zeros(self.coupling_dims[k])
+            for src, op, _ in self._members[k]:
+                acc = acc + op.apply(x[src])
+            return acc
+        table = self._mixture
+        terms = _terms(table, x[table.at])
+        for row, cols, src, op, _ in table.calls:
+            terms[row, cols] = op.apply(x[src])
+        return _added(0.0, terms)
+
+    def coupling_pull(self, acc: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """``acc + sum_k L_k^* v_k`` on the stacked ``x`` and ``v*``, couplings by increasing
+        ``k``, written into the entries of ``coupled_players`` of ``acc``; returns ``acc``."""
+        table, pulled = self._pullback, self._pulled
+        terms = _terms(table, v[table.at])
+        for row, cols, src, op, _ in table.calls:
+            terms[row, cols] = op.adjoint_apply(v[src])
+        acc[pulled] = _added(acc[pulled], terms)
         return acc
 
     def _walk(self, v, players, ins, outs, call, what) -> np.ndarray:
@@ -399,12 +552,6 @@ class Game:
             raise ValueError(f"coupling {k}: smooth gradient returned shape {np.shape(g)}, "
                              f"expected {np.shape(z)}")
         return g
-
-    def coupling_pullback(self, i: int, acc: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """``acc + sum_k L_ki^* v_k`` on the stacked ``v*``, from ``acc`` in increasing ``k``."""
-        for vk, op in self._incidence[i]:
-            acc = acc + op.adjoint_apply(v[vk])
-        return acc
 
 
 # A per-block step schedule: a constant, one constant per block, or a
@@ -534,9 +681,6 @@ def validate_problem(game: Game, samples: int = 25, seed: int = 0) -> list:
         if c.nonsmooth.dim is not None and c.nonsmooth.dim != c.dim:
             report.append(f"coupling {k}: nonsmooth term dimension {c.nonsmooth.dim} != {c.dim}")
         for i, op in c.maps.items():
-            if i < 0 or i >= game.num_players:
-                report.append(f"coupling {k}: map references unknown player {i}")
-                continue
             if op.out_dim != c.dim or op.in_dim != game.players[i].dim_strategy:
                 report.append(f"coupling {k}: map for player {i} is {op.in_dim}->{op.out_dim}, "
                               f"expected {game.players[i].dim_strategy}->{c.dim}")

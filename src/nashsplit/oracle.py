@@ -14,7 +14,9 @@ views of its flat state. Players whose nonsmooth terms declare the same
 entrywise ``stack`` share one prox call (``Game.prox_groups``); any other
 term, a hand-made one whatever its kind, is evaluated alone. The mixes and
 smooth gradients go through ``Game.mix``, ``Game.smooth_grad`` and
-``Game.coupling_grad``, as in the solver's local steps. The player and
+``Game.coupling_grad``, and the couplings' mixtures and adjoints through
+one ``Game.coupling_mix`` and one ``Game.coupling_pull`` on the stacked
+vectors, as in the solver's local steps. The player and
 interaction residuals and the players' gaps are the per-block norms of one
 stacked difference (one ``np.add.reduceat``); each coupling's lines are
 ``np.dot`` norms. The maximum runs over the player, interaction and
@@ -110,8 +112,8 @@ def check_equilibrium(game: Game, x, u_star=None, v_star=None, *,
     v, v0 = _stacked(v_star, layout.v_star, "v*", coerce), game.v_span.start
 
     pull = game.smooth_grad(x) + game.mix(u, adjoint=True)
-    for i in game.coupled_players:
-        pull[layout.x[i]] = game.coupling_pullback(i, pull[layout.x[i]], v)
+    if game.coupled_players:
+        game.coupling_pull(pull, v)
     # prox residuals at unit step: any fixed positive step has the same zero
     # set, and this one is unrelated to the solver's step schedules
     step = x - pull
@@ -132,9 +134,11 @@ def check_equilibrium(game: Game, x, u_star=None, v_star=None, *,
     starts = game._residual_starts[:(3 if gapped else 2) * players]
     norms = np.sqrt(np.add.reduceat(diff * diff, starts)).tolist()
     coupling_res, gaps = [], [norms[2 * players + i] for i in game.indicator_players]
+    mixed = game.coupling_mix(x) if game.couplings else None
     for k, (blk, s) in enumerate(zip(game.couplings, layout.v_star)):
-        z = game.coupling_mixture(k, x)
-        b = prox(blk.nonsmooth, 1.0, z + (v[s.start - v0:s.stop - v0] - game.coupling_grad(k, z)))
+        s = slice(s.start - v0, s.stop - v0)
+        z = mixed[s]
+        b = prox(blk.nonsmooth, 1.0, z + (v[s] - game.coupling_grad(k, z)))
         if np.shape(b) != z.shape:
             raise ValueError(f"coupling {k}: prox returned shape {np.shape(b)}, expected {z.shape}")
         coupling_res.append(_norm(z - b))
@@ -157,9 +161,9 @@ def equilibrium_tuple(game: Game, x, v_star=None):
     x, v = _stacked(x, layout.x, "x"), _stacked(v_star, layout.v_star, "v*")
     xs = [x[s] for s in layout.x]
     ys = [p.mix.apply(xs[i]) for i, p in enumerate(game.players)]
-    zs = [game.coupling_mixture(k, x) for k in range(game.num_couplings)]
+    mixed = game.coupling_mix(x) if game.couplings else None
+    zs, vs = ([w[s.start - v0:s.stop - v0] for s in layout.v_star] for w in (mixed, v))
     us = game.split_interaction(np.asarray(game.interaction.eval(np.concatenate(ys)), dtype=float))
-    vs = [v[s.start - v0:s.stop - v0] for s in layout.v_star]
     return tuple(tuple(np.array(b) for b in group) for group in (xs, ys, zs, us, vs))
 
 

@@ -8,9 +8,14 @@ underlying monotone operator, and relaxedly projects the full iterate
 separates from the solution set.
 
 All activated players step together in ``player_local_step``, all activated
-couplings in ``coupling_local_step``. A tick runs on the calling thread, and
-its asynchrony is the schedule's: which blocks it activates and how many ticks
-stale their reads are. A run is therefore bit-reproducible.
+couplings in ``coupling_local_step``. The couplings' mixtures and adjoints
+are one pass each over ``Game``'s incidence tables (``Game.coupling_mix``,
+``Game.coupling_pull``) in the coupling step, ``refresh_e``,
+``assemble_duals`` and the certificate; the player step keeps its players'
+columns of the adjoint table and reads each player's ``v*`` from its lag
+row. A tick runs on the calling thread, and its asynchrony is the
+schedule's: which blocks it activates and how many ticks stale their reads
+are. A run is therefore bit-reproducible.
 
 Arithmetic is double precision throughout. The scalar test, the step size
 and the separation gap share one inner product: per-block sums of the
@@ -33,7 +38,8 @@ from typing import Optional
 import numpy as np
 
 from .model import (
-    Game, SolverParams, StateBlocks, as_vector, validate_params, validate_problem,
+    Game, SolverParams, StateBlocks, _added, _contiguous, _Incidence, _terms, as_vector,
+    validate_params, validate_problem,
 )
 from .proximal import prox
 from .schedules import Schedule
@@ -61,6 +67,7 @@ __all__ = [
 # evaluates callable step schedules at ticks 0..256.
 _GATE_SAMPLES, _GATE_SEED, _GATE_HORIZON = 16, 0, 256
 _MAX_PLANS = 256    # player-step plans that an IterState keeps
+_FIRST_ROWS = 256   # history rows that an IterState starts with, doubled as its run needs
 # the end of lagged_interaction_grad's shape error, which names its tick already
 _LAGGED_GRAD_ERROR = re.compile(r", at the y of tick \d+\Z")
 
@@ -118,8 +125,12 @@ class IterState:
     per-block views into them. The pair and ``s*`` start at zero; a tick
     writes the activated blocks into the views in place, so the inactive
     blocks keep their last values.
-    Tick ``n`` of the history is row ``n % (max_lag + 1)`` of a ring with
-    one row per retained tick; the local steps read it through a read-only view.
+    Tick ``n`` of the history is row ``n % len`` of a ring with one row per
+    retained tick; the local steps read it through a read-only view. The
+    ring starts with ``min(max_lag + 1, 256)`` rows and doubles, up to
+    ``max_lag + 1``, when a push reaches its end before it has ever
+    wrapped, so tick ``n`` stays at row ``n`` and memory follows the
+    history that a run uses, not its lag bound.
     A row's last columns are a memo of the interaction gradient at its
     ``y``: ``lagged_interaction_grad`` evaluates it on the first read after
     the row was pushed and returns the stored columns on later reads.
@@ -188,19 +199,33 @@ class IterState:
         self._plans = {}                    # see player_local_step()
         # (flat bytes, residual) of the last per-tick certificate; see tick().
         self._certified = (None, None)
-        depth = int(max_lag) + 1
-        # a ring row: a tick's state, then the interaction gradient at its y
-        self._ring_and_grads = np.empty((depth, game.state_size + game.total_interaction_dim))
-        self._ring = self._ring_and_grads[:, :game.state_size]
-        self._ring_stamps = [-1] * depth
-        self._grad_stamps = [-1] * depth    # the tick whose y a row's gradient columns hold
-        frozen = self._ring_and_grads.view()
-        frozen.flags.writeable = False
-        self._frozen = frozen
+        self._capacity = int(max_lag) + 1   # the rows that the ring may grow to
+        self._ring_stamps, self._grad_stamps = [], []
+        self._grow(min(self._capacity, _FIRST_ROWS))
         self._push_history(0)
 
+    def _grow(self, rows: int) -> None:
+        """Give the ring ``rows`` rows, the held ones where they were: a row is a tick's
+        state, then the interaction gradient at its ``y``."""
+        held = len(self._ring_stamps)
+        ring = np.empty((rows, self.game.state_size + self.game.total_interaction_dim))
+        if held:
+            ring[:held] = self._ring_and_grads
+        self._ring_and_grads = ring
+        self._ring = ring[:, :self.game.state_size]
+        self._ring_stamps += [-1] * (rows - held)
+        self._grad_stamps += [-1] * (rows - held)   # the tick whose y a row's gradient holds
+        frozen = ring.view()
+        frozen.flags.writeable = False
+        self._frozen = frozen
+
     def _push_history(self, idx: int) -> None:
-        row = idx % len(self._ring)
+        rows = held = len(self._ring)
+        while rows <= idx and rows < self._capacity:     # never wrapped: tick t is at row t
+            rows = min(2 * rows, self._capacity)
+        if rows > held:
+            self._grow(rows)
+        row = idx % rows
         self._ring[row] = self.flat
         self._ring_stamps[row] = idx
         self._grad_stamps[row] = -1
@@ -211,7 +236,7 @@ class IterState:
             held = sorted(t for t in self._ring_stamps if t >= 0)
             raise MissingHistoryError(
                 f"history has ticks {held}, requested {tick_index}; "
-                f"schedule lags exceed the retained depth"
+                f"schedule lags exceed the retained depth max_lag={self._capacity - 1}"
             )
         return row
 
@@ -288,15 +313,15 @@ def player_local_step(game: Game, params: SolverParams, state: IterState, player
             np.concatenate([game._x_entries[i] for i in players]), [dims[i] for i in players]))
         bounds = (range(len(players) + 1) if len(x_at) == len(players)
                   else [0, *accumulate(dims[i] for i in players)])
-        coupled = [(i, slice(lo, hi)) for i, lo, hi in zip(players, bounds, bounds[1:])
-                   if game._incidence[i]]
-        plan = (at, x_at, bounds, y_repeats, x_repeats, coupled, [None])
+        plan = (at, x_at, bounds, y_repeats, x_repeats, _step_pullback(game, players, bounds),
+                [None])
         if len(state._plans) < _MAX_PLANS:
             state._plans[players] = plan
-    at, x_at, bounds, y_repeats, x_repeats, coupled, steps = plan
+    at, x_at, bounds, y_repeats, x_repeats, pulled, steps = plan
     frozen, lag_rows = state._frozen, [lags[i] % len(state._ring) for i in players]
+    one_lag = min(lag_rows) == max(lag_rows)
     # at one lag, index its row: about 2 us faster than a fancy index over rows
-    held = (frozen[lag_rows[0]][at] if min(lag_rows) == max(lag_rows)
+    held = (frozen[lag_rows[0]][at] if one_lag
             else frozen[lag_rows if y_repeats is None else np.repeat(lag_rows, y_repeats), at])
     x = held[3] if x_repeats is None else frozen[np.repeat(lag_rows, x_repeats), x_at]
     # rows: gradient, y, u* and, when every player's widths agree, x entries;
@@ -312,8 +337,17 @@ def player_local_step(game: Game, params: SolverParams, state: IterState, player
     # q = y + step_y * (u* - grad) and c* = u* + step_u * (M x - y) as two rows
     q_c = held[1:3] + step[:2] * (right - held[:2])
     pull = game.smooth_grad(x, players) + game.mix(held[2], players, adjoint=True)
-    for i, seg in coupled:
-        pull[seg] = game.coupling_pullback(i, pull[seg], frozen[lags[i] % len(frozen), game.v_span])
+    if pulled is not None:     # each coupled player's v* from its lag row
+        pos, table, owner = pulled
+        values = (frozen[lag_rows[0]][table.at] if one_lag else
+                  frozen[lag_rows if owner is None else [lag_rows[p] for p in owner], table.at])
+        terms = _terms(table, values)
+        if terms.ndim == 1:     # one table row: a plain add
+            pull[pos] += terms
+        else:
+            for row, cols, src, op, place in table.calls:
+                terms[row, cols] = op.adjoint_apply(frozen[lag_rows[place], src])
+            pull[pos] = _added(pull[pos], terms)
     x_star = x - step_x * pull
     a = []
     for i, lo, hi in zip(players, bounds, bounds[1:]):     # the resolvents
@@ -327,6 +361,38 @@ def player_local_step(game: Game, params: SolverParams, state: IterState, player
     state.s_star[x_at] = ((x_star - a) / step_x + game.smooth_grad(a, players)
                           + game.mix(q_c[1], players, adjoint=True))
     state.direction[at[2]] = q_c[0] - game.mix(a, players)
+
+
+def _step_pullback(game: Game, players: tuple, bounds):
+    """The pullback's columns of the coupled ``players`` (``Game._pullback``) as a table
+    over ring rows, with each column's position in the step's ``x`` entries and its
+    player's place in ``players``, which the calls name in place of the player; None
+    when no listed player is coupled."""
+    full, columns, v0 = game._pullback, game._pull_columns, game.v_span.start
+    places = [p for p, i in enumerate(players) if i in columns]
+    if not places:
+        return None
+    widths = [bounds[p + 1] - bounds[p] for p in places]
+    cols = np.concatenate([np.arange(columns[players[p]].start, columns[players[p]].stop)
+                           for p in places])
+    pos = np.concatenate([np.arange(bounds[p], bounds[p + 1]) for p in places])
+    owner = np.repeat(places, widths).tolist()
+    live = np.ones(full.at.size, dtype=bool)
+    live[[] if full.pad is None else full.pad] = False
+    live = live.reshape(full.at.shape)[:, cols]
+    rows = int(live.any(axis=1).sum())     # the most couplings of a listed player
+    pad = np.flatnonzero(~live[:rows])
+    shift = None if full.shift is None else full.shift[:rows, cols]
+    first = {players[p]: start for p, start in zip(places, accumulate([0] + widths))}
+    calls = tuple((j, slice(first[i], first[i] + c.stop - c.start),
+                   slice(v0 + src.start, v0 + src.stop), op, players.index(i))
+                  for j, c, src, op, i in full.calls if i in first)
+    table = _Incidence(full.at[:rows, cols] + v0,
+                       None if full.coef is None else full.coef[:rows, cols],
+                       pad if len(pad) else None, shift, calls)
+    if rows == 1 and not calls:     # each listed player in one coupling, by a table product
+        table = _Incidence(*(None if t is None else t[0] for t in table[:4]), ())
+    return _contiguous(pos), table, None if owner == list(range(len(players))) else owner
 
 
 def _step_table(state: IterState, params: SolverParams, lags: dict) -> np.ndarray:
@@ -367,7 +433,10 @@ def coupling_local_step(game: Game, params: SolverParams, state: IterState, coup
     ``refresh_e`` computes ``e`` from the newest player candidates; the smooth
     gradients go through ``Game.coupling_grad``, as in the certificate.
     """
-    zs, vs = game.state_slices.z, game.state_slices.v_star
+    zs, vs, z0 = game.state_slices.z, game.state_slices.v_star, game.z_span.start
+    mixed = None    # every coupling at one lag: one mixture of them all
+    if len(couplings) == len(game.couplings) and len({lags[k] for k in couplings}) == 1:
+        mixed = game.coupling_mix(state._frozen[state._row(lags[couplings[0]])])
     for k in couplings:
         row = state._frozen[state._row(lags[k])]
         z, v = row[zs[k]], row[vs[k]]
@@ -376,7 +445,9 @@ def coupling_local_step(game: Game, params: SolverParams, state: IterState, coup
         b = np.asarray(prox(game.couplings[k].nonsmooth, step_z, d_star))
         if b.shape != d_star.shape:
             raise ValueError(f"coupling {k}: prox returned shape {b.shape}, expected {d_star.shape}")
-        e_star = v + params.coupling_dual_step(k, lags[k]) * (game.coupling_mixture(k, row) - z)
+        mix = (game.coupling_mix(row, k) if mixed is None
+               else mixed[zs[k].start - z0:zs[k].stop - z0])
+        e_star = v + params.coupling_dual_step(k, lags[k]) * (mix - z)
         state.point[zs[k]], state.point[vs[k]] = b, e_star
         state.direction[zs[k]] = (d_star - b) / step_z + game.coupling_grad(k, b) - e_star
 
@@ -389,8 +460,8 @@ def refresh_e(game: Game, state: IterState) -> tuple:
     silently break the graph property of the candidate pair. Returns the
     ``e`` views.
     """
-    for k, e_k in enumerate(state.cand_e):
-        e_k[:] = state.cand_b[k] - game.coupling_mixture(k, state.point)
+    if game.couplings:
+        state.direction[game.v_span] = state.point[game.z_span] - game.coupling_mix(state.point)
     return state.cand_e
 
 
@@ -405,9 +476,8 @@ def assemble_duals(game: Game, state: IterState):
     grads = np.asarray(game.interaction.eval(state.point[game.y_span]), dtype=float)
     state.direction[game.y_span] = grads - state.point[game.u_span]
     state.direction[game.x_span] = state.s_star
-    for i in game.coupled_players:
-        state.dual_a_star[i][:] = game.coupling_pullback(i, state.cand_s_star[i],
-                                                         state.point[game.v_span])
+    if game.coupled_players:
+        game.coupling_pull(state.direction[game.x_span], state.point[game.v_span])
     return state.dual_a_star, state.dual_q_star
 
 
@@ -595,7 +665,7 @@ def solve(game: Game, params: SolverParams, schedule: Schedule, x0=None, *,
         state = IterState(game, x=x0, max_lag=min(schedule.max_lag, params.max_iters))
     elif x0 is not None:
         raise ValueError("pass either x0 or a prebuilt state, not both")
-    elif schedule.max_lag > (depth := len(state._ring) - 1):
+    elif schedule.max_lag > (depth := state._capacity - 1):
         raise ValueError(
             f"schedule lags up to {schedule.max_lag} exceed the retained history depth max_lag={depth}"
         )

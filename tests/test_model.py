@@ -65,6 +65,17 @@ def test_coupling_map_dimension_mismatch_reported():
     assert len(report) == 1 and "coupling 0" in report[0]
 
 
+@pytest.mark.parametrize("key", [-1, 2, 1.5, True], ids=["negative", "num_players", "float", "bool"])
+def test_a_coupling_map_key_that_is_not_a_player_is_refused(key):
+    from nashsplit.model import CouplingBlock
+
+    players = [PlayerBlock(1, 1, proximal.zero(), zero_smooth(), 0.0, Identity(1), 1.0)] * 2
+    coup = CouplingBlock(1, proximal.zero(), zero_smooth(), 0.0,
+                         {0: Dense([[1.0]]), key: Dense([[1.0]])})
+    with pytest.raises(ValueError, match=rf"^coupling 0: map references unknown player {key}$"):
+        Game(players, InteractionGradient(lambda y: np.zeros_like(y), 1.0), [coup])
+
+
 def test_zero_smooth_gradient_is_fresh_float64_zeros():
     x = np.array([1.5, -2.0, 3.0])
     g = zero_smooth().grad(x)

@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st  # noqa: E402
 
 import nashsplit as ns  # noqa: E402
 from nashsplit import proximal, schedules, solver  # noqa: E402
-from nashsplit.linops import Dense, Identity, ScaledIdentity, Zero  # noqa: E402
+from nashsplit.linops import Dense, Identity, LinOp, ScaledIdentity, Zero  # noqa: E402
 from nashsplit.model import (  # noqa: E402
     CouplingBlock, Game, InteractionGradient, PlayerBlock, SmoothTerm, SolverParams,
     quadratic_smooth, validate_problem, zero_smooth,
@@ -28,6 +28,7 @@ from nashsplit.solver import IterState, tick  # noqa: E402
 from _oracles import _block_inner as loop_block_inner, random_schedule_tick  # noqa: E402
 from _oracles import quadratic_coupling_gradient  # noqa: E402
 from _oracles import check_equilibrium as per_block_check_equilibrium  # noqa: E402
+from _oracles import _mixture as per_member_mixture, _pullback as per_member_pullback  # noqa: E402
 from _oracles import reference_tick  # noqa: E402
 from _oracles import validate_problem as per_sample_validate_problem  # noqa: E402
 
@@ -415,6 +416,150 @@ def test_stacked_step_keeps_the_signed_zeros_of_the_per_block_step():
     assert np.signbit(reference.s_star).tolist() == [False, False]
     for name in ("flat", "point", "direction", "s_star"):
         assert getattr(state, name).tobytes() == getattr(reference, name).tobytes(), name
+
+
+class _Custom(LinOp):
+    """A hand-made map: its own products, summed left to right from the first."""
+
+    def __init__(self, a):
+        self.a = np.array(a, dtype=float)
+        self.out_dim, self.in_dim = self.a.shape
+
+    def apply(self, x):
+        return np.array([sum(r[1:] * x[1:], r[0] * x[0]) for r in self.a])
+
+    def adjoint_apply(self, y):
+        return _Custom(self.a.T).apply(y)
+
+
+COUPLING_MAPS = ("identity", "scaled", "column", "row", "wide", "custom")
+
+
+def _coupling_map(kind: str, ds: int, dc: int, rng):
+    """A map of ``kind`` from a player of width ``ds`` into a coupling of width ``dc``,
+    signed zeros among its coefficients; a kind that the widths do not allow is wide."""
+    if kind == "identity" and ds == dc:
+        return Identity(ds)
+    if kind == "scaled" and ds == dc:
+        return ScaledIdentity(ds, float(_signed(rng, 1)[0]))
+    a = np.stack([_signed(rng, ds) for _ in range(dc)])
+    if kind == "column" and ds == 1 or kind == "row" and dc == 1:
+        return Dense(a)
+    return _Custom(a) if kind == "custom" else Dense(a)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_players=st.integers(1, 4),
+    num_couplings=st.integers(1, 3),
+    data=st.data(),
+)
+def test_coupling_tables_equal_the_per_member_maps(seed, num_players, num_couplings, data):
+    # the mixture from +0.0 by increasing player, the adjoint from s* by
+    # increasing coupling, with signed zeros everywhere: a table product, a
+    # Dense's "+ 0.0", a pad and a map's own call must all keep these bits
+    rng = np.random.default_rng(seed)
+    dims = [int(rng.integers(1, 4)) for _ in range(num_players)]
+    players = [PlayerBlock(d, d, proximal.zero(), zero_smooth(), 0.0, Identity(d), 1.0)
+               for d in dims]
+    couplings = []
+    for k in range(num_couplings):
+        dc = int(rng.integers(1, 3))
+        members = data.draw(st.lists(st.integers(0, num_players - 1), min_size=1, unique=True),
+                            label=f"members {k}")      # drawn, so shuffled, key order
+        kinds = data.draw(st.lists(st.sampled_from(COUPLING_MAPS), min_size=len(members),
+                                   max_size=len(members)), label=f"maps {k}")
+        couplings.append(CouplingBlock(dc, proximal.zero(), zero_smooth(), 0.0, {
+            i: _coupling_map(kind, dims[i], dc, rng) for i, kind in zip(members, kinds)}))
+    game = Game(players, InteractionGradient(lambda y: y, 1.0), couplings)
+    xs = [_signed(rng, d) for d in dims]
+    vs = [_signed(rng, c.dim) for c in couplings]
+    s_star = _signed(rng, sum(dims))
+    x, v = np.concatenate(xs), np.concatenate(vs)
+
+    want = [per_member_mixture(c, xs) for c in couplings]
+    assert game.coupling_mix(x).tobytes() == np.concatenate(want).tobytes()
+    for k, w in enumerate(want):
+        assert game.coupling_mix(x, k).tobytes() == w.tobytes()
+    starts = np.cumsum([0] + dims)
+    want = [per_member_pullback(game, i, s_star[starts[i]:starts[i + 1]], vs)
+            for i in range(num_players)]
+    assert game.coupling_pull(s_star.copy(), v).tobytes() == np.concatenate(want).tobytes()
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_players=st.integers(2, 5),
+    width=st.integers(1, 2),
+    num_couplings=st.integers(1, 3),
+    max_lag=st.integers(0, 3),
+    prob=st.floats(0.2, 1.0),
+)
+def test_tick_with_table_coupling_maps_equals_the_reference_tick(seed, num_players, width,
+                                                                 num_couplings, max_lag, prob):
+    # couplings whose maps are table products: an Identity or a ScaledIdentity
+    # (-0.0 kept, no "+ 0.0") and a one-row Dense (its adjoint's "+ 0.0"),
+    # players in a varying number of them, so that the step reads v* through
+    # pads from each player's lag; smooth gradients of -0.0 at a -0.0 start
+    # give the step's pullback a -0.0 to start from
+    rng = np.random.default_rng(seed)
+    players = [PlayerBlock(width, width, _cert_term(CERT_KINDS[int(rng.integers(len(CERT_KINDS)))],
+                                                    width, rng),
+                           zero_smooth() if rng.random() < 0.5
+                           else quadratic_smooth(float(rng.integers(2)), _signed(rng, width)),
+                           2.0, Identity(width), 1.0)
+               for _ in range(num_players)]
+    couplings = []
+    for _ in range(num_couplings):
+        dc = width if rng.random() < 0.5 else 1
+        members = rng.choice(num_players, size=int(rng.integers(1, num_players + 1)), replace=False)
+        term = (proximal.shifted_orthant(rng.standard_normal(dc)) if rng.random() < 0.5
+                else proximal.zero())
+        kinds = ("identity", "scaled", "row") if dc == width else ("row",)
+        couplings.append(CouplingBlock(dc, term, zero_smooth(), 0.0, {
+            int(i): _coupling_map(kinds[int(rng.integers(len(kinds)))], width, dc, rng)
+            for i in members}))
+    b_vec = _signed(rng, num_players * width)
+    game = Game(players, InteractionGradient(lambda y: 0.5 * y + b_vec, 1.0), couplings)
+    params = SolverParams(strategy_steps=0.6, interaction_steps=0.7, player_dual_steps=0.8,
+                          coupling_steps=0.5, coupling_dual_steps=0.9, relaxation=1.5)
+    schedule = ns.randomized(seed, prob, max_lag=max_lag, window=4)
+    start = {name: [_signed(rng, d) for d in dims] for name, dims in (
+        ("x", game.strategy_dims), ("y", game.interaction_dims), ("z", game.coupling_dims),
+        ("u_star", game.interaction_dims), ("v_star", game.coupling_dims))}
+    state = IterState(game, max_lag=max_lag, **start)
+    reference = IterState(game, max_lag=max_lag, **start)
+    for _ in range(20):
+        got = tick(game, params, schedule, state)
+        want = reference_tick(game, params, schedule, reference)
+        for name in ("flat", "point", "direction", "s_star"):
+            assert getattr(state, name).tobytes() == getattr(reference, name).tobytes(), name
+        assert got == want
+
+
+@pytest.mark.parametrize("members", [((0, 1),), ((0, 1), (0,))], ids=["one-row", "two-rows"])
+@pytest.mark.parametrize("prob", [None, 0.5], ids=["sync", "p=0.5"])
+def test_step_pullback_from_minus_zero_keeps_the_dense_plus_zero(members, prob):
+    # x, u* and v* start at -0.0 and the smooth gradient x + (-0.0) is -0.0,
+    # so the step's pullback starts from -0.0 and a one-row Dense's product
+    # is -0.0, which its gemv returns as +0.0; with player 0 in one coupling
+    # (a plain add) and in two (the row loop)
+    players = [PlayerBlock(1, 1, proximal.box([-5.0], [5.0]), quadratic_smooth(1.0, [-0.0]),
+                           1.0, Identity(1), 1.0) for _ in range(2)]
+    couplings = [CouplingBlock(1, proximal.zero(), zero_smooth(), 0.0,
+                               {i: Dense([[2.0 + i + k]]) for i in m}) for k, m in enumerate(members)]
+    game = Game(players, InteractionGradient(lambda y: 0.5 * y, 1.0), couplings)
+    params = SolverParams(strategy_steps=0.6, interaction_steps=0.7, player_dual_steps=0.8,
+                          coupling_steps=0.5, coupling_dual_steps=0.9, relaxation=1.5)
+    schedule = ns.synchronous() if prob is None else ns.randomized(5, prob, max_lag=2, window=4)
+    start = dict(x=[[-0.0]] * 2, u_star=[[-0.0]] * 2, v_star=[[-0.0]] * len(couplings))
+    state = IterState(game, max_lag=schedule.max_lag, **start)
+    reference = IterState(game, max_lag=schedule.max_lag, **start)
+    for _ in range(3):
+        tick(game, params, schedule, state)
+        reference_tick(game, params, schedule, reference)
+        for name in ("flat", "point", "direction", "s_star"):
+            assert getattr(state, name).tobytes() == getattr(reference, name).tobytes(), name
 
 
 class _SkewDense(Dense):

@@ -424,6 +424,22 @@ class TestHistoryRing:
         state = IterState(game, max_lag=np.int64(2))
         assert len(state._ring) == 3
 
+    def test_the_ring_grows_with_the_run_not_with_its_lag_bound(self):
+        # rows are reserved as ticks reach them, doubling, and tick t stays at row t
+        game, _ = shared_constraint_instance()
+        params = SolverParams.for_game(game, max_iters=300)
+        state = IterState(game, max_lag=2**40)
+        assert len(state._ring) == 256
+        sched = ns.randomized(3, 0.5, max_lag=2**40, window=8)
+        result = ns.solve(game, params, sched, state=state, stall_window=0)
+        assert result.ticks == 300 and len(state._ring) == 512
+        assert state._ring_stamps[:301] == list(range(301))
+        assert len(IterState(game, max_lag=299)._ring) == 256
+        grown = IterState(game, max_lag=299)
+        for _ in range(299):
+            tick(game, params, ns.synchronous(), grown)
+        assert len(grown._ring) == 300      # doubled up to the lag bound, not past it
+
 
 class TestIterStateLayout:
     def test_rebinding_a_view_raises(self):
@@ -746,6 +762,23 @@ class TestSolve:
         # lags are drawn from all of the run's past, so reads reach far back
         assert max(rep.n - t for rep in result.reports for t in rep.player_lags.values()) > 25
 
+    def test_lags_past_the_first_ring_rows_keep_their_bits(self):
+        # pinned on the ring that held all max_lag + 1 rows from the start: a
+        # run whose ring grows while its lags read back past row 256
+        game, _ = shared_constraint_instance((1.0, 2.0, 4.0), 9.0)
+        params = SolverParams.for_game(game, max_iters=600, tol=1e-300)
+        sched = ns.randomized(11, 0.5, max_lag=400, window=8)
+        result = ns.solve(game, params, sched, stall_window=0)
+        digest, lags = hashlib.sha256(str(result.ticks).encode()), []
+        for rep in result.reports:
+            digest.update(f"{rep.pi.hex()} {rep.kkt_residual.hex()}".encode())
+            lags += [rep.n - t for t in rep.player_lags.values()]
+        for group in (result.x, result.y, result.z, result.u_star, result.v_star):
+            for block in group:
+                digest.update(block.tobytes())
+        assert result.ticks == 600 and max(lags) > 256
+        assert digest.hexdigest() == "684da3115e192dce5df17bc3a83bc9055fe8e97c09f28df110434e8c0597f2f2"
+
     def test_warm_start_state_must_hold_the_schedule_lags(self):
         # the run reads the history ring of the state it is given, so that
         # ring, not params.max_lag, must be as deep as the schedule's lags
@@ -1055,15 +1088,8 @@ def _check_inactive_blocks_idle(monkeypatch, declared: bool):
         finally:
             meter.on = True
 
-    pullback = Game.coupling_pullback
-
-    def counted_pullback(self, i, *rest):
-        meter.hit(("pullback", i))
-        return pullback(self, i, *rest)
-
     monkeypatch.setattr(solver.oracle, "check_equilibrium", uncounted_certificate)
     monkeypatch.setattr(solver, "prox", meter.counted(solver.prox, "prox"))
-    monkeypatch.setattr(Game, "coupling_pullback", counted_pullback)
 
     # the entries that a player's local step writes: a, q and c* of the
     # point, c of the direction, and s*
@@ -1089,10 +1115,11 @@ def _check_inactive_blocks_idle(monkeypatch, declared: bool):
             work = 0 if declared else 2 * (i in active)
             assert counts["grad", i] == counts["apply", ("mix", i)] == work
             assert counts["adjoint_apply", ("mix", i)] == work
-            # one pullback in the local step if active and coupled, one in
-            # the dual assembly if coupled
-            coupled = i in (0, 1)
-            assert counts["pullback", i] == (i in active and coupled) + coupled
+            # per coupling map of the player, one adjoint in the local step if
+            # active, one in the dual assembly
+            for k, members in enumerate(((0, 1), (1,))):
+                if i in members:
+                    assert counts["adjoint_apply", ("map", k, i)] == (i in active) + 1
             if i not in active:
                 assert written(i) == before[i]
     assert game.coupled_players == (0, 1)

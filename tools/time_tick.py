@@ -23,6 +23,12 @@ Shapes, one row each:
   than a change to the step can move them, and these rows isolate it. A
   run meets every active set first as new, so ``step lasso100 p=0.1``,
   whose 1500 sets are all distinct, times sets that were never seen;
+- ``coupling shared`` and ``coupling kitchen``: the coupling layer alone,
+  per tick, for each of the first ``TICKS`` ticks of ``shared`` and of
+  ``kitchen p=0.5`` in order: ``coupling_local_step`` with the tick's
+  active couplings (when it has any) and their lags, read back as in the
+  ``step`` rows, then ``refresh_e`` and ``assemble_duals``, on a state
+  built and filled as for the ``step`` rows;
 - ``next_tick <shape>``: ``Schedule.next_tick`` for ticks
   ``0..DRAWS - 1`` in order from a cold activation cache, per call, with
   the schedule and block count of a workload (seed ``DRAW_SEED``), and
@@ -105,6 +111,7 @@ DRAW_SEED = 20211
 WORKLOAD_SHAPES = {"consensus": "consensus-sync", "lasso": "lasso-sparse", "shared": "shared-async"}
 LASSO100 = {"sync": None, "p=0.5": 0.5, "p=0.1": 0.1}
 KITCHEN = {"sync": None, "p=0.5": 0.5}
+COUPLING_SHAPES = {"shared": "shared", "kitchen": "kitchen p=0.5"}
 # shape -> (activation probability or None for synchronous, max_lag, window, players, couplings)
 DRAW_SHAPES = {
     "lasso": (0.1, 3, 20, 8, 0),
@@ -200,6 +207,33 @@ def step_run(pkg, case):
     return run
 
 
+def coupling_run(pkg, case):
+    """``coupling_local_step``, ``refresh_e`` and ``assemble_duals``, once per tick of the
+    case's first ``TICKS`` ticks, with that tick's couplings and lags, on a state that
+    ``max_lag`` ticks from zero filled; each run starts from a new such state."""
+    game, params, schedule = case
+    top = schedule.max_lag
+    calls = []
+    for n in range(TICKS):      # a lag read at tick n is read back from tick top
+        info = schedule.next_tick(n, game.num_players, game.num_couplings)
+        calls.append((info.active_couplings,
+                      {k: top - (n - t) for k, t in info.coupling_lags.items()}))
+    solver = pkg.solver
+
+    def run():
+        state = pkg.IterState(game, max_lag=top)
+        for _ in range(top):
+            pkg.tick(game, params, schedule, state)
+        for couplings, lags in calls:
+            if couplings:
+                solver.coupling_local_step(game, params, state, couplings, lags)
+            solver.refresh_e(game, state)
+            solver.assemble_duals(game, state)
+        return len(calls), (state.point.tobytes(), state.direction.tobytes())
+
+    return run
+
+
 def solved(result):
     return result.ticks, (result.ticks, b"".join(np.ascontiguousarray(b).tobytes() for b in result.x))
 
@@ -258,6 +292,8 @@ def shapes(pkg, patterns=("*",)) -> dict:
     makers = {shape: (lambda case=case: solve_run(pkg, case()), "tick") for shape, case in cases.items()}
     makers.update({f"step {shape}": (lambda case=case: step_run(pkg, case()), "call")
                    for shape, case in cases.items()})
+    makers.update({f"coupling {shape}": (lambda case=cases[name]: coupling_run(pkg, case()), "tick")
+                   for shape, name in COUPLING_SHAPES.items()})
     makers.update({f"next_tick {shape}": (lambda args=args: draw_run(pkg, *args), "call")
                    for shape, args in DRAW_SHAPES.items()})
     makers.update({f"certificate {shape}": (lambda name=name: certificate_run(pkg, name), "call")
