@@ -201,8 +201,8 @@ class _Incidence(NamedTuple):
     and ``-0.0`` elsewhere (None: no ``Dense`` product, or the shift does not matter).
     ``coef`` is None when every coefficient is ``1.0``, and ``pad`` when no column has
     fewer members than the table has rows.
-    ``calls`` are ``(row, columns, source entries, map, block)`` of the other maps, which
-    fill their place with their own call."""
+    ``calls`` are ``(row, columns, source entries, map)`` of the other maps, which fill
+    their place with their own call."""
 
     at: np.ndarray
     coef: Optional[np.ndarray]
@@ -213,7 +213,7 @@ class _Incidence(NamedTuple):
 
 def _incidence_table(outputs, width: int, adjoint: bool) -> _Incidence:
     """The table of ``outputs``, one ``(columns, members)`` per output block, over ``width``
-    columns, each member ``(source entries, map, block)`` in accumulation order: a map
+    columns, each member ``(source entries, map)`` in accumulation order: a map
     (its adjoint) of the right widths is a product per entry when it is an ``Identity`` or a
     ``ScaledIdentity``, or a ``Dense`` of one column (one row). Without outputs it is the
     shared empty table."""
@@ -222,7 +222,7 @@ def _incidence_table(outputs, width: int, adjoint: bool) -> _Incidence:
     rows = max(len(members) for _, members in outputs) or 1
     at, coef, live, dense, calls = [0] * (rows * width), [1.0] * (rows * width), set(), [], []
     for cols, members in outputs:       # built in lists: numpy costs more per member
-        for j, (src, op, block) in enumerate(members):
+        for j, (src, op) in enumerate(members):
             ins, outs = src.stop - src.start, cols.stop - cols.start
             flat = range(j * width + cols.start, j * width + cols.stop)
             live.update(flat)
@@ -235,7 +235,7 @@ def _incidence_table(outputs, width: int, adjoint: bool) -> _Incidence:
                 coef[flat.start:flat.stop] = op.matrix().ravel().tolist()
                 dense += flat   # its BLAS gemv returns +0.0 for a lone -0.0 product
             else:
-                calls.append((j, cols, src, op, block))
+                calls.append((j, cols, src, op))
     pad, shape, shift = [p for p in range(rows * width) if p not in live], (rows, width), None
     if adjoint and dense:
         shift = np.full(shape, -0.0)
@@ -320,7 +320,8 @@ class Game:
     couplings, the start of every block in layout order ``block_starts``
     and, per field, the slice of those blocks ``field_blocks``) and, per
     player, the ``x`` entries of the player step
-    and the couplings whose maps read that player's strategy (the players
+    and ``coupling_links``, the ``(v* entries, L_ki)`` of the couplings whose
+    maps read that player's strategy by increasing ``k`` (the players
     with at least one are ``coupled_players``). A map key that is not a
     player index (an ``int`` in ``range(num_players)``, not a ``bool``)
     raises ValueError.
@@ -337,8 +338,6 @@ class Game:
     from ``+0.0``, the adjoint from the given accumulator, a ``Dense``
     product plus ``+0.0`` (its BLAS gemv turns a lone ``-0.0`` into
     ``+0.0``), and absent members ``-0.0``, the one exact additive identity.
-    One coupling's mixture alone (``coupling_mix(x, k)``) calls its maps in
-    turn.
 
     For the stacked certificate, ``prox_groups`` puts every player in one
     ``ProxGroup``: players whose terms declare the same constructor and
@@ -423,10 +422,9 @@ class Game:
         self._coupling_tables(groups)
 
     def _coupling_tables(self, groups) -> None:
-        """Refuse a map key that is not a player, then build ``_mixture``, each coupling's
-        members by increasing player (``_members``), ``_pullback`` with its columns
-        (``_pull_columns``) and ``x`` entries (``_pulled``) per coupled player, and
-        ``coupled_players``."""
+        """Refuse a map key that is not a player, then build ``_mixture``,
+        ``coupling_links``, ``_pullback`` with the ``x`` entries of its columns
+        (``_pulled``), and ``coupled_players``."""
         mixes, links, v0 = [], [[] for _ in self.players], self.v_span.start
         for k, (c, s) in enumerate(zip(self.couplings, groups[4])):
             for i in c.maps:
@@ -434,23 +432,21 @@ class Game:
                         or not 0 <= i < len(self.players):
                     raise ValueError(f"coupling {k}: map references unknown player {i}")
             cols = slice(s.start - v0, s.stop - v0)   # its columns of the mixture, its v* entries
-            mixes.append((cols, [(groups[0][i], c.maps[i], k) for i in sorted(c.maps)]))
+            mixes.append((cols, [(groups[0][i], c.maps[i]) for i in sorted(c.maps)]))
             for i in sorted(c.maps):
-                links[i].append((cols, c.maps[i], i))
+                links[i].append((cols, c.maps[i]))
         object.__setattr__(self, "_mixture", _incidence_table(mixes, self.v_span.stop - v0,
                                                               adjoint=False))
-        object.__setattr__(self, "_members", tuple(members for _, members in mixes))
+        object.__setattr__(self, "coupling_links", tuple(map(tuple, links)))
         coupled = tuple(i for i, ls in enumerate(links) if ls)
-        columns, start = {}, 0      # per coupled player, its columns of the pullback
+        outputs, start = [], 0      # per coupled player, its columns of the pullback
         for i in coupled:
-            columns[i] = slice(start, start + self.strategy_dims[i])
+            outputs.append((slice(start, start + self.strategy_dims[i]), links[i]))
             start += self.strategy_dims[i]
-        object.__setattr__(self, "_pullback", _incidence_table(
-            [(columns[i], links[i]) for i in coupled], start, adjoint=True))
+        object.__setattr__(self, "_pullback", _incidence_table(outputs, start, adjoint=True))
         pulled = [self._x_entries[i] for i in coupled]
         object.__setattr__(self, "_pulled",
                            _contiguous(np.concatenate(pulled)) if pulled else slice(0, 0))
-        object.__setattr__(self, "_pull_columns", columns)
         object.__setattr__(self, "coupled_players", coupled)
 
     @property
@@ -477,19 +473,12 @@ class Game:
         """Per-block views of a flat state vector (writes go through to it)."""
         return StateBlocks(*(tuple(vec[s] for s in group) for group in self.state_slices))
 
-    def coupling_mix(self, x: np.ndarray, k: Optional[int] = None) -> np.ndarray:
-        """``L_k x = sum_i L_ki x_i`` of coupling ``k``, or of every coupling stacked, on the
-        stacked ``x`` or a whole state: from ``+0.0``, members by increasing ``i``. One
-        coupling calls its own maps, which costs less than a table when it has few members
-        or wide maps."""
-        if k is not None:
-            acc = np.zeros(self.coupling_dims[k])
-            for src, op, _ in self._members[k]:
-                acc = acc + op.apply(x[src])
-            return acc
+    def coupling_mix(self, x: np.ndarray) -> np.ndarray:
+        """``L_k x = sum_i L_ki x_i`` of every coupling stacked, on the stacked ``x`` or a
+        whole state: from ``+0.0``, members by increasing ``i``."""
         table = self._mixture
         terms = _terms(table, x[table.at])
-        for row, cols, src, op, _ in table.calls:
+        for row, cols, src, op in table.calls:
             terms[row, cols] = op.apply(x[src])
         return _added(0.0, terms)
 
@@ -498,7 +487,7 @@ class Game:
         ``k``, written into the entries of ``coupled_players`` of ``acc``; returns ``acc``."""
         table, pulled = self._pullback, self._pulled
         terms = _terms(table, v[table.at])
-        for row, cols, src, op, _ in table.calls:
+        for row, cols, src, op in table.calls:
             terms[row, cols] = op.adjoint_apply(v[src])
         acc[pulled] = _added(acc[pulled], terms)
         return acc

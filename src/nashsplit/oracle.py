@@ -16,7 +16,7 @@ term, a hand-made one whatever its kind, is evaluated alone. The mixes and
 smooth gradients go through ``Game.mix``, ``Game.smooth_grad`` and
 ``Game.coupling_grad``, and the couplings' mixtures and adjoints through
 one ``Game.coupling_mix`` and one ``Game.coupling_pull`` on the stacked
-vectors, as in the solver's local steps. The player and
+vectors, as in the solver's ``refresh_e`` and ``assemble_duals``. The player and
 interaction residuals and the players' gaps are the per-block norms of one
 stacked difference (one ``np.add.reduceat``); each coupling's lines are
 ``np.dot`` norms. The maximum runs over the player, interaction and

@@ -10,12 +10,13 @@ separates from the solution set.
 All activated players step together in ``player_local_step``, all activated
 couplings in ``coupling_local_step``. The couplings' mixtures and adjoints
 are one pass each over ``Game``'s incidence tables (``Game.coupling_mix``,
-``Game.coupling_pull``) in the coupling step, ``refresh_e``,
-``assemble_duals`` and the certificate; the player step keeps its players'
-columns of the adjoint table and reads each player's ``v*`` from its lag
-row. A tick runs on the calling thread, and its asynchrony is the
-schedule's: which blocks it activates and how many ticks stale their reads
-are. A run is therefore bit-reproducible.
+``Game.coupling_pull``) in the coupling step (one mixture per lag that its
+couplings read), ``refresh_e``, ``assemble_duals`` and the certificate; the
+player step adds each coupled player's ``L_ki^* v_k`` in turn, with ``v*``
+from that player's lag row (``Game.coupling_links``). A tick runs on the
+calling thread, and its asynchrony is the schedule's: which blocks it
+activates and how many ticks stale their reads are. A run is therefore
+bit-reproducible.
 
 Arithmetic is double precision throughout. The scalar test, the step size
 and the separation gap share one inner product: per-block sums of the
@@ -38,8 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .model import (
-    Game, SolverParams, StateBlocks, _added, _contiguous, _Incidence, _terms, as_vector,
-    validate_params, validate_problem,
+    Game, SolverParams, StateBlocks, as_vector, validate_params, validate_problem,
 )
 from .proximal import prox
 from .schedules import Schedule
@@ -243,8 +243,9 @@ class IterState:
     def snapshot_at(self, tick_index: int) -> StateBlocks:
         """Read-only per-block views of the tuple at a retained tick.
 
-        The views alias a ring row, which is overwritten ``max_lag + 1``
-        ticks later; copy them to keep them longer.
+        The views alias a ring row until the row is reused, ``len`` ticks
+        later, or the ring grows (see the class docstring); copy them to keep
+        them.
         """
         return self.game.split_state(self._frozen[self._row(tick_index)])
 
@@ -313,15 +314,15 @@ def player_local_step(game: Game, params: SolverParams, state: IterState, player
             np.concatenate([game._x_entries[i] for i in players]), [dims[i] for i in players]))
         bounds = (range(len(players) + 1) if len(x_at) == len(players)
                   else [0, *accumulate(dims[i] for i in players)])
-        plan = (at, x_at, bounds, y_repeats, x_repeats, _step_pullback(game, players, bounds),
-                [None])
+        coupled = [(i, slice(lo, hi)) for i, lo, hi in zip(players, bounds, bounds[1:])
+                   if game.coupling_links[i]]
+        plan = (at, x_at, bounds, y_repeats, x_repeats, coupled, [None])
         if len(state._plans) < _MAX_PLANS:
             state._plans[players] = plan
-    at, x_at, bounds, y_repeats, x_repeats, pulled, steps = plan
+    at, x_at, bounds, y_repeats, x_repeats, coupled, steps = plan
     frozen, lag_rows = state._frozen, [lags[i] % len(state._ring) for i in players]
-    one_lag = min(lag_rows) == max(lag_rows)
     # at one lag, index its row: about 2 us faster than a fancy index over rows
-    held = (frozen[lag_rows[0]][at] if one_lag
+    held = (frozen[lag_rows[0]][at] if min(lag_rows) == max(lag_rows)
             else frozen[lag_rows if y_repeats is None else np.repeat(lag_rows, y_repeats), at])
     x = held[3] if x_repeats is None else frozen[np.repeat(lag_rows, x_repeats), x_at]
     # rows: gradient, y, u* and, when every player's widths agree, x entries;
@@ -337,17 +338,11 @@ def player_local_step(game: Game, params: SolverParams, state: IterState, player
     # q = y + step_y * (u* - grad) and c* = u* + step_u * (M x - y) as two rows
     q_c = held[1:3] + step[:2] * (right - held[:2])
     pull = game.smooth_grad(x, players) + game.mix(held[2], players, adjoint=True)
-    if pulled is not None:     # each coupled player's v* from its lag row
-        pos, table, owner = pulled
-        values = (frozen[lag_rows[0]][table.at] if one_lag else
-                  frozen[lag_rows if owner is None else [lag_rows[p] for p in owner], table.at])
-        terms = _terms(table, values)
-        if terms.ndim == 1:     # one table row: a plain add
-            pull[pos] += terms
-        else:
-            for row, cols, src, op, place in table.calls:
-                terms[row, cols] = op.adjoint_apply(frozen[lag_rows[place], src])
-            pull[pos] = _added(pull[pos], terms)
+    for i, seg in coupled:     # L_ki^* v_k by increasing k, v* from the player's lag row
+        acc, v = pull[seg], frozen[lags[i] % len(frozen), game.v_span]
+        for cols, op in game.coupling_links[i]:
+            acc = acc + op.adjoint_apply(v[cols])
+        pull[seg] = acc
     x_star = x - step_x * pull
     a = []
     for i, lo, hi in zip(players, bounds, bounds[1:]):     # the resolvents
@@ -361,38 +356,6 @@ def player_local_step(game: Game, params: SolverParams, state: IterState, player
     state.s_star[x_at] = ((x_star - a) / step_x + game.smooth_grad(a, players)
                           + game.mix(q_c[1], players, adjoint=True))
     state.direction[at[2]] = q_c[0] - game.mix(a, players)
-
-
-def _step_pullback(game: Game, players: tuple, bounds):
-    """The pullback's columns of the coupled ``players`` (``Game._pullback``) as a table
-    over ring rows, with each column's position in the step's ``x`` entries and its
-    player's place in ``players``, which the calls name in place of the player; None
-    when no listed player is coupled."""
-    full, columns, v0 = game._pullback, game._pull_columns, game.v_span.start
-    places = [p for p, i in enumerate(players) if i in columns]
-    if not places:
-        return None
-    widths = [bounds[p + 1] - bounds[p] for p in places]
-    cols = np.concatenate([np.arange(columns[players[p]].start, columns[players[p]].stop)
-                           for p in places])
-    pos = np.concatenate([np.arange(bounds[p], bounds[p + 1]) for p in places])
-    owner = np.repeat(places, widths).tolist()
-    live = np.ones(full.at.size, dtype=bool)
-    live[[] if full.pad is None else full.pad] = False
-    live = live.reshape(full.at.shape)[:, cols]
-    rows = int(live.any(axis=1).sum())     # the most couplings of a listed player
-    pad = np.flatnonzero(~live[:rows])
-    shift = None if full.shift is None else full.shift[:rows, cols]
-    first = {players[p]: start for p, start in zip(places, accumulate([0] + widths))}
-    calls = tuple((j, slice(first[i], first[i] + c.stop - c.start),
-                   slice(v0 + src.start, v0 + src.stop), op, players.index(i))
-                  for j, c, src, op, i in full.calls if i in first)
-    table = _Incidence(full.at[:rows, cols] + v0,
-                       None if full.coef is None else full.coef[:rows, cols],
-                       pad if len(pad) else None, shift, calls)
-    if rows == 1 and not calls:     # each listed player in one coupling, by a table product
-        table = _Incidence(*(None if t is None else t[0] for t in table[:4]), ())
-    return _contiguous(pos), table, None if owner == list(range(len(players))) else owner
 
 
 def _step_table(state: IterState, params: SolverParams, lags: dict) -> np.ndarray:
@@ -434,19 +397,18 @@ def coupling_local_step(game: Game, params: SolverParams, state: IterState, coup
     gradients go through ``Game.coupling_grad``, as in the certificate.
     """
     zs, vs, z0 = game.state_slices.z, game.state_slices.v_star, game.z_span.start
-    mixed = None    # every coupling at one lag: one mixture of them all
-    if len(couplings) == len(game.couplings) and len({lags[k] for k in couplings}) == 1:
-        mixed = game.coupling_mix(state._frozen[state._row(lags[couplings[0]])])
+    mixed = {}      # per lag, the mixture of every coupling at its row
     for k in couplings:
         row = state._frozen[state._row(lags[k])]
+        if lags[k] not in mixed:
+            mixed[lags[k]] = game.coupling_mix(row)
         z, v = row[zs[k]], row[vs[k]]
         step_z = params.coupling_step(k, lags[k])
         d_star = z + step_z * (v - game.coupling_grad(k, z))
         b = np.asarray(prox(game.couplings[k].nonsmooth, step_z, d_star))
         if b.shape != d_star.shape:
             raise ValueError(f"coupling {k}: prox returned shape {b.shape}, expected {d_star.shape}")
-        mix = (game.coupling_mix(row, k) if mixed is None
-               else mixed[zs[k].start - z0:zs[k].stop - z0])
+        mix = mixed[lags[k]][zs[k].start - z0:zs[k].stop - z0]
         e_star = v + params.coupling_dual_step(k, lags[k]) * (mix - z)
         state.point[zs[k]], state.point[vs[k]] = b, e_star
         state.direction[zs[k]] = (d_star - b) / step_z + game.coupling_grad(k, b) - e_star

@@ -76,6 +76,19 @@ def test_a_coupling_map_key_that_is_not_a_player_is_refused(key):
         Game(players, InteractionGradient(lambda y: np.zeros_like(y), 1.0), [coup])
 
 
+def test_a_pad_of_the_adjoint_table_keeps_a_minus_zero_sum():
+    # player 1 is in one coupling of two, so its column of the adjoint table
+    # is padded in the second row; -0.0 + -0.0 stays -0.0 only if the pad is -0.0
+    from nashsplit.model import CouplingBlock
+
+    players = [PlayerBlock(1, 1, proximal.zero(), zero_smooth(), 0.0, Identity(1), 1.0)] * 2
+    couplings = [CouplingBlock(1, proximal.zero(), zero_smooth(), 0.0, maps)
+                 for maps in ({0: Identity(1), 1: Identity(1)}, {0: Identity(1)})]
+    game = Game(players, InteractionGradient(lambda y: np.zeros_like(y), 1.0), couplings)
+    pulled = game.coupling_pull(np.full(2, -0.0), np.full(2, -0.0))
+    assert pulled.tobytes() == np.full(2, -0.0).tobytes()
+
+
 def test_zero_smooth_gradient_is_fresh_float64_zeros():
     x = np.array([1.5, -2.0, 3.0])
     g = zero_smooth().grad(x)

@@ -472,19 +472,19 @@ def test_coupling_tables_equal_the_per_member_maps(seed, num_players, num_coupli
         couplings.append(CouplingBlock(dc, proximal.zero(), zero_smooth(), 0.0, {
             i: _coupling_map(kind, dims[i], dc, rng) for i, kind in zip(members, kinds)}))
     game = Game(players, InteractionGradient(lambda y: y, 1.0), couplings)
-    xs = [_signed(rng, d) for d in dims]
-    vs = [_signed(rng, c.dim) for c in couplings]
-    s_star = _signed(rng, sum(dims))
-    x, v = np.concatenate(xs), np.concatenate(vs)
-
-    want = [per_member_mixture(c, xs) for c in couplings]
-    assert game.coupling_mix(x).tobytes() == np.concatenate(want).tobytes()
-    for k, w in enumerate(want):
-        assert game.coupling_mix(x, k).tobytes() == w.tobytes()
     starts = np.cumsum([0] + dims)
-    want = [per_member_pullback(game, i, s_star[starts[i]:starts[i + 1]], vs)
-            for i in range(num_players)]
-    assert game.coupling_pull(s_star.copy(), v).tobytes() == np.concatenate(want).tobytes()
+    # then all -0.0, so that an adjoint that stays -0.0 past its first
+    # coupling meets the pads of the players in fewer couplings
+    for signed in (lambda d: _signed(rng, d), lambda d: np.full(d, -0.0)):
+        xs = [signed(d) for d in dims]
+        vs = [signed(c.dim) for c in couplings]
+        s_star = signed(sum(dims))
+        x, v = np.concatenate(xs), np.concatenate(vs)
+        want = [per_member_mixture(c, xs) for c in couplings]
+        assert game.coupling_mix(x).tobytes() == np.concatenate(want).tobytes()
+        want = [per_member_pullback(game, i, s_star[starts[i]:starts[i + 1]], vs)
+                for i in range(num_players)]
+        assert game.coupling_pull(s_star.copy(), v).tobytes() == np.concatenate(want).tobytes()
 
 
 @given(
@@ -499,9 +499,9 @@ def test_tick_with_table_coupling_maps_equals_the_reference_tick(seed, num_playe
                                                                  num_couplings, max_lag, prob):
     # couplings whose maps are table products: an Identity or a ScaledIdentity
     # (-0.0 kept, no "+ 0.0") and a one-row Dense (its adjoint's "+ 0.0"),
-    # players in a varying number of them, so that the step reads v* through
-    # pads from each player's lag; smooth gradients of -0.0 at a -0.0 start
-    # give the step's pullback a -0.0 to start from
+    # players in a varying number of them, so that the tables have pads and
+    # the coupling step mixes at several lags; smooth gradients of -0.0 at a
+    # -0.0 start give the pullbacks a -0.0 to start from
     rng = np.random.default_rng(seed)
     players = [PlayerBlock(width, width, _cert_term(CERT_KINDS[int(rng.integers(len(CERT_KINDS)))],
                                                     width, rng),
@@ -543,7 +543,7 @@ def test_step_pullback_from_minus_zero_keeps_the_dense_plus_zero(members, prob):
     # x, u* and v* start at -0.0 and the smooth gradient x + (-0.0) is -0.0,
     # so the step's pullback starts from -0.0 and a one-row Dense's product
     # is -0.0, which its gemv returns as +0.0; with player 0 in one coupling
-    # (a plain add) and in two (the row loop)
+    # and in two
     players = [PlayerBlock(1, 1, proximal.box([-5.0], [5.0]), quadratic_smooth(1.0, [-0.0]),
                            1.0, Identity(1), 1.0) for _ in range(2)]
     couplings = [CouplingBlock(1, proximal.zero(), zero_smooth(), 0.0,
