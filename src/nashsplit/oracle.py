@@ -34,6 +34,7 @@ games with box and orthant constraints.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 import numpy as np
 
 from .model import Game, as_vector
@@ -51,9 +52,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """Residuals of the first-order equilibrium system at a candidate tuple."""
+class Certificate(NamedTuple):
+    """Residuals of the first-order equilibrium system at a candidate tuple (a tuple record)."""
 
     player_residuals: tuple         # per-player prox fixed-point residual
     interaction_residuals: tuple    # per-player dual-vs-gradient residual

@@ -29,10 +29,11 @@ reproducible trace.
 Forced coverage reads the raw draws of the previous ``window`` ticks; the
 memo of each of the 64 streams used last holds the batches that one
 window reaches, so memory is bounded by the window and the batch size,
-not by the tick count. A batch is resolved whole, its lags as absolute
-ticks, so a query inside a held batch, in any order, is one index; a
-query outside the held batches resolves its whole batch, and hashes the
-batches its window reaches that are not held.
+not by the tick count. A batch is resolved whole into its ready ``Tick``
+records, lags as absolute ticks, so a query inside a held batch, in any
+order, returns the stored record (one index) and every query of a tick
+shares it; a query outside the held batches resolves its whole batch,
+and hashes the batches its window reaches that are not held.
 """
 
 from __future__ import annotations
@@ -41,20 +42,36 @@ import numbers
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = ["Tick", "Schedule", "synchronous", "cyclic", "randomized", "audit"]
 
 
-@dataclass(frozen=True)
-class Tick:
-    """Activation sets and lag maps for one iteration."""
+class Tick(NamedTuple):
+    """Activation sets and lag maps for one iteration, an immutable tuple record. The
+    queries of a random tick share one record, and its ``TickReport`` its lag maps, so
+    these are read-only dicts: a write raises ``TypeError``; ``dict(...)`` gives a copy."""
 
     active_players: tuple
     active_couplings: tuple
     player_lags: dict     # player index -> tick whose data it reads
     coupling_lags: dict   # coupling index -> tick whose data it reads
+
+
+class _LagMap(dict):
+    """A ``Tick``'s read-only lag map: the ``dict`` mutators raise ``TypeError``."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a Tick's lag map is read-only; dict(...) gives a copy to edit")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):       # pickle and copy rebuild it without __setitem__
+        return _LagMap, (dict(self),)
 
 
 @dataclass(frozen=True)
@@ -111,15 +128,15 @@ class Schedule:
             slot = memo.held(n // _BATCH)
             if slot is None or slot[2] is None:
                 slot = _resolve(memo, self, n // _BATCH, num_players, num_couplings)
-            (players, p_lags), (coups, c_lags) = slot[2][n % _BATCH]
-            return Tick(players, coups, dict(zip(players, p_lags)), dict(zip(coups, c_lags)))
+            return slot[2][n % _BATCH]
         if self.kind == "cyclic" and n > 0:
             players = _rotation(n, num_players, self.block_size)
             coups = _rotation(n, num_couplings, self.block_size)
         else:
             players = tuple(range(num_players))
             coups = tuple(range(num_couplings))
-        return Tick(players, coups, {i: n for i in players}, {k: n for k in coups})
+        return Tick(players, coups, _LagMap(dict.fromkeys(players, n)),
+                    _LagMap(dict.fromkeys(coups, n)) if coups else _NO_LAGS)
 
 
 def synchronous() -> Schedule:
@@ -153,6 +170,8 @@ def _words(value: int) -> list:
         words.append(value & 0xFFFFFFFF)
     return words
 
+
+_NO_LAGS = _LagMap()  # the lag map of every empty activation set: read-only, so ticks share it
 
 # numpy's SeedSequence (O'Neill's seed_seq hash, pool of 4 words) and its
 # PCG64 bit generator (128-bit LCG, XSL-RR output), transcribed
@@ -281,7 +300,7 @@ class _Memo:
     """What one random stream keeps between queries: a slot per batch that one window reaches.
 
     Slot ``index % len(slots)`` holds ``(index, draws, ticks)``: batch
-    ``index``'s ``_draw_batch`` and all its ticks from ``_resolve``, or
+    ``index``'s ``_draw_batch`` and all its ``Tick`` records from ``_resolve``, or
     ``None`` for ticks while only a later window reads the draws. One store
     replaces a slot, and a read checks its index: concurrent queries at worst draw twice.
     """
@@ -308,11 +327,10 @@ def _raw_active(seed, prob, window, max_lag, num_players, num_couplings) -> _Mem
 
 
 def _resolve(memo: _Memo, sched: Schedule, index: int, num_players: int, num_couplings: int):
-    """Store and return the slot of batch ``index`` with all its ticks resolved.
+    """Store and return the slot of batch ``index`` with all its ``Tick`` records.
 
-    A tick is ``((players, their lags), (couplings, their lags))``, lags as
-    ticks. A block missing from every raw draw of the last ``window`` ticks
-    is force-activated, so every ``window + 1`` ticks cover all blocks.
+    Lags are ticks. A block missing from every raw draw of the last ``window``
+    ticks is force-activated, so every ``window + 1`` ticks cover all blocks.
     """
     num_blocks, window, base = num_players + num_couplings, sched.window, index * _BATCH
     oldest = base - window
@@ -347,6 +365,8 @@ def _resolve(memo: _Memo, sched: Schedule, index: int, num_players: int, num_cou
         t, ((ps, _), (cs, _)) = base + j, ticks[j]
         ticks[j] = _replay(memo, t, max(0, t - sched.max_lag), () if empty_p[j] else ps,
                            () if empty_c[j] else cs, num_players, num_couplings)
+    ticks = [Tick(ps, cs, _LagMap(zip(ps, p_lags)), _LagMap(zip(cs, c_lags)) if cs else _NO_LAGS)
+             for (ps, p_lags), (cs, c_lags) in ticks]
     return memo.store((index, held[index], ticks))
 
 
@@ -380,36 +400,25 @@ def audit(schedule: Schedule, horizon: int, num_players: int, num_couplings: int
     a list of violation strings (empty means the schedule is admissible
     over the horizon).
     """
-    report = []
-    span = schedule.window + 1
-    recent_p, recent_c = deque(maxlen=span), deque(maxlen=span)
+    report, span = [], schedule.window + 1
+    kinds = (("player", num_players), ("coupling", num_couplings))
+    recent = deque(maxlen=span)     # the player and coupling sets of the last span ticks
     for n in range(horizon + 1):
         tick = schedule.next_tick(n, num_players, num_couplings)
-        if n == 0:
-            if set(tick.active_players) != set(range(num_players)):
-                report.append("tick 0 must activate every player")
-            if set(tick.active_couplings) != set(range(num_couplings)):
-                report.append("tick 0 must activate every coupling")
-        if not tick.active_players:
-            report.append(f"tick {n}: empty player activation set")
-        if num_couplings and not tick.active_couplings:
-            report.append(f"tick {n}: empty coupling activation set")
+        sets = (set(tick.active_players), set(tick.active_couplings))
+        for (kind, size), active in zip(kinds, sets):
+            if n == 0 and active != set(range(size)):
+                report.append(f"tick 0 must activate every {kind}")
+        for (kind, size), active in zip(kinds, sets):
+            if not active and (size or kind == "player"):     # a game may have no couplings
+                report.append(f"tick {n}: empty {kind} activation set")
         lo = max(0, n - schedule.max_lag)
-        for i, tau in tick.player_lags.items():
-            if not lo <= tau <= n:
-                report.append(f"tick {n}: player {i} lag {tau} outside [{lo}, {n}]")
-        for k, delta in tick.coupling_lags.items():
-            if not lo <= delta <= n:
-                report.append(f"tick {n}: coupling {k} lag {delta} outside [{lo}, {n}]")
-        recent_p.append(set(tick.active_players))
-        recent_c.append(set(tick.active_couplings))
-        if n + 1 >= span:
-            covered_p = set().union(*recent_p)
-            covered_c = set().union(*recent_c)
-            if covered_p != set(range(num_players)):
-                missing = sorted(set(range(num_players)) - covered_p)
-                report.append(f"ticks {n + 1 - span}..{n}: players {missing} never activated")
-            if covered_c != set(range(num_couplings)):
-                missing = sorted(set(range(num_couplings)) - covered_c)
-                report.append(f"ticks {n + 1 - span}..{n}: couplings {missing} never activated")
+        for (kind, _), lags in zip(kinds, (tick.player_lags, tick.coupling_lags)):
+            report += [f"tick {n}: {kind} {i} lag {tau} outside [{lo}, {n}]"
+                       for i, tau in lags.items() if not lo <= tau <= n]
+        recent.append(sets)
+        for (kind, size), seen in zip(kinds, zip(*recent)):
+            if n + 1 >= span and (covered := set().union(*seen)) != set(range(size)):
+                missing = sorted(set(range(size)) - covered)
+                report.append(f"ticks {n + 1 - span}..{n}: {kind}s {missing} never activated")
     return report

@@ -34,7 +34,7 @@ import numbers
 import re
 from itertools import accumulate
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -84,9 +84,10 @@ class NumericalAbortError(RuntimeError):
     """The projection step denominator degenerated; state is corrupt."""
 
 
-@dataclass(frozen=True)
-class TickReport:
-    """Per-tick record: scalar test, step, residual, and activation data."""
+class TickReport(NamedTuple):
+    """Per-tick record: scalar test, step, residual, and activation data, an immutable
+    tuple record. The activation fields are the tick's ``Tick`` fields, whose
+    read-only lag maps every query of that tick shares."""
 
     n: int
     pi: float
@@ -367,7 +368,8 @@ def _step_table(state: IterState, params: SolverParams, lags: dict) -> np.ndarra
     schedule the table is built per call, for the players in ``lags`` only.
     """
     held, entries, table = state._steps
-    if held is params and table is not None and all(tuple(s) == values for s, values in entries):
+    if held is params and table is not None and (
+            not entries or all(tuple(s) == values for s, values in entries)):
         return table
     game = state.game
     schedules = (params.strategy_steps, params.interaction_steps, params.player_dual_steps)
@@ -551,22 +553,11 @@ def tick(game: Game, params: SolverParams, schedule: Schedule, state: IterState)
     key = state.flat.tobytes()
     if state._certified[0] != key:
         flat = state.flat
-        residual = oracle.check_equilibrium(
-            game, flat[game.x_span], flat[game.u_span], flat[game.v_span], coerce=False
-        ).max_residual
-        state._certified = (key, residual)
-    residual = state._certified[1]
-    report = TickReport(
-        n=n,
-        pi=pi,
-        theta=theta,
-        step_norm=step_norm,
-        kkt_residual=residual,
-        active_players=info.active_players,
-        active_couplings=info.active_couplings,
-        player_lags=info.player_lags,
-        coupling_lags=info.coupling_lags,
-    )
+        cert = oracle.check_equilibrium(game, flat[game.x_span], flat[game.u_span],
+                                        flat[game.v_span], coerce=False)
+        state._certified = (key, cert.max_residual)
+    report = TickReport(n, pi, theta, step_norm, state._certified[1], info.active_players,
+                        info.active_couplings, info.player_lags, info.coupling_lags)
     state.n = n + 1
     return report
 

@@ -1,7 +1,10 @@
 """Activation schedules: covering, lag bounds, determinism."""
 
+import contextlib
+import copy
 import gc
 import hashlib
+import pickle
 import random
 import sys
 import threading
@@ -11,7 +14,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nashsplit import schedules
+from nashsplit import SolverParams, schedules, solve
+from nashsplit.problems import shared_constraint_instance
 from nashsplit.schedules import Schedule, audit, cyclic, randomized, synchronous
 
 from _oracles import random_schedule_tick
@@ -355,3 +359,98 @@ def test_concurrent_queries_match_a_sequential_replay():
     assert errors == []
     assert done == [len(ticks)] * len(orders)
     assert mismatches == []
+
+
+# every mutator of a dict, each given a key that the map may hold
+_WRITES = {
+    "setitem": lambda lags, key: lags.__setitem__(key, -1),
+    "delitem": lambda lags, key: lags.__delitem__(key),
+    "update": lambda lags, key: lags.update({key: -1}),
+    "ior": lambda lags, key: lags.__ior__({key: -1}),
+    "setdefault": lambda lags, key: lags.setdefault(key + 1000, -1),
+    "pop": lambda lags, key: lags.pop(key),
+    "popitem": lambda lags, key: lags.popitem(),
+    "clear": lambda lags, key: lags.clear(),
+}
+
+
+def _write_everything(lag_maps):
+    """Try every write on every map; a read-only map may raise ``TypeError``, and an empty
+    one ``KeyError``."""
+    for lags in lag_maps:
+        for write in _WRITES.values():
+            with contextlib.suppress(TypeError, KeyError):
+                write(lags, next(iter(lags), 0))
+
+
+def _fields(tick):
+    return (tick.active_players, tick.active_couplings,
+            sorted(tick.player_lags.items()), sorted(tick.coupling_lags.items()))
+
+
+@pytest.mark.parametrize("n", [1, 9, schedules._BATCH + 3])
+def test_a_write_into_a_queried_tick_reaches_no_later_query(n):
+    # a held batch keeps its ready Ticks and every query of a tick may get the
+    # same record, so a caller's write must not reach the next query
+    sched = randomized(5, 0.5, max_lag=4, window=3)
+    schedules._raw_active.cache_clear()
+    first, second = sched.next_tick(n, 3, 2), sched.next_tick(n, 3, 2)
+    assert first == second
+    expected = _fields(first)
+    _write_everything([first.player_lags, first.coupling_lags])
+    assert _fields(sched.next_tick(n, 3, 2)) == expected
+    with pytest.raises(AttributeError):
+        first.player_lags = {}
+
+
+def test_a_write_into_the_reports_reaches_no_later_solve():
+    # the second solve reads the ticks that the first one resolved, held in
+    # the memo: a write into the first solve's reports must not reach it
+    game, _ = shared_constraint_instance()
+    params = SolverParams.for_game(game, max_iters=60)
+    sched = randomized(3, 0.5, max_lag=3, window=2)
+    schedules._raw_active.cache_clear()
+    first = solve(game, params, sched)
+    expected = pickle.dumps(first)
+    _write_everything([lags for rep in first.reports for lags in (rep.player_lags,
+                                                                   rep.coupling_lags)])
+    assert pickle.dumps(solve(game, params, sched)) == expected
+
+
+@pytest.mark.parametrize("sched", [synchronous(), cyclic(block_size=2, window=1),
+                                   randomized(5, 0.5, max_lag=4, window=3)],
+                         ids=["synchronous", "cyclic", "random"])
+def test_a_tick_is_a_tuple_record_that_pickles_and_copies(sched):
+    tick = sched.next_tick(300, 3, 2)
+    players, couplings, player_lags, coupling_lags = tick
+    assert tick == (players, couplings, dict(player_lags), dict(coupling_lags))
+    assert len(tick) == 4 and isinstance(player_lags, dict)
+    for twin in (pickle.loads(pickle.dumps(tick)), copy.copy(tick), copy.deepcopy(tick)):
+        assert twin == tick and type(twin.player_lags) is type(player_lags)
+    for name, write in _WRITES.items():
+        with pytest.raises(TypeError, match="read-only"):
+            write(player_lags, players[0])
+        assert _fields(sched.next_tick(300, 3, 2)) == _fields(tick), name
+
+
+def test_cache_clear_drops_the_resolved_ticks(monkeypatch):
+    # perfbench clears the memo before every timed solve and reuses one
+    # Schedule, so after a clear a tick of a held batch is drawn again
+    draws, draw_batch = [], schedules._draw_batch
+
+    def counting(seed, index, *args):
+        draws.append(index)
+        return draw_batch(seed, index, *args)
+
+    monkeypatch.setattr(schedules, "_draw_batch", counting)
+    sched, n = randomized(4, 0.3, max_lag=2, window=5), schedules._BATCH + 7
+    schedules._raw_active.cache_clear()
+    try:
+        first = sched.next_tick(n, 3, 1)
+        assert sched.next_tick(n, 3, 1) == first
+        assert draws == [0, 1]
+        schedules._raw_active.cache_clear()
+        assert sched.next_tick(n, 3, 1) == first
+        assert draws == [0, 1, 0, 1]
+    finally:
+        schedules._raw_active.cache_clear()

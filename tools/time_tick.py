@@ -61,7 +61,9 @@ into the same process, under another module name, and times the two in
 interleaved pairs, each checkout first in every other pair: per shape the
 two medians, the change, and in how many pairs this checkout was faster.
 Both must give the same ticks and final iterate bytes, draws,
-certificates and set-up parameters, or the script stops::
+certificates and set-up parameters, or the script stops; draws compare
+by value, each lag map as its sorted items, so a checkout whose maps are
+not plain dicts still compares::
 
     python tools/time_tick.py --against ../parent --reps 8
 
@@ -250,6 +252,15 @@ def draw_run(pkg, prob, max_lag, window, num_players, num_couplings):
     return run
 
 
+def comparable(output):
+    """A rep's output as two checkouts compare it: ``next_tick`` records field by field,
+    each lag map as its sorted items, and anything else by ``repr``."""
+    if isinstance(output, list):    # the ticks of a draw_run
+        return [(t.active_players, t.active_couplings, sorted(t.player_lags.items()),
+                 sorted(t.coupling_lags.items())) for t in output]
+    return repr(output)
+
+
 def certificate_run(pkg, name: str):
     """``CALLS`` per-tick certificates of the workload's game at one point."""
     game, _ = workload_game(pkg, name)
@@ -354,7 +365,7 @@ def main(argv=None) -> int:
             # the checkouts take turns to go first, so that an order effect cancels
             for label, runs in list(versions.items())[::-1 if rep % 2 else 1]:
                 (count, output), _, ref_s = clock.time(repeated(runs[shape][0], times[shape]))
-                seen.append(output if runs[shape][1] == "tick" else repr(output))
+                seen.append(output if runs[shape][1] == "tick" else comparable(output))
                 us[label][shape].append(ref_s / count * 1e6)
             if any(output != seen[0] for output in seen):
                 raise SystemExit(f"{shape}: the two checkouts give different results")
