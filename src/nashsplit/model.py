@@ -184,10 +184,10 @@ class StateBlocks(NamedTuple):
 
 
 class ProxGroup(NamedTuple):
-    """Players whose nonsmooth terms share one prox call on their ``index``
-    entries of the stacked ``x``: a single member's own ``term``, or the one
-    that the members' shared ``stack`` constructor rebuilds from their
-    concatenated vectors."""
+    """Blocks (players, then couplings) whose nonsmooth terms share one prox
+    call on their ``index`` entries of the stacked ``[x | Lx]``: a single
+    member's own ``term``, or the one that the members' shared ``stack``
+    constructor rebuilds from their concatenated vectors."""
 
     term: NonsmoothTerm
     index: np.ndarray
@@ -215,11 +215,8 @@ def _incidence_table(outputs, width: int, adjoint: bool) -> _Incidence:
     """The table of ``outputs``, one ``(columns, members)`` per output block, over ``width``
     columns, each member ``(source entries, map)`` in accumulation order: a map
     (its adjoint) of the right widths is a product per entry when it is an ``Identity`` or a
-    ``ScaledIdentity``, or a ``Dense`` of one column (one row). Without outputs it is the
-    shared empty table."""
-    if not outputs:
-        return _NO_TABLE
-    rows = max(len(members) for _, members in outputs) or 1
+    ``ScaledIdentity``, or a ``Dense`` of one column (one row)."""
+    rows = max((len(members) for _, members in outputs), default=1) or 1
     at, coef, live, dense, calls = [0] * (rows * width), [1.0] * (rows * width), set(), [], []
     for cols, members in outputs:       # built in lists: numpy costs more per member
         for j, (src, op) in enumerate(members):
@@ -251,9 +248,6 @@ def _readonly(values: list, dtype, shape) -> np.ndarray:
     out = np.array(values, dtype=dtype).reshape(shape)
     out.flags.writeable = False
     return out
-
-
-_NO_TABLE = _Incidence(_readonly([], np.intp, (1, 0)), None, None, None, ())
 
 
 def _terms(table: _Incidence, values: np.ndarray) -> np.ndarray:
@@ -288,7 +282,7 @@ def _contiguous(index: np.ndarray):
 
 def _groups(terms, dims, entries) -> tuple:
     """One ``ProxGroup`` per ``stack[:2]`` that the terms declare, and one per other term,
-    on the ``entries`` of their players; one whose ``stack`` vectors miss its width
+    on the ``entries`` of their blocks; one whose ``stack`` vectors miss its width
     (``dims``) stays alone to raise its own error."""
     members = {}
     for i, (term, d) in enumerate(zip(terms, dims)):
@@ -339,16 +333,18 @@ class Game:
     product plus ``+0.0`` (its BLAS gemv turns a lone ``-0.0`` into
     ``+0.0``), and absent members ``-0.0``, the one exact additive identity.
 
-    For the stacked certificate, ``prox_groups`` puts every player in one
-    ``ProxGroup``: players whose terms declare the same constructor and
-    scalars in ``NonsmoothTerm.stack`` share one; a term without a ``stack``
-    (a hand-made one, whatever its ``kind``) or whose intrinsic dimension is
-    not the player's is a group of one. ``mixed_players`` have a mix that is
-    not an ``Identity`` of their widths, which ``mix`` applies;
-    ``smooth_players`` and ``smooth_couplings`` have a smooth term that does
-    not declare ``zero_smooth``, which ``smooth_grad`` and ``coupling_grad``
-    call, for the local steps and the certificate alike; ``indicator_players``
-    have an indicator term.
+    The stacked certificate sees the players and then the couplings as the
+    blocks of one vector ``[x | Lx]``. ``prox_groups`` puts every block in one
+    ``ProxGroup``: blocks whose terms declare the same constructor and
+    scalars in ``NonsmoothTerm.stack`` share one, a player's or a coupling's
+    alike; a term without a ``stack`` (a hand-made one, whatever its
+    ``kind``) or whose intrinsic dimension is not the block's is a group of
+    one. ``indicator_blocks`` numbers the blocks with an indicator term in
+    that order (coupling ``k`` is block ``num_players + k``).
+    ``mixed_players`` have a mix that is not an ``Identity`` of their widths,
+    which ``mix`` applies; ``smooth_players`` and ``smooth_couplings`` have a
+    smooth term that does not declare ``zero_smooth``, which ``smooth_grad``
+    and ``coupling_grad`` call, for the local steps and the certificate alike.
     """
 
     players: Sequence[PlayerBlock]
@@ -390,15 +386,21 @@ class Game:
         inner = np.add.outer((0, fields[1].start, fields[3].start), np.arange(fields[0].stop))
         inner.flags.writeable = False
         object.__setattr__(self, "_inner_blocks", inner)
-        # the certificate's stacked difference [x - prox | u* - Q(Mx) | x - P(x)], per player
-        nx, x_starts = self.x_span.stop, starts[fields[0]]
-        residual_starts = np.concatenate((x_starts, nx + self._offsets[:-1],
-                                          nx + self._offsets[-1] + x_starts))
+        # the certificate's blocks [x | Lx] start at `blocks`, and its stacked difference
+        # [blocks - prox | u* - Q(Mx) | blocks - P(blocks)] at the residual starts
+        nx, width = self.x_span.stop, self.v_span.stop - self.v_span.start
+        blocks = np.concatenate((starts[fields[0]], starts[fields[4]] + (nx - self.v_span.start)))
+        residual_starts = np.concatenate((blocks, nx + width + self._offsets[:-1],
+                                          nx + width + self._offsets[-1] + blocks))
         residual_starts.flags.writeable = False
         object.__setattr__(self, "_residual_starts", residual_starts)
-        object.__setattr__(self, "_x_entries", tuple(np.arange(s.start, s.stop) for s in groups[0]))
-        object.__setattr__(self, "prox_groups", _groups(
-            [p.nonsmooth for p in self.players], self.strategy_dims, self._x_entries))
+        terms = [b.nonsmooth for b in self.players + self.couplings]
+        dims = self.strategy_dims + self.coupling_dims
+        block_entries = [np.arange(b, b + d) for b, d in zip(blocks.tolist(), dims)]
+        object.__setattr__(self, "_x_entries", tuple(block_entries[:len(self.players)]))
+        object.__setattr__(self, "prox_groups", _groups(terms, dims, block_entries))
+        object.__setattr__(self, "indicator_blocks",
+                           tuple(b for b, term in enumerate(terms) if is_indicator(term)))
         object.__setattr__(self, "mixed_players", tuple(
             i for i, p in enumerate(self.players)
             if not (type(p.mix) is Identity and p.mix.in_dim == p.dim_strategy == p.dim_interaction)
@@ -416,9 +418,6 @@ class Game:
         entries = np.stack(rows)
         entries.flags.writeable = False
         object.__setattr__(self, "_entries", entries)
-        object.__setattr__(self, "indicator_players", tuple(
-            i for i, p in enumerate(self.players) if is_indicator(p.nonsmooth)
-        ))
         self._coupling_tables(groups)
 
     def _coupling_tables(self, groups) -> None:

@@ -10,20 +10,20 @@ solver's stopping rule.
 
 The certificate runs after every tick that moves the iterate, so it works
 on stacked vectors: per-block input is joined once, and the tick passes
-views of its flat state. Players whose nonsmooth terms declare the same
-entrywise ``stack`` share one prox call (``Game.prox_groups``); any other
-term, a hand-made one whatever its kind, is evaluated alone. The mixes and
-smooth gradients go through ``Game.mix``, ``Game.smooth_grad`` and
-``Game.coupling_grad``, and the couplings' mixtures and adjoints through
-one ``Game.coupling_mix`` and one ``Game.coupling_pull`` on the stacked
-vectors, as in the solver's ``refresh_e`` and ``assemble_duals``. The player and
-interaction residuals and the players' gaps are the per-block norms of one
-stacked difference (one ``np.add.reduceat``); each coupling's lines are
-``np.dot`` norms. The maximum runs over the player, interaction and
-coupling residuals and then the gaps (players, then couplings). So on
-one-entry blocks every residual has the bits of the per-player evaluation
-(``tests/_oracles.py`` keeps it as the reference); on wider blocks the
-sums of squares agree with its dot products to rounding.
+views of its flat state. The players and then the couplings are the
+blocks of one vector ``[x | Lx]``, and blocks whose nonsmooth terms declare
+the same entrywise ``stack`` share one prox call (``Game.prox_groups``),
+a player's or a coupling's alike; any other term, a hand-made one
+whatever its kind, is evaluated alone. The mixes and smooth gradients go
+through ``Game.mix``, ``Game.smooth_grad`` and ``Game.coupling_grad``, and
+the couplings' mixtures and adjoints through one ``Game.coupling_mix`` and
+one ``Game.coupling_pull`` on the stacked vectors, as in the solver's
+``refresh_e`` and ``assemble_duals``. Every player, interaction and
+coupling residual and every gap is a per-block norm of one stacked
+difference (one ``np.add.reduceat``), so on one-entry blocks every
+residual has the bits of the per-block evaluation (``tests/_oracles.py``
+keeps it as the reference); on wider blocks the sums of squares agree with
+its dot products to rounding. The maximum is NaN when any line is.
 
 The reference solvers are diagnostic and deliberately independent of the
 main iteration: a Gauss-Seidel best-response sweep (which is expected to
@@ -60,10 +60,6 @@ class Certificate(NamedTuple):
     coupling_residuals: tuple       # per-coupling dual consistency residual
     feasibility_gaps: tuple         # distance to each indicator set (players then couplings)
     max_residual: float
-
-
-def _norm(v) -> float:
-    return float(np.sqrt(np.dot(v, v)))
 
 
 def _stacked(value, layout, what: str, coerce: bool = True) -> np.ndarray:
@@ -104,50 +100,52 @@ def check_equilibrium(game: Game, x, u_star=None, v_star=None, *,
     """
     layout, players = game.state_slices, game.num_players
     x = _stacked(x, layout.x, "x", coerce)
-    y = game.mix(x)
+    q = _interaction(game, game.mix(x))
+    u = q if u_star is None else _stacked(u_star, layout.u_star, "u*", coerce)
+    v = _stacked(v_star, layout.v_star, "v*", coerce)
+
+    pull = game.smooth_grad(x) + game.mix(u, adjoint=True)
+    # the blocks [x | Lx], and the couplings' steps Lx + (v* - grad(Lx)); v* is
+    # empty without couplings
+    blocks, z_step = x, v
+    if game.couplings:
+        if game.coupled_players:
+            game.coupling_pull(pull, v)
+        z, v0 = game.coupling_mix(x), game.v_span.start
+        blocks, z_step = np.concatenate((x, z)), z + v    # z + (v* - 0.0) is z + v*, bit for bit
+        for k in game.smooth_couplings:
+            s = slice(layout.v_star[k].start - v0, layout.v_star[k].stop - v0)
+            z_step[s] = z[s] + (v[s] - game.coupling_grad(k, z[s]))
+    # prox residuals at unit step: any fixed positive step has the same zero
+    # set, and this one is unrelated to the solver's step schedules;
+    # [blocks - prox(step) | u* - q | blocks - projection], the step [x - pull | z_step]
+    source = np.concatenate((blocks, u, blocks))
+    target = np.concatenate((x - pull, z_step, q, blocks))
+    projected, starts = target[len(blocks) + len(q):], game._residual_starts
+    for term, index in game.prox_groups:
+        a = prox(term, 1.0, target[index])
+        if np.shape(a) != index.shape:      # only a term alone in its group gets here
+            b = int(np.searchsorted(starts, index[0]))
+            name = f"player {b}" if b < players else f"coupling {b - players}"
+            raise ValueError(f"{name}: prox returned shape {np.shape(a)}, expected {index.shape}")
+        target[index] = a
+        if is_indicator(term):
+            projected[index] = prox(term, 1.0, blocks[index])
+    diff = source - target
+    norms = np.sqrt(np.add.reduceat(diff * diff, starts)).tolist()
+    lines, c = tuple(norms), players + game.num_couplings
+    total = sum(norms)      # NaN when any line is: max() keeps a NaN only in first place
+    return Certificate(lines[:players], lines[c:c + players], lines[players:c],
+                       tuple([lines[c + players + b] for b in game.indicator_blocks]),
+                       max(norms) if total == total else total)
+
+
+def _interaction(game: Game, y: np.ndarray) -> np.ndarray:
+    """``Q(y)``, checked to be of ``y``'s shape."""
     q = np.asarray(game.interaction.eval(y), dtype=float)
     if q.shape != y.shape:
         raise ValueError(f"interaction gradient returned shape {q.shape}, expected {y.shape}")
-    u = q if u_star is None else _stacked(u_star, layout.u_star, "u*", coerce)
-    v, v0 = _stacked(v_star, layout.v_star, "v*", coerce), game.v_span.start
-
-    pull = game.smooth_grad(x) + game.mix(u, adjoint=True)
-    if game.coupled_players:
-        game.coupling_pull(pull, v)
-    # prox residuals at unit step: any fixed positive step has the same zero
-    # set, and this one is unrelated to the solver's step schedules
-    step = x - pull
-    # [x - prox(step) | u* - q | x - projection], the last with indicator players only
-    gapped = bool(game.indicator_players)
-    source = np.concatenate((x, u, x) if gapped else (x, u))
-    target = np.concatenate((step, q, x) if gapped else (step, q))
-    projected = target[len(x) + len(q):]
-    for term, index in game.prox_groups:
-        a = prox(term, 1.0, step[index])
-        if np.shape(a) != index.shape:      # only a term alone in its group gets here
-            raise ValueError(f"player {int(np.searchsorted(game.block_starts, index[0]))}: "
-                             f"prox returned shape {np.shape(a)}, expected {index.shape}")
-        target[index] = a
-        if is_indicator(term):
-            projected[index] = prox(term, 1.0, x[index])
-    diff = source - target
-    starts = game._residual_starts[:(3 if gapped else 2) * players]
-    norms = np.sqrt(np.add.reduceat(diff * diff, starts)).tolist()
-    coupling_res, gaps = [], [norms[2 * players + i] for i in game.indicator_players]
-    mixed = game.coupling_mix(x) if game.couplings else None
-    for k, (blk, s) in enumerate(zip(game.couplings, layout.v_star)):
-        s = slice(s.start - v0, s.stop - v0)
-        z = mixed[s]
-        b = prox(blk.nonsmooth, 1.0, z + (v[s] - game.coupling_grad(k, z)))
-        if np.shape(b) != z.shape:
-            raise ValueError(f"coupling {k}: prox returned shape {np.shape(b)}, expected {z.shape}")
-        coupling_res.append(_norm(z - b))
-        if is_indicator(blk.nonsmooth):
-            gaps.append(_norm(z - prox(blk.nonsmooth, 1.0, z)))
-    norms[2 * players:] = coupling_res + gaps   # the max's order, which a NaN makes matter
-    norms, c = tuple(norms), 2 * players + len(coupling_res)
-    return Certificate(norms[:players], norms[players:2 * players], norms[2 * players:c],
-                       norms[c:], max(norms))
+    return q
 
 
 def equilibrium_tuple(game: Game, x, v_star=None):
@@ -157,14 +155,11 @@ def equilibrium_tuple(game: Game, x, v_star=None):
     This is the reference point for the half-space and distance-monotone
     run invariants.
     """
-    layout, v0 = game.state_slices, game.v_span.start
+    layout = game.state_slices
     x, v = _stacked(x, layout.x, "x"), _stacked(v_star, layout.v_star, "v*")
-    xs = [x[s] for s in layout.x]
-    ys = [p.mix.apply(xs[i]) for i, p in enumerate(game.players)]
-    mixed = game.coupling_mix(x) if game.couplings else None
-    zs, vs = ([w[s.start - v0:s.stop - v0] for s in layout.v_star] for w in (mixed, v))
-    us = game.split_interaction(np.asarray(game.interaction.eval(np.concatenate(ys)), dtype=float))
-    return tuple(tuple(np.array(b) for b in group) for group in (xs, ys, zs, us, vs))
+    y = game.mix(x)
+    flat = np.concatenate((x, y, game.coupling_mix(x), _interaction(game, y), v))
+    return tuple(tuple(np.array(b) for b in group) for group in game.split_state(flat))
 
 
 @dataclass(frozen=True)
@@ -183,8 +178,11 @@ def best_response_fixed_point(game: Game, x0=None, rounds: int = 50,
     after ``rounds`` sweeps (best response is known to cycle on minimax
     instances, which is precisely why the main solver exists). Couplings
     must have zero nonsmooth terms; shared nonsmooth constraints do not
-    reduce to a per-player proximal step.
+    reduce to a per-player proximal step. ``x0`` must hold one block per
+    player (ValueError otherwise).
     """
+    if x0 is not None and len(x0 := list(x0)) != game.num_players:
+        raise ValueError(f"x0: expected {game.num_players} blocks, got {len(x0)}")
     for k, blk in enumerate(game.couplings):
         if blk.nonsmooth.kind != "zero":
             raise ValueError(
@@ -270,26 +268,12 @@ def quadratic_game_exact(game: Game, tol: float = 1e-9) -> ExactEquilibrium:
     smooth part. Enumerates active sets, solves each KKT linear system,
     and returns the first sign-consistent solution.
     """
-    dims = game.strategy_dims
-    total = int(sum(dims))
+    total, blocks = game.x_span.stop, game.state_slices.x
     if total > 12:
         raise ValueError("active-set enumeration is a desk-scale oracle (total dim <= 12)")
-    offs = np.cumsum([0] + list(dims))
-
-    def split(xfull):
-        return [xfull[offs[i]:offs[i + 1]] for i in range(game.num_players)]
 
     def pseudo_gradient(xfull):
-        xs = split(xfull)
-        ys = [p.mix.apply(xs[i]) for i, p in enumerate(game.players)]
-        grads = game.split_interaction(
-            np.asarray(game.interaction.eval(np.concatenate(ys)), dtype=float)
-        )
-        parts = [
-            game.players[i].smooth.grad(xs[i]) + game.players[i].mix.adjoint_apply(grads[i])
-            for i in range(game.num_players)
-        ]
-        return np.concatenate(parts)
+        return game.smooth_grad(xfull) + game.mix(_interaction(game, game.mix(xfull)), adjoint=True)
 
     base = pseudo_gradient(np.zeros(total))
     w_mat = np.zeros((total, total))
@@ -307,15 +291,14 @@ def quadratic_game_exact(game: Game, tol: float = 1e-9) -> ExactEquilibrium:
     upper = np.full(total, np.inf)
     for i, p in enumerate(game.players):
         term = p.nonsmooth
-        sl = slice(offs[i], offs[i + 1])
         if term.kind == "zero":
             continue
         if term.kind == "box":
-            lower[sl] = term.meta["lower"]
-            upper[sl] = term.meta["upper"]
+            lower[blocks[i]] = term.meta["lower"]
+            upper[blocks[i]] = term.meta["upper"]
         elif term.kind == "singleton":
-            lower[sl] = term.meta["point"]
-            upper[sl] = term.meta["point"]
+            lower[blocks[i]] = term.meta["point"]
+            upper[blocks[i]] = term.meta["point"]
         else:
             raise ValueError(f"player {i}: unsupported term kind {term.kind!r} for exact oracle")
 
@@ -331,7 +314,7 @@ def quadratic_game_exact(game: Game, tol: float = 1e-9) -> ExactEquilibrium:
             )
         block_rows = np.zeros((blk.dim, total))
         for i, op in blk.maps.items():
-            block_rows[:, offs[i]:offs[i + 1]] = op.matrix()
+            block_rows[:, blocks[i]] = op.matrix()
         rows.append(block_rows)
         rhs.append(blk.nonsmooth.meta["offset"])
         row_coupling.extend((k, r) for r in range(blk.dim))
@@ -402,20 +385,11 @@ def quadratic_game_exact(game: Game, tol: float = 1e-9) -> ExactEquilibrium:
                 if got is None:
                     continue
                 xfull, lam = got
-                xs = [np.array(b) for b in split(xfull)]
-                ys = [p.mix.apply(xs[i]) for i, p in enumerate(game.players)]
-                us = game.split_interaction(
-                    np.asarray(game.interaction.eval(np.concatenate(ys)), dtype=float)
-                )
                 vs = [np.zeros(c.dim) for c in game.couplings]
                 mults = [np.zeros(c.dim) for c in game.couplings]
                 for (k, r), val in zip(row_coupling, lam):
                     mults[k][r] = val
                     vs[k][r] = -val
-                return ExactEquilibrium(
-                    tuple(xs),
-                    tuple(np.array(b) for b in us),
-                    tuple(vs),
-                    tuple(mults),
-                )
+                xs, _, _, us, _ = equilibrium_tuple(game, xfull)
+                return ExactEquilibrium(xs, us, tuple(vs), tuple(mults))
     raise NoConsistentActiveSetError("no active set yields a consistent equilibrium")

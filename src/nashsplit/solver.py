@@ -270,9 +270,15 @@ class IterState:
 
 
 def tuple_distance(t1, t2) -> float:
-    """Norm of the difference of two full ``(x, y, z, u*, v*)`` tuples."""
+    """Norm of the difference of two full ``(x, y, z, u*, v*)`` tuples; ValueError when
+    their groups or their blocks' shapes differ."""
+    if len(t1) != len(t2):
+        raise ValueError(f"tuples of {len(t1)} and {len(t2)} groups")
     acc = 0.0
-    for group1, group2 in zip(t1, t2):
+    for g, (group1, group2) in enumerate(zip(t1, t2)):
+        shapes = [np.shape(a) for a in group1], [np.shape(b) for b in group2]
+        if shapes[0] != shapes[1]:
+            raise ValueError(f"group {g}: block shapes {shapes[0]} and {shapes[1]} differ")
         for a, b in zip(group1, group2):
             d = np.asarray(a) - np.asarray(b)
             acc += float(np.dot(d, d))
@@ -567,9 +573,12 @@ def candidate_gap(game: Game, state: IterState, reference) -> float:
 
     For a reference tuple assembled from a solution, monotonicity forces
     this to be nonpositive: the solution set lies inside the projection
-    half-space.
+    half-space. A reference of other than ``game.state_size`` entries raises
+    ValueError.
     """
     ref = np.concatenate([np.asarray(b, dtype=float) for group in reference for b in group])
+    if ref.shape != (game.state_size,):
+        raise ValueError(f"reference: expected {game.state_size} entries, got shape {ref.shape}")
     return _block_inner(game, ref - state.point, state.direction)
 
 

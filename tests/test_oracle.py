@@ -61,22 +61,53 @@ class TestCheckEquilibrium:
         assert cert.max_residual > 0.5
 
 
-def test_certificate_calls_prox_once_per_group(monkeypatch):
-    # boxes group by kind, l1 terms by weight; the simplex stays alone, and
-    # the box and simplex groups take one more call each for the gaps
+def _grouped_players():
+    """Seven players: boxes group by kind, l1 terms by weight, and the simplex stays alone."""
     terms = [proximal.box([-1.0], [1.0]), proximal.box([0.0], [2.0]), proximal.l1(0.5),
              proximal.l1(2.0), proximal.l1(0.5), proximal.simplex(), proximal.zero()]
     widths = [1, 1, 1, 1, 1, 2, 1]
     players = [PlayerBlock(d, d, t, zero_smooth(), 0.0, Identity(d), 1.0)
                for t, d in zip(terms, widths)]
     game = Game(players, InteractionGradient(lambda y: 0.5 * y, 1.0))
-    assert [(g.term.kind, g.index.tolist()) for g in game.prox_groups] == [
-        ("box", [0, 1]), ("l1", [2, 4]), ("l1", [3]), ("simplex", [5, 6]), ("zero", [7])]
+    return game, [[0.5], [3.0], [1.0], [-3.0], [0.2], [0.3, 0.3], [4.0]], None
+
+
+def _grouped_players_and_couplings():
+    """Three players and four couplings (entries 4 to 8 of ``[x | Lx]``): each coupling term
+    but the orthant joins the group of a player's term that it stacks with."""
+    players = [PlayerBlock(d, d, t, zero_smooth(), 0.0, Identity(d), 1.0)
+               for t, d in ((proximal.box([-1.0], [1.0]), 1), (proximal.l1(0.5), 1),
+                            (proximal.zero(), 2))]
+    couplings = [
+        CouplingBlock(1, proximal.box([0.0], [2.0]), zero_smooth(), 0.0, {0: Identity(1)}),
+        CouplingBlock(2, proximal.l1(0.5), quadratic_smooth(1.0, [0.5, -0.5]), 1.0,
+                      {1: Dense([[1.0], [2.0]]), 2: Identity(2)}),
+        CouplingBlock(1, proximal.shifted_orthant([0.5]), zero_smooth(), 0.0,
+                      {0: Identity(1), 1: Identity(1)}),
+        CouplingBlock(1, proximal.zero(), zero_smooth(), 0.0, {2: Dense([[1.0, -1.0]])}),
+    ]
+    game = Game(players, InteractionGradient(lambda y: 0.5 * y, 1.0), couplings)
+    return game, [[0.5], [-2.0], [0.3, 1.5]], [[1.0], [0.2, -0.4], [-1.0], [0.5]]
+
+
+def test_certificate_calls_prox_once_per_group(monkeypatch):
+    # one call per group, and one more for the gaps of each indicator group
+    cases = [
+        (_grouped_players, [("box", [0, 1]), ("l1", [2, 4]), ("l1", [3]), ("simplex", [5, 6]),
+                            ("zero", [7])], 5 + 2, (7, 0, 3)),
+        (_grouped_players_and_couplings, [("box", [0, 4]), ("l1", [1, 5, 6]), ("zero", [2, 3, 8]),
+                                          ("shifted_orthant", [7])], 4 + 2, (3, 4, 3)),
+    ]
     calls = []
     monkeypatch.setattr(oracle, "prox", lambda *args: calls.append(args) or proximal.prox(*args))
-    cert = check_equilibrium(game, [[0.5], [3.0], [1.0], [-3.0], [0.2], [0.3, 0.3], [4.0]])
-    assert len(calls) == 5 + 2
-    assert len(cert.player_residuals) == 7 and len(cert.feasibility_gaps) == 3
+    for make, groups, count, lines in cases:
+        game, x, v = make()
+        assert [(g.term.kind, g.index.tolist()) for g in game.prox_groups] == groups
+        calls.clear()
+        cert = check_equilibrium(game, x, v_star=v)
+        assert len(calls) == count
+        assert (len(cert.player_residuals), len(cert.coupling_residuals),
+                len(cert.feasibility_gaps)) == lines
 
 
 class _LongMix(Identity):
@@ -236,6 +267,26 @@ def test_certificate_names_a_wrong_prox_shape(block, message):
         check_equilibrium(game, [[0.5], [1.0, -1.0]], v_star=[[1.0, 2.0]])
 
 
+def _nan_coupling_gradient_game():
+    coupling = CouplingBlock(1, proximal.zero(),
+                             SmoothTerm(lambda z: 0.0, lambda z: np.full(1, np.nan)), 0.0,
+                             {0: Identity(1)})
+    base = _two_box_players()
+    return Game(base.players, base.interaction, [coupling])
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: _two_box_players(bad_grad=lambda x: np.full(1, np.nan)), "player_residuals"),
+    (_nan_coupling_gradient_game, "coupling_residuals"),
+], ids=["player", "coupling"])
+def test_a_nan_line_makes_the_maximum_nan(make, field):
+    # the finite player 0 line comes first, and Python's max() drops a NaN
+    # that is not first; a NaN maximum keeps a run from reading as converged
+    cert = check_equilibrium(make(), [[1.0], [1.0]])
+    assert np.isnan(getattr(cert, field)[-1]) and cert.player_residuals[0] == 0.5
+    assert np.isnan(cert.max_residual)
+
+
 class TestBestResponse:
     def test_consensus_boxes(self):
         game, _ = consensus_instance([(2, 3), (0, 1)])
@@ -255,6 +306,12 @@ class TestBestResponse:
             game, x0=[[1.0, 0.0], [1.0, 0.0]], rounds=8
         )
         assert not got.converged
+
+    @pytest.mark.parametrize("blocks", [1, 3])
+    def test_x0_must_hold_one_block_per_player(self, blocks):
+        game, _ = consensus_instance([(2, 3), (0, 1)])
+        with pytest.raises(ValueError, match=re.escape(f"x0: expected 2 blocks, got {blocks}")):
+            best_response_fixed_point(game, x0=[[0.0]] * blocks)
 
     def test_rejects_nonsmooth_couplings(self):
         game, _ = shared_constraint_instance()

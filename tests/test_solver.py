@@ -877,6 +877,23 @@ class TestRunInvariants:
         assert worst_rise <= 1e-10
 
 
+@pytest.mark.parametrize("t1, t2, message", [
+    ((([1.0], [2.0]),), (([1.0],),), "group 0: block shapes [(1,), (1,)] and [(1,)] differ"),
+    ((([1.0],), ([2.0],)), (([1.0],),), "tuples of 2 and 1 groups"),
+    ((([1.0],), ([2.0],)), (([1.0],), ([2.0, 0.0],)), "group 1: block shapes [(1,)] and [(2,)]"),
+], ids=["blocks", "groups", "shapes"])
+def test_tuple_distance_refuses_tuples_of_other_layouts(t1, t2, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        solver.tuple_distance(t1, t2)
+
+
+def test_candidate_gap_refuses_a_reference_of_another_size():
+    game, _ = shared_constraint_instance()
+    state = IterState(game)
+    with pytest.raises(ValueError, match=re.escape("reference: expected 8 entries, got shape (1,)")):
+        solver.candidate_gap(game, state, (([1.0],),))
+
+
 class TestCertificateReuse:
     """The per-tick certificate is re-evaluated only when the iterate changed."""
 

@@ -34,7 +34,9 @@ Shapes, one row each:
   the schedule and block count of a workload (seed ``DRAW_SEED``), and
   ``lasso100``, the lasso schedule over 100 players;
 - ``certificate <shape>``: ``CALLS`` per-tick certificates
-  ``check_equilibrium(..., coerce=False)`` of a workload's game at an
+  ``check_equilibrium(..., coerce=False)`` of a workload's game, or of the
+  kitchen-sink game (``certificate kitchen``, the one row with a smooth
+  coupling and a two-entry player), at an
   ``IterState`` filled with standard normal entries, per call, given as
   the checkout's tick gives them: the stacked views
   ``state.flat[game.x_span]`` (``u_span``, ``v_span``), or the per-block
@@ -261,9 +263,8 @@ def comparable(output):
     return repr(output)
 
 
-def certificate_run(pkg, name: str):
-    """``CALLS`` per-tick certificates of the workload's game at one point."""
-    game, _ = workload_game(pkg, name)
+def certificate_run(pkg, game):
+    """``CALLS`` per-tick certificates of ``game`` at one point."""
     state = pkg.IterState(game)
     flat = state.flat
     flat[:] = np.random.default_rng(SEED).standard_normal(game.state_size)
@@ -307,8 +308,11 @@ def shapes(pkg, patterns=("*",)) -> dict:
                    for shape, name in COUPLING_SHAPES.items()})
     makers.update({f"next_tick {shape}": (lambda args=args: draw_run(pkg, *args), "call")
                    for shape, args in DRAW_SHAPES.items()})
-    makers.update({f"certificate {shape}": (lambda name=name: certificate_run(pkg, name), "call")
-                   for shape, name in WORKLOAD_SHAPES.items()})
+    games = {shape: lambda name=name: workload_game(pkg, name)[0]
+             for shape, name in WORKLOAD_SHAPES.items()}
+    games["kitchen"] = lambda: test_integration.kitchen_sink_game(pkg)
+    makers.update({f"certificate {shape}": (lambda game=game: certificate_run(pkg, game()), "call")
+                   for shape, game in games.items()})
     makers.update({f"setup {shape}": (lambda name=name: setup_run(pkg, name), "call")
                    for shape, name in WORKLOAD_SHAPES.items()})
 
