@@ -201,8 +201,8 @@ class _Incidence(NamedTuple):
     and ``-0.0`` elsewhere (None: no ``Dense`` product, or the shift does not matter).
     ``coef`` is None when every coefficient is ``1.0``, and ``pad`` when no column has
     fewer members than the table has rows.
-    ``calls`` are ``(row, columns, source entries, map)`` of the other maps, which fill
-    their place with their own call."""
+    ``calls`` are ``(row, columns, source entries, map, (k, i))`` of the other maps, coupling
+    ``k``'s for player ``i``, which fill their place with their own call."""
 
     at: np.ndarray
     coef: Optional[np.ndarray]
@@ -213,13 +213,13 @@ class _Incidence(NamedTuple):
 
 def _incidence_table(outputs, width: int, adjoint: bool) -> _Incidence:
     """The table of ``outputs``, one ``(columns, members)`` per output block, over ``width``
-    columns, each member ``(source entries, map)`` in accumulation order: a map
+    columns, each member ``(source entries, map, (k, i))`` in accumulation order: a map
     (its adjoint) of the right widths is a product per entry when it is an ``Identity`` or a
     ``ScaledIdentity``, or a ``Dense`` of one column (one row)."""
     rows = max((len(members) for _, members in outputs), default=1) or 1
     at, coef, live, dense, calls = [0] * (rows * width), [1.0] * (rows * width), set(), [], []
     for cols, members in outputs:       # built in lists: numpy costs more per member
-        for j, (src, op) in enumerate(members):
+        for j, (src, op, names) in enumerate(members):
             ins, outs = src.stop - src.start, cols.stop - cols.start
             flat = range(j * width + cols.start, j * width + cols.stop)
             live.update(flat)
@@ -232,7 +232,7 @@ def _incidence_table(outputs, width: int, adjoint: bool) -> _Incidence:
                 coef[flat.start:flat.stop] = op.matrix().ravel().tolist()
                 dense += flat   # its BLAS gemv returns +0.0 for a lone -0.0 product
             else:
-                calls.append((j, cols, src, op))
+                calls.append((j, cols, src, op, names))
     pad, shape, shift = [p for p in range(rows * width) if p not in live], (rows, width), None
     if adjoint and dense:
         shift = np.full(shape, -0.0)
@@ -241,6 +241,15 @@ def _incidence_table(outputs, width: int, adjoint: bool) -> _Incidence:
     return _Incidence(_readonly(at, np.intp, shape),
                       None if coef.count(1.0) == len(coef) else _readonly(coef, float, shape),
                       _readonly(pad, np.intp, -1) if pad else None, shift, tuple(calls))
+
+
+def _map_output(out, cols: slice, names, adjoint: bool = False):
+    """``out`` of coupling ``k``'s map for player ``i`` (``names``), or of its adjoint,
+    checked to fill ``cols``: ValueError naming the two otherwise."""
+    if np.shape(out) != (cols.stop - cols.start,):
+        raise ValueError(f"coupling {names[0]}: map{' adjoint' * adjoint} for player {names[1]} "
+                         f"returned shape {np.shape(out)}, expected ({cols.stop - cols.start},)")
+    return out
 
 
 def _readonly(values: list, dtype, shape) -> np.ndarray:
@@ -314,24 +323,25 @@ class Game:
     couplings, the start of every block in layout order ``block_starts``
     and, per field, the slice of those blocks ``field_blocks``) and, per
     player, the ``x`` entries of the player step
-    and ``coupling_links``, the ``(v* entries, L_ki)`` of the couplings whose
+    and ``coupling_links``, the ``(v* entries, L_ki, (k, i))`` of the couplings whose
     maps read that player's strategy by increasing ``k`` (the players
     with at least one are ``coupled_players``). A map key that is not a
     player index (an ``int`` in ``range(num_players)``, not a ``bool``)
     raises ValueError.
 
-    The couplings' maps become two incidence tables over the stacked
-    layout, built once: per coupling entry its members in increasing player
-    order (``coupling_mix``), per coupled player's strategy entry its
-    couplings in increasing ``k`` (``coupling_pull``). A map of the right
-    widths whose every output entry is one product, an ``Identity``, a
-    ``ScaledIdentity`` or a one-column (for the adjoint, one-row) ``Dense``,
-    is a coefficient and a source entry; any other map fills its row with
-    its own ``apply`` (``adjoint_apply``) call. The rows are added one at a
-    time, so the bits are those of calling each map in turn: the mixture
-    from ``+0.0``, the adjoint from the given accumulator, a ``Dense``
-    product plus ``+0.0`` (its BLAS gemv turns a lone ``-0.0`` into
-    ``+0.0``), and absent members ``-0.0``, the one exact additive identity.
+    The couplings' maps become two incidence tables over the stacked layout,
+    built once: per coupling entry its members in increasing player order
+    (``coupling_mix``), per coupled player's strategy entry its couplings in
+    increasing ``k`` (``coupling_pull``). A map of the right widths whose
+    every output entry is one product, an ``Identity``, a ``ScaledIdentity``
+    or a one-column (for the adjoint, one-row) ``Dense``, is a coefficient and
+    a source entry; any other map fills its row with its own ``apply``
+    (``adjoint_apply``) call, and an output of the wrong shape raises
+    ValueError naming the coupling and the player. The rows are added one at a
+    time, so the bits are those of calling each map in turn: the mixture from
+    ``+0.0``, the adjoint from the given accumulator, a ``Dense`` product plus
+    ``+0.0`` (its BLAS gemv turns a lone ``-0.0`` into ``+0.0``), and absent
+    members ``-0.0``, the one exact additive identity.
 
     The stacked certificate sees the players and then the couplings as the
     blocks of one vector ``[x | Lx]``. ``prox_groups`` puts every block in one
@@ -431,9 +441,9 @@ class Game:
                         or not 0 <= i < len(self.players):
                     raise ValueError(f"coupling {k}: map references unknown player {i}")
             cols = slice(s.start - v0, s.stop - v0)   # its columns of the mixture, its v* entries
-            mixes.append((cols, [(groups[0][i], c.maps[i]) for i in sorted(c.maps)]))
+            mixes.append((cols, [(groups[0][i], c.maps[i], (k, i)) for i in sorted(c.maps)]))
             for i in sorted(c.maps):
-                links[i].append((cols, c.maps[i]))
+                links[i].append((cols, c.maps[i], (k, i)))
         object.__setattr__(self, "_mixture", _incidence_table(mixes, self.v_span.stop - v0,
                                                               adjoint=False))
         object.__setattr__(self, "coupling_links", tuple(map(tuple, links)))
@@ -477,8 +487,8 @@ class Game:
         whole state: from ``+0.0``, members by increasing ``i``."""
         table = self._mixture
         terms = _terms(table, x[table.at])
-        for row, cols, src, op in table.calls:
-            terms[row, cols] = op.apply(x[src])
+        for row, cols, src, op, names in table.calls:
+            terms[row, cols] = _map_output(op.apply(x[src]), cols, names)
         return _added(0.0, terms)
 
     def coupling_pull(self, acc: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -486,8 +496,8 @@ class Game:
         ``k``, written into the entries of ``coupled_players`` of ``acc``; returns ``acc``."""
         table, pulled = self._pullback, self._pulled
         terms = _terms(table, v[table.at])
-        for row, cols, src, op in table.calls:
-            terms[row, cols] = op.adjoint_apply(v[src])
+        for row, cols, src, op, names in table.calls:
+            terms[row, cols] = _map_output(op.adjoint_apply(v[src]), cols, names, adjoint=True)
         acc[pulled] = _added(acc[pulled], terms)
         return acc
 
@@ -643,10 +653,11 @@ def validate_problem(game: Game, samples: int = 25, seed: int = 0) -> list:
     zeros, where a term declaring ``zero_smooth`` must return exact zeros.
     Then ``samples`` draws from ``default_rng(seed)`` test, in this order,
     the adjoint of each player mix and coupling map (a ``standard_normal``
-    row ``[x | y]`` per sample), then the Lipschitz bound of each player's
-    and coupling's smooth gradient and the interaction gradient's
-    monotonicity, curvature and Lipschitz bounds (a ``standard_normal((2,
-    dim))`` draw ``r`` per sample, at ``a = 3 r[0]`` and ``b = a + r[1]``).
+    row ``[x | y]`` per sample, up to an image of the wrong shape, which is
+    reported), then the Lipschitz bound of each player's and coupling's
+    smooth gradient and the interaction gradient's monotonicity, curvature
+    and Lipschitz bounds (a ``standard_normal((2, dim))`` draw ``r`` per
+    sample, at ``a = 3 r[0]`` and ``b = a + r[1]``).
     Each check draws all its samples at once, also when its answer is
     trusted and not computed: the adjoint of an exact ``Identity`` or
     ``Zero`` (one computation on both sides) and the bound of a declared
@@ -696,18 +707,24 @@ def validate_problem(game: Game, samples: int = 25, seed: int = 0) -> list:
         # and a misdeclared zero gradient is not sampled.
         return report
 
-    ops = [(f"player {i} mix", p.mix) for i, p in enumerate(game.players)]
-    ops += [(f"coupling {k} map for player {i}", op)
+    ops = [(f"player {i} mix", f"player {i}: mix{{}}", p.mix) for i, p in enumerate(game.players)]
+    ops += [(f"coupling {k} map for player {i}", f"coupling {k}: map{{}} for player {i}", op)
             for k, c in enumerate(game.couplings) for i, op in sorted(c.maps.items())]
-    for name, op in ops:
+    for name, call, op in ops:      # call: how a shape error names apply and its adjoint
         draws = rng.standard_normal((samples, op.in_dim + op.out_dim))
         if type(op) in (Identity, Zero):
             continue
         worst = 0.0
         for row in draws:
             xs, ys = row[:op.in_dim], row[op.in_dim:]
-            lhs = float(np.dot(op.apply(xs), ys))
-            rhs = float(np.dot(xs, op.adjoint_apply(ys)))
+            images = op.apply(xs), op.adjoint_apply(ys)
+            wrong = [f"{call.format(adjoint)} returned shape {np.shape(image)}, expected {want.shape}"
+                     for adjoint, image, want in zip(("", " adjoint"), images, (ys, xs))
+                     if np.shape(image) != want.shape]
+            if wrong:   # a wrong output shape would broadcast, or fail in np.dot
+                report += wrong
+                break
+            lhs, rhs = float(np.dot(images[0], ys)), float(np.dot(xs, images[1]))
             worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs)))
         if worst > _SAMPLE_TOL:
             report.append(f"{name}: adjoint inconsistency {worst:.3e}")

@@ -140,11 +140,11 @@ def check_equilibrium(game: Game, x, u_star=None, v_star=None, *,
                        max(norms) if total == total else total)
 
 
-def _interaction(game: Game, y: np.ndarray) -> np.ndarray:
-    """``Q(y)``, checked to be of ``y``'s shape."""
+def _interaction(game: Game, y: np.ndarray, where: str = "") -> np.ndarray:
+    """``Q(y)``, checked to be of ``y``'s shape; the error ends with ``where``."""
     q = np.asarray(game.interaction.eval(y), dtype=float)
     if q.shape != y.shape:
-        raise ValueError(f"interaction gradient returned shape {q.shape}, expected {y.shape}")
+        raise ValueError(f"interaction gradient returned shape {q.shape}, expected {y.shape}{where}")
     return q
 
 

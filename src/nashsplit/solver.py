@@ -39,7 +39,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .model import (
-    Game, SolverParams, StateBlocks, as_vector, validate_params, validate_problem,
+    Game, SolverParams, StateBlocks, _map_output, as_vector, validate_params, validate_problem,
 )
 from .proximal import prox
 from .schedules import Schedule
@@ -115,6 +115,23 @@ class SolveResult:
     ticks: int
 
 
+class _Bound:
+    """A name of ``IterState`` bound to the state layout: set once, then refused. A data
+    descriptor without ``__get__``, so a read is a plain lookup in the instance."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __set__(self, state, value):
+        if (held := state.__dict__.setdefault(self.name, value)) is not value:
+            index = "[:]" if isinstance(held, np.ndarray) else "[i][:]"
+            raise AttributeError(f"cannot rebind IterState.{self.name}, which is bound to the state "
+                                 f"layout; write into it instead: state.{self.name}{index} = ...")
+
+    def __delete__(self, state):
+        raise AttributeError(f"cannot delete IterState.{self.name}, bound to the state layout")
+
+
 class IterState:
     """Mutable iterate of the big-space algorithm plus its candidate pair.
 
@@ -134,11 +151,13 @@ class IterState:
     history that a run uses, not its lag bound.
     A row's last columns are a memo of the interaction gradient at its
     ``y``: ``lagged_interaction_grad`` evaluates it on the first read after
-    the row was pushed and returns the stored columns on later reads.
+    the row was pushed and returns the stored columns on later reads, and
+    a still tick hands it on to the next row. ``assemble_duals`` keeps the
+    gradient at the last ``q``: a function of ``y`` alone, as the memo is.
 
-    The flat vectors and their views are bound once: rebinding one to
-    another object raises ``AttributeError``, because that object would be
-    detached from the layout that the tick reads. Write into them instead.
+    The flat vectors and their views are bound once: rebinding or deleting
+    one raises ``AttributeError``, because another object would be detached
+    from the layout that the tick reads. Write into them instead.
 
     The state, not the game that solves may share, keeps the player-step
     plans of its first ``_MAX_PLANS`` (256) active sets, whose steps a new
@@ -151,21 +170,9 @@ class IterState:
     ...)`` and the state to ``solve(state=...)`` with the same game.
     """
 
-    _FLAT = ("flat", "point", "direction", "s_star")
-    _BOUND = frozenset(_FLAT + (
-        "x", "y", "z", "u_star", "v_star",
-        "cand_a", "cand_q", "cand_b", "cand_c_star", "cand_e_star", "cand_s_star",
-        "dual_a_star", "dual_q_star", "cand_b_star", "cand_c", "cand_e",
-    ))
-
-    def __setattr__(self, name, value):
-        if name in self._BOUND and self.__dict__.get(name, value) is not value:
-            index = "[:]" if name in self._FLAT else "[i][:]"
-            raise AttributeError(
-                f"cannot rebind IterState.{name}, which is bound to the state layout; "
-                f"write into it instead: state.{name}{index} = ..."
-            )
-        object.__setattr__(self, name, value)
+    (flat, point, direction, s_star, x, y, z, u_star, v_star, cand_a, cand_q, cand_b, cand_c_star,
+     cand_e_star, cand_s_star, dual_a_star, dual_q_star, cand_b_star, cand_c,
+     cand_e) = (_Bound() for _ in range(20))
 
     def __init__(self, game: Game, x=None, y=None, z=None, u_star=None, v_star=None,
                  max_lag: int = 0):
@@ -200,6 +207,7 @@ class IterState:
         self._plans = {}                    # see player_local_step()
         # (flat bytes, residual) of the last per-tick certificate; see tick().
         self._certified = (None, None)
+        self._assembled = (None, None, None)    # see assemble_duals()
         self._capacity = int(max_lag) + 1   # the rows that the ring may grow to
         self._ring_stamps, self._grad_stamps = [], []
         self._grow(min(self._capacity, _FIRST_ROWS))
@@ -213,23 +221,29 @@ class IterState:
         if held:
             ring[:held] = self._ring_and_grads
         self._ring_and_grads = ring
-        self._ring = ring[:, :self.game.state_size]
+        self._ring = list(ring[:, :self.game.state_size])     # per row, a view of its state
         self._ring_stamps += [-1] * (rows - held)
         self._grad_stamps += [-1] * (rows - held)   # the tick whose y a row's gradient holds
         frozen = ring.view()
         frozen.flags.writeable = False
         self._frozen = frozen
 
-    def _push_history(self, idx: int) -> None:
+    def _push_history(self, idx: int, still: bool = False) -> None:
+        """Hold the live state as tick ``idx``, unless its row holds it with equal bytes."""
         rows = held = len(self._ring)
         while rows <= idx and rows < self._capacity:     # never wrapped: tick t is at row t
             rows = min(2 * rows, self._capacity)
         if rows > held:
             self._grow(rows)
-        row = idx % rows
-        self._ring[row] = self.flat
-        self._ring_stamps[row] = idx
-        self._grad_stamps[row] = -1
+        row, last, flat = idx % rows, (idx - 1) % rows, self.flat
+        if self._ring_stamps[row] == idx and self._ring[row].tobytes() == flat.tobytes():
+            return
+        if carry := (still and self._grad_stamps[last] == idx - 1
+                     and self._ring[last].tobytes() == flat.tobytes()):
+            self._ring_and_grads[row] = self._ring_and_grads[last]
+        else:
+            self._ring[row][:] = flat
+        self._ring_stamps[row], self._grad_stamps[row] = idx, idx if carry else -1
 
     def _row(self, tick_index: int) -> int:
         row = tick_index % len(self._ring)
@@ -255,12 +269,8 @@ class IterState:
         row: a read-only view, evaluated on the first read after the row was pushed."""
         row = self._row(tick_index)
         if self._grad_stamps[row] != tick_index:
-            y = self._frozen[row, self.game.y_span]
-            grad = np.asarray(self.game.interaction.eval(y), dtype=float)
-            if grad.shape != y.shape:
-                raise ValueError(f"interaction gradient returned shape {grad.shape}, "
-                                 f"expected {y.shape}, at the y of tick {tick_index}")
-            self._ring_and_grads[row, self.game.state_size:] = grad
+            self._ring_and_grads[row, self.game.state_size:] = oracle._interaction(
+                self.game, self._frozen[row, self.game.y_span], f", at the y of tick {tick_index}")
             self._grad_stamps[row] = tick_index
         return self._frozen[row, self.game.state_size:]
 
@@ -347,8 +357,8 @@ def player_local_step(game: Game, params: SolverParams, state: IterState, player
     pull = game.smooth_grad(x, players) + game.mix(held[2], players, adjoint=True)
     for i, seg in coupled:     # L_ki^* v_k by increasing k, v* from the player's lag row
         acc, v = pull[seg], frozen[lags[i] % len(frozen), game.v_span]
-        for cols, op in game.coupling_links[i]:
-            acc = acc + op.adjoint_apply(v[cols])
+        for cols, op, names in game.coupling_links[i]:
+            acc = acc + _map_output(op.adjoint_apply(v[cols]), seg, names, adjoint=True)
         pull[seg] = acc
     x_star = x - step_x * pull
     a = []
@@ -442,12 +452,16 @@ def assemble_duals(game: Game, state: IterState):
     ``q`` (inactive players included) minus ``c*``, in one step over the
     flat vectors; ``a*`` is a copy of ``s*`` to which each coupled player
     adds its coupling pullbacks. Returns the ``a*`` and ``q*`` views.
+    A copy of the gradient is kept while ``q``'s bytes stay; a wrong shape raises ValueError.
     """
-    grads = np.asarray(game.interaction.eval(state.point[game.y_span]), dtype=float)
-    state.direction[game.y_span] = grads - state.point[game.u_span]
-    state.direction[game.x_span] = state.s_star
+    point, direction, (interaction, held, grads) = state.point, state.direction, state._assembled
+    if (key := (q := point[game.y_span]).tobytes()) != held or interaction is not game.interaction:
+        grads = np.array(oracle._interaction(game, q, ", at the candidate q"))  # a copy, not its output
+        state._assembled = (game.interaction, key, grads)
+    direction[game.y_span] = grads - point[game.u_span]
+    direction[game.x_span] = state.s_star
     if game.coupled_players:
-        game.coupling_pull(state.direction[game.x_span], state.point[game.v_span])
+        game.coupling_pull(direction[game.x_span], point[game.v_span])
     return state.dual_a_star, state.dual_q_star
 
 
@@ -488,11 +502,11 @@ def apply_update(game: Game, state: IterState, params: SolverParams):
     """Relaxed projection of the iterate onto the separating half-space.
 
     With a negative scalar test the update moves the iterate along the
-    direction ``p*`` by ``theta = relaxation * pi / ||p*||^2``; otherwise
-    the state is left untouched. The history ring advances either way. A
-    nonpositive denominator under a negative test is mathematically
-    impossible and aborts the run; the abort message names the first
-    block whose candidate or dual is not finite.
+    direction ``p*`` by ``theta = relaxation * pi / ||p*||^2``; otherwise the
+    state is left untouched. The history ring advances either way; a still
+    tick's row ``n + 1`` is row ``n``, with its gradient memo. A nonpositive
+    denominator under a negative test is mathematically impossible and
+    aborts the run; the abort message names the first non-finite block.
     """
     if state.pi is None:
         raise RuntimeError("compute_pi must run before apply_update")
@@ -515,7 +529,7 @@ def apply_update(game: Game, state: IterState, params: SolverParams):
         theta = params.relaxation_at(n) * pi / den
         state.flat += theta * state.direction
         step_norm = abs(theta) * math.sqrt(den)
-    state._push_history(n + 1)
+    state._push_history(n + 1, still=theta is None)
     return pi, theta, step_norm
 
 
@@ -525,11 +539,11 @@ def tick(game: Game, params: SolverParams, schedule: Schedule, state: IterState)
     Queries the schedule and runs the local steps for the activated blocks:
     every player in one ``player_local_step``, then every coupling in one
     ``coupling_local_step``. They write ``p`` and ``p*``, whose inactive
-    blocks keep their last values. A ``ValueError`` that a step raises gets
-    ``, at tick N`` appended, unless it is the interaction gradient's, which
-    names the tick of its ``y`` already. The coupling gaps ``e`` and the
-    player duals ``a*``, ``q*`` are then refreshed, and the iterate is
-    projected onto the half-space ``{w : <w - p, p*> <= 0}``.
+    blocks keep their last values. The coupling gaps ``e`` and the player
+    duals ``a*``, ``q*`` are then refreshed, and the iterate is projected
+    onto the half-space ``{w : <w - p, p*> <= 0}``. A ``ValueError`` raised
+    so far gets ``, at tick N`` appended, unless it is the lagged interaction
+    gradient's, which names the tick of its ``y`` already.
     The reported residual certifies the post-update iterate. That
     certificate is the one step of a tick that touches every block, so it
     is evaluated only when the iterate differs bitwise from the one it last
@@ -547,18 +561,15 @@ def tick(game: Game, params: SolverParams, schedule: Schedule, state: IterState)
         player_local_step(game, params, state, info.active_players, info.player_lags)
         if info.active_couplings:
             coupling_local_step(game, params, state, info.active_couplings, info.coupling_lags)
-    except ValueError as exc:   # a local step's error names the block and the operator
+        refresh_e(game, state)
+        assemble_duals(game, state)
+    except ValueError as exc:   # a step's error names the block and the operator
         if not _LAGGED_GRAD_ERROR.search(str(exc)):
             exc.args = (f"{exc}, at tick {n}",)
         raise
-
-    refresh_e(game, state)
-    assemble_duals(game, state)
     compute_pi(game, state)
     pi, theta, step_norm = apply_update(game, state, params)
-    key = state.flat.tobytes()
-    if state._certified[0] != key:
-        flat = state.flat
+    if state._certified[0] != (key := (flat := state.flat).tobytes()):
         cert = oracle.check_equilibrium(game, flat[game.x_span], flat[game.u_span],
                                         flat[game.v_span], coerce=False)
         state._certified = (key, cert.max_residual)

@@ -1,13 +1,15 @@
 """Problem model validation: structure, sampled analytics, schedules."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
-from nashsplit import proximal
-from nashsplit.linops import Dense, Identity
+from nashsplit import proximal, solver
+from nashsplit.linops import Dense, Identity, LinOp
 from nashsplit.model import (
+    CouplingBlock,
     Game,
     InteractionGradient,
     PlayerBlock,
@@ -18,6 +20,7 @@ from nashsplit.model import (
     zero_smooth,
 )
 from nashsplit.problems import consensus_instance, shared_constraint_instance
+from nashsplit.schedules import synchronous
 
 from _oracles import fd_gradient
 
@@ -87,6 +90,51 @@ def test_a_pad_of_the_adjoint_table_keeps_a_minus_zero_sum():
     game = Game(players, InteractionGradient(lambda y: np.zeros_like(y), 1.0), couplings)
     pulled = game.coupling_pull(np.full(2, -0.0), np.full(2, -0.0))
     assert pulled.tobytes() == np.full(2, -0.0).tobytes()
+
+
+class _ShortImage(LinOp):
+    """Declared 1 -> 2, but ``apply`` returns one entry."""
+
+    in_dim, out_dim = 1, 2
+
+    def apply(self, x):
+        return 0.75 * np.asarray(x, dtype=float)
+
+    def adjoint_apply(self, y):
+        return np.asarray(y, dtype=float)[:1]
+
+
+class _LongAdjoint(_ShortImage):
+    """Declared 1 -> 2, but ``adjoint_apply`` returns two entries."""
+
+    def apply(self, x):
+        return np.array([x[0], 0.0])
+
+    def adjoint_apply(self, y):
+        return np.asarray(y, dtype=float)
+
+
+@pytest.mark.parametrize("op, call, shapes", [
+    (_ShortImage(), "map", r"\(1,\), expected \(2,\)"),
+    (_LongAdjoint(), "map adjoint", r"\(2,\), expected \(1,\)"),
+], ids=["apply", "adjoint"])
+def test_a_coupling_map_of_the_wrong_output_shape_is_named(op, call, shapes):
+    # hand-made maps fill their own columns of the incidence tables; a wrong
+    # shape would broadcast there, and the gate's np.dot would fail on it
+    players = [PlayerBlock(1, 1, proximal.zero(), zero_smooth(), 0.0, Identity(1), 1.0)] * 2
+    coup = CouplingBlock(2, proximal.zero(), zero_smooth(), 0.0, {0: op, 1: Dense([[1.0], [0.0]])})
+    game = Game(players, InteractionGradient(lambda y: np.zeros_like(y), 1.0), [coup])
+    message = rf"coupling 0: {call} for player 0 returned shape {shapes}"
+    report = validate_problem(game)
+    assert len(report) == 1 and re.fullmatch(message, report[0])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        if call == "map":
+            game.coupling_mix(np.array([1.0, 0.5]))
+        else:
+            game.coupling_pull(np.zeros(2), np.ones(2))
+    # in a tick: the coupling step mixes, and the player step pulls back
+    with pytest.raises(ValueError, match=f"^{message}, at tick 0$"):
+        solver.tick(game, SolverParams(), synchronous(), solver.IterState(game))
 
 
 def test_zero_smooth_gradient_is_fresh_float64_zeros():

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import pickle
 import re
+import sys
 from collections import Counter
 
 import numpy as np
@@ -239,6 +240,25 @@ class TestRefreshAndDuals:
         a_star, _ = assemble_duals(game, state)
         assert np.array_equal(a_star[0], np.array([2.0, 1.0]))
 
+    def test_a_wrong_shape_interaction_gradient_at_the_candidate_q_raises(self):
+        rng = np.random.default_rng(5)
+        game, _ = lasso_instance(rng.standard_normal((3, 5)), rng.standard_normal(3), 0.5)
+        evaluate = game.interaction.eval
+
+        def short_in_assembly(y):   # one entry where assemble_duals asks, else right
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code.co_name != "assemble_duals":
+                frame = frame.f_back
+            return evaluate(y) if frame is None else evaluate(y)[:1]
+
+        game = dataclasses.replace(game, interaction=dataclasses.replace(
+            game.interaction, eval=short_in_assembly))
+        message = r"^interaction gradient returned shape \(1,\), expected \(5,\), at the candidate q"
+        with pytest.raises(ValueError, match=message + "$"):
+            assemble_duals(game, IterState(game))
+        with pytest.raises(ValueError, match=message + ", at tick 0$"):
+            tick(game, SolverParams.for_game(game), ns.synchronous(), IterState(game))
+
     def test_duals_vanish_at_equilibrium(self):
         game, _ = shared_constraint_instance()
         state = IterState(
@@ -364,11 +384,12 @@ class TestHistoryRing:
             assert np.array_equal(given, before)
 
     @staticmethod
-    def _counting_lasso(reads):
+    def _counting_lasso(reads, data=1.0):
         """A lasso game whose interaction gradient keeps each ``y`` of a history row it is
-        evaluated at: the read-only ones, which only the player step passes."""
+        evaluated at: the read-only ones, which only the player step passes. Its data
+        are scaled by ``data``; at ``0.0`` the zero tuple is its solution."""
         rng = np.random.default_rng(5)
-        game, _ = lasso_instance(rng.standard_normal((3, 5)), rng.standard_normal(3), 0.5)
+        game, _ = lasso_instance(rng.standard_normal((3, 5)), data * rng.standard_normal(3), 0.5)
         evaluate = game.interaction.eval
 
         def counting(y):
@@ -380,12 +401,14 @@ class TestHistoryRing:
                                                                          eval=counting))
 
     def test_interaction_gradient_is_evaluated_once_per_history_row(self):
+        # a row is evaluated on its first read, unless the still tick before it
+        # carried the memo of its own row along
         reads = []
         game = self._counting_lasso(reads)
         params = SolverParams.for_game(game, max_lag=3, window=10)
         schedule = ns.randomized(seed=2, activation_prob=0.3, max_lag=3, window=10)
         state = IterState(game, max_lag=3)
-        seen, again = set(), 0
+        seen, again, carried = set(), 0, 0
         for _ in range(300):
             before = len(reads)
             rep = tick(game, params, schedule, state)
@@ -393,7 +416,11 @@ class TestHistoryRing:
             assert len(reads) - before == len(lags - seen)     # the rows first read this tick
             again += len(lags & seen)
             seen |= lags
+            if rep.theta is None and rep.n in seen:
+                seen.add(rep.n + 1)
+                carried += 1
         assert again > 100      # rows read again, from their memo
+        assert carried > 50     # memos carried across still ticks
 
     def test_write_into_y_between_ticks_reaches_the_lag_zero_gradient(self):
         # the gradient of the row of the next tick is already held when y
@@ -412,6 +439,42 @@ class TestHistoryRing:
             assert np.array_equal(reads[-1], written)
         assert states[0].point.tobytes() == states[1].point.tobytes()
         assert states[0].flat.tobytes() == states[1].flat.tobytes()
+
+    def test_a_still_tick_carries_the_memo_unless_y_is_written(self):
+        reads = []
+        game = self._counting_lasso(reads, data=0.0)
+        params = SolverParams.for_game(game)
+        state = IterState(game, max_lag=3)
+        for _ in range(3):      # at the solution every tick leaves the iterate in place
+            assert tick(game, params, ns.synchronous(), state).theta is None
+        assert len(reads) == 1      # tick 0's row; ticks 1 and 2 carried its memo along
+        state.y[1][:] += 1.0
+        written = state.flat[game.y_span].copy()
+        tick(game, params, ns.synchronous(), state)
+        assert len(reads) == 2 and np.array_equal(reads[-1], written)
+
+    def test_an_interaction_gradient_that_reuses_its_output_array(self):
+        # the history memo and the assembly keep copies, so a callable that
+        # writes into one array and returns it gives the run of a plain one
+        rng = np.random.default_rng(8)
+        game, _ = lasso_instance(rng.standard_normal((4, 6)), rng.standard_normal(4), 0.3)
+        evaluate, out = game.interaction.eval, np.empty(6)
+
+        def reusing(y):
+            out[:] = evaluate(y)
+            return out
+
+        reused = dataclasses.replace(game, interaction=dataclasses.replace(game.interaction,
+                                                                           eval=reusing))
+        runs = []
+        for g in (game, reused):
+            params = SolverParams.for_game(g, max_iters=600)
+            runs.append(ns.solve(g, params, ns.randomized(4, 0.3, max_lag=3, window=10),
+                                 stall_window=0))
+        assert runs[0].ticks == runs[1].ticks == 600
+        assert [r.pi for r in runs[0].reports] == [r.pi for r in runs[1].reports]
+        assert pickle.dumps(runs[0].x + runs[0].y + runs[0].u_star) == \
+            pickle.dumps(runs[1].x + runs[1].y + runs[1].u_star)
 
     @pytest.mark.parametrize("max_lag", [-1, 1.5, True, "2", None])
     def test_max_lag_must_be_a_nonnegative_integer(self, max_lag):
@@ -455,6 +518,17 @@ class TestIterStateLayout:
         assert compute_pi(game, state) == -1.0   # writes into the views are seen
         state.n = 3                              # plain attributes stay assignable
         assert state.n == 3
+
+    def test_deleting_a_view_raises(self):
+        game, _ = shared_constraint_instance()
+        state = IterState(game)
+        x = state.x
+        for name in ("flat", "x", "cand_e"):
+            with pytest.raises(AttributeError, match=rf"cannot delete IterState\.{name}\b"):
+                delattr(state, name)
+        with pytest.raises(AttributeError, match=r"cannot rebind IterState\.flat\b"):
+            state.flat = np.ones(game.state_size)
+        assert state.x is x and np.shares_memory(state.x[0], state.flat)
 
 
 class TestTick:

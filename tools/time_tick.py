@@ -28,7 +28,12 @@ Shapes, one row each:
   ``kitchen p=0.5`` in order: ``coupling_local_step`` with the tick's
   active couplings (when it has any) and their lags, read back as in the
   ``step`` rows, then ``refresh_e`` and ``assemble_duals``, on a state
-  built and filled as for the ``step`` rows;
+  built and filled as for the ``step`` rows. They call ``assemble_duals``
+  at a ``q`` that they never change, and the assembly reuses its
+  interaction gradient while the bytes of ``q`` stay, so against a
+  checkout from before that reuse these rows also time one
+  interaction-gradient evaluation per call less, not the coupling step
+  alone;
 - ``next_tick <shape>``: ``Schedule.next_tick`` for ticks
   ``0..DRAWS - 1`` in order from a cold activation cache, per call, with
   the schedule and block count of a workload (seed ``DRAW_SEED``), and
@@ -54,14 +59,19 @@ cancel. A region runs its shape's solve or loop as many times over as
 make it last at least ``PROBE_S``, the length of the probes around it;
 that count is measured once per shape, before the timed reps, and both
 checkouts use it. The script prints, per shape, the median over
-``--reps`` reps of the reference-core microseconds per tick or per call::
+``--reps`` reps of the reference-core microseconds per tick or per call,
+and beside each whole-tick row (a workload, ``lasso100`` or ``kitchen``
+shape) the interaction-gradient evaluations per tick, ``Q/tick``, of one
+untimed solve of the shape, its closing certificate included, counted
+through an ``interaction.eval`` wrapped by ``dataclasses.replace``::
 
     python tools/time_tick.py --reps 3
 
 ``--against DIR`` loads the ``nashsplit`` package of a second checkout
 into the same process, under another module name, and times the two in
 interleaved pairs, each checkout first in every other pair: per shape the
-two medians, the change, and in how many pairs this checkout was faster.
+two medians, the change, and in how many pairs this checkout was faster,
+and the ``Q/tick`` of both, counted the same way.
 Both must give the same ticks and final iterate bytes, draws,
 certificates and set-up parameters, or the script stops; draws compare
 by value, each lag map as its sorted items, so a checkout whose maps are
@@ -87,6 +97,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import fnmatch
 import importlib.util
 import math
@@ -238,6 +249,23 @@ def coupling_run(pkg, case):
     return run
 
 
+def q_per_tick(pkg, case) -> float:
+    """Interaction-gradient evaluations per tick of one solve of the case from a cold
+    activation cache, its closing certificate included, through a wrapped ``eval``."""
+    game, params, schedule = case
+    evaluate, calls = game.interaction.eval, []
+
+    def counting(y):
+        calls.append(None)
+        return evaluate(y)
+
+    counted = dataclasses.replace(game, interaction=dataclasses.replace(game.interaction,
+                                                                         eval=counting))
+    pkg.schedules._raw_active.cache_clear()
+    ticks = pkg.solve(counted, params, schedule, validate=False).ticks
+    return len(calls) / ticks
+
+
 def solved(result):
     return result.ticks, (result.ticks, b"".join(np.ascontiguousarray(b).tobytes() for b in result.x))
 
@@ -293,13 +321,25 @@ def setup_run(pkg, name: str):
     return run
 
 
-def shapes(pkg, patterns=("*",)) -> dict:
-    """Shape name -> (one rep, its unit) of the shapes that match one of ``patterns``,
-    each rep from a cold activation cache as in the benchmark."""
+def whole_tick_cases(pkg) -> dict:
+    """Shape name -> what builds its case, for the whole-tick rows."""
     cases = {shape: lambda name=name: workload_case(pkg, name)
              for shape, name in WORKLOAD_SHAPES.items()}
     cases.update({f"lasso100 {label}": lambda p=p: lasso100_case(pkg, p) for label, p in LASSO100.items()})
     cases.update({f"kitchen {label}": lambda p=p: kitchen_case(pkg, p) for label, p in KITCHEN.items()})
+    return cases
+
+
+def q_counts(pkg, patterns) -> dict:
+    """``q_per_tick`` of each whole-tick row that matches one of ``patterns``."""
+    return {shape: q_per_tick(pkg, case()) for shape, case in whole_tick_cases(pkg).items()
+            if any(fnmatch.fnmatchcase(shape, pattern) for pattern in patterns)}
+
+
+def shapes(pkg, patterns=("*",)) -> dict:
+    """Shape name -> (one rep, its unit) of the shapes that match one of ``patterns``,
+    each rep from a cold activation cache as in the benchmark."""
+    cases = whole_tick_cases(pkg)
     # shape -> (what builds its rep, the rep's unit); only the shapes that match are built
     makers = {shape: (lambda case=case: solve_run(pkg, case()), "tick") for shape, case in cases.items()}
     makers.update({f"step {shape}": (lambda case=case: step_run(pkg, case()), "call")
@@ -355,11 +395,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     patterns = args.rows or ["*"]
-    versions = {"this": shapes(nashsplit, patterns)}
+    packages = {"this": nashsplit}
+    if args.against is not None:
+        packages["against"] = load(args.against.resolve(), "nashsplit_against")
+    versions = {label: shapes(pkg, patterns) for label, pkg in packages.items()}
     if not versions["this"]:
         raise SystemExit(f"no row matches {patterns}")
-    if args.against is not None:
-        versions["against"] = shapes(load(args.against.resolve(), "nashsplit_against"), patterns)
+    q = {label: q_counts(pkg, patterns) for label, pkg in packages.items()}
     times = region_times(versions["this"])
     clock = Clock()
     us = {label: {shape: [] for shape in versions["this"]} for label in versions}
@@ -382,6 +424,8 @@ def main(argv=None) -> int:
             lower = sum(a < b for a, b in zip(mine, theirs))
             line = (f"{shape:21s} {before:8.1f} -> {after:8.1f} {unit} "
                     f"({after / before - 1.0:+.1%}, lower in {lower}/{len(mine)} pairs)")
+        if shape in q["this"]:
+            line += "  " + " -> ".join(f"{q[label][shape]:.3f}" for label in reversed(q)) + " Q/tick"
         print(line, flush=True)
     return 0
 
