@@ -61,6 +61,34 @@ def as_vector(x, dim: Optional[int] = None, what: str = "vector") -> np.ndarray:
     return arr
 
 
+def _stacked(value, layout, what: str, coerce: bool = True) -> np.ndarray:
+    """The blocks ``layout`` as one vector: zeros when absent, a 1-D array as given, other
+    input joined; ``coerce`` checks the block count and each block (``what[i]``), then the
+    whole (``what``). The one reader of per-block input."""
+    stacked = isinstance(value, np.ndarray) and value.ndim == 1
+    if not coerce and value is not None:
+        return value if stacked else np.concatenate(value) if len(value) else np.zeros(0)
+    widths = [s.stop - s.start for s in layout]
+    if value is None:
+        return np.zeros(sum(widths))
+    if not stacked:
+        if len(value := list(value)) != len(widths):
+            raise ValueError(f"{what}: expected {len(widths)} blocks, got {len(value)}")
+        value = [as_vector(b, d, f"{what}[{i}]") for i, (b, d) in enumerate(zip(value, widths))]
+        value = np.concatenate(value) if value else np.zeros(0)
+    return as_vector(value, sum(widths), what)
+
+
+def _shaped(out, shape: tuple, what: str, *names, where: str = ""):
+    """``out`` when its shape is ``shape``, else ValueError ``{what} returned shape ...,
+    expected {shape}{where}``, ``names`` formatted into ``what``: the one wrong-shape rule
+    of the callables' outputs. A hot site compares inline and calls this only to raise."""
+    if np.shape(out) != shape:
+        raise ValueError(f"{what.format(*names)} returned shape {np.shape(out)}, "
+                         f"expected {shape}{where}")
+    return out
+
+
 @dataclass(frozen=True)
 class SmoothTerm:
     """A convex differentiable term given by value and gradient callables.
@@ -243,15 +271,6 @@ def _incidence_table(outputs, width: int, adjoint: bool) -> _Incidence:
                       _readonly(pad, np.intp, -1) if pad else None, shift, tuple(calls))
 
 
-def _map_output(out, cols: slice, names, adjoint: bool = False):
-    """``out`` of coupling ``k``'s map for player ``i`` (``names``), or of its adjoint,
-    checked to fill ``cols``: ValueError naming the two otherwise."""
-    if np.shape(out) != (cols.stop - cols.start,):
-        raise ValueError(f"coupling {names[0]}: map{' adjoint' * adjoint} for player {names[1]} "
-                         f"returned shape {np.shape(out)}, expected ({cols.stop - cols.start},)")
-    return out
-
-
 def _readonly(values: list, dtype, shape) -> np.ndarray:
     """``values`` as a read-only array of ``shape``."""
     out = np.array(values, dtype=dtype).reshape(shape)
@@ -419,15 +438,6 @@ class Game:
             i for i, p in enumerate(self.players) if p.smooth.stack is not zero_smooth))
         object.__setattr__(self, "smooth_couplings", tuple(
             k for k, c in enumerate(self.couplings) if c.smooth.stack is not zero_smooth))
-        # Per interaction entry, its gradient entry in a ring row (the state, then the
-        # gradient), its y and u* entries and, when every player's widths agree, its x entry.
-        y = np.arange(self.y_span.start, self.y_span.stop)
-        rows = [y + self.state_size - self.y_span.start, y, y + self.u_span.start - self.y_span.start]
-        if self.strategy_dims == self.interaction_dims:
-            rows.append(y - self.y_span.start)
-        entries = np.stack(rows)
-        entries.flags.writeable = False
-        object.__setattr__(self, "_entries", entries)
         self._coupling_tables(groups)
 
     def _coupling_tables(self, groups) -> None:
@@ -488,7 +498,8 @@ class Game:
         table = self._mixture
         terms = _terms(table, x[table.at])
         for row, cols, src, op, names in table.calls:
-            terms[row, cols] = _map_output(op.apply(x[src]), cols, names)
+            terms[row, cols] = _shaped(op.apply(x[src]), (cols.stop - cols.start,),
+                                       "coupling {}: map for player {}", *names)
         return _added(0.0, terms)
 
     def coupling_pull(self, acc: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -497,7 +508,8 @@ class Game:
         table, pulled = self._pullback, self._pulled
         terms = _terms(table, v[table.at])
         for row, cols, src, op, names in table.calls:
-            terms[row, cols] = _map_output(op.adjoint_apply(v[src]), cols, names, adjoint=True)
+            terms[row, cols] = _shaped(op.adjoint_apply(v[src]), (cols.stop - cols.start,),
+                                       "coupling {}: map adjoint for player {}", *names)
         acc[pulled] = _added(acc[pulled], terms)
         return acc
 
@@ -509,8 +521,7 @@ class Game:
             blocks.append(call(i, v[start:start + ins[i]]))
             start += ins[i]
             if np.shape(blocks[-1]) != (outs[i],):
-                raise ValueError(f"player {i}: {what} returned shape {np.shape(blocks[-1])}, "
-                                 f"expected ({outs[i]},)")
+                _shaped(blocks[-1], (outs[i],), "player {}: " + what, i)
         return np.concatenate(blocks)
 
     def mix(self, v: np.ndarray, players=None, adjoint: bool = False) -> np.ndarray:
@@ -547,8 +558,7 @@ class Game:
             return 0.0
         g = self.couplings[k].smooth.grad(z)
         if np.shape(g) != np.shape(z):
-            raise ValueError(f"coupling {k}: smooth gradient returned shape {np.shape(g)}, "
-                             f"expected {np.shape(z)}")
+            _shaped(g, np.shape(z), "coupling {}: smooth gradient", k)
         return g
 
 
@@ -644,6 +654,14 @@ def _step_caps(game: Game, eta: float) -> tuple:
     )
 
 
+def _shape_error(out, shape: tuple, what: str, *names) -> str:
+    """The message of ``_shaped``'s error for ``out``, whose shape is not ``shape``."""
+    try:
+        _shaped(out, shape, what, *names)
+    except ValueError as exc:
+        return str(exc)
+
+
 def validate_problem(game: Game, samples: int = 25, seed: int = 0) -> list:
     """Check everything about a game that is checkable at desk scale.
 
@@ -699,7 +717,7 @@ def validate_problem(game: Game, samples: int = 25, seed: int = 0) -> list:
     for name, grad, dim, zero in grads:
         g = grad(np.zeros(dim))
         if np.shape(g) != (dim,):
-            report.append(f"{name} returned shape {np.shape(g)}, expected ({dim},)")
+            report.append(_shape_error(g, (dim,), name))
         elif zero and np.any(g):
             report.append(f"{name} declared zero returned nonzero values")
     if report:
@@ -718,7 +736,7 @@ def validate_problem(game: Game, samples: int = 25, seed: int = 0) -> list:
         for row in draws:
             xs, ys = row[:op.in_dim], row[op.in_dim:]
             images = op.apply(xs), op.adjoint_apply(ys)
-            wrong = [f"{call.format(adjoint)} returned shape {np.shape(image)}, expected {want.shape}"
+            wrong = [_shape_error(image, want.shape, call, adjoint)
                      for adjoint, image, want in zip(("", " adjoint"), images, (ys, xs))
                      if np.shape(image) != want.shape]
             if wrong:   # a wrong output shape would broadcast, or fail in np.dot

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 import numpy as np
 
-from .model import Game, as_vector
+from .model import Game, _shaped, _stacked
 from .proximal import is_indicator, prox
 
 __all__ = [
@@ -62,24 +62,6 @@ class Certificate(NamedTuple):
     max_residual: float
 
 
-def _stacked(value, layout, what: str, coerce: bool = True) -> np.ndarray:
-    """The blocks ``layout`` as one vector: zeros when absent, a 1-D array as given, other
-    input joined; ``coerce`` checks the block count and each block (``what[i]``), then the
-    whole (``what``)."""
-    stacked = isinstance(value, np.ndarray) and value.ndim == 1
-    if not coerce and value is not None:
-        return value if stacked else np.concatenate(value) if len(value) else np.zeros(0)
-    widths = [s.stop - s.start for s in layout]
-    if value is None:
-        return np.zeros(sum(widths))
-    if not stacked:
-        if len(value := list(value)) != len(widths):
-            raise ValueError(f"{what}: expected {len(widths)} blocks, got {len(value)}")
-        value = [as_vector(b, d, f"{what}[{i}]") for i, (b, d) in enumerate(zip(value, widths))]
-        value = np.concatenate(value) if value else np.zeros(0)
-    return as_vector(value, sum(widths), what)
-
-
 def check_equilibrium(game: Game, x, u_star=None, v_star=None, *,
                       coerce: bool = True) -> Certificate:
     """Evaluate the equilibrium residuals at ``(x, u*, v*)``.
@@ -91,12 +73,14 @@ def check_equilibrium(game: Game, x, u_star=None, v_star=None, *,
     to zeros. For indicator coupling terms the dual-inclusion residual is
     the projection identity distance. ``coerce`` checks that each block and
     each stacked vector is finite and of its width, raising ValueError
-    named ``x[i]``, ``x``, ``u*``, ...; ``coerce=False`` skips the checks
-    for callers that hold validated vectors (the per-tick path).
+    named ``x[i]``, ``x``, ``u*``, ... (``model._stacked``, which reads the
+    starting blocks of ``IterState`` alike); ``coerce=False`` skips the
+    checks for callers that hold validated vectors (the per-tick path).
 
     An output of the wrong shape from a smooth gradient, a mix, a prox or
     the interaction gradient raises ValueError naming the operator and, but
-    for the last, the first such player or coupling.
+    for the last, the first such player or coupling, in the words of every
+    such check (``model._shaped``); under ``tick`` it also names the tick.
     """
     layout, players = game.state_slices, game.num_players
     x = _stacked(x, layout.x, "x", coerce)
@@ -127,7 +111,7 @@ def check_equilibrium(game: Game, x, u_star=None, v_star=None, *,
         if np.shape(a) != index.shape:      # only a term alone in its group gets here
             b = int(np.searchsorted(starts, index[0]))
             name = f"player {b}" if b < players else f"coupling {b - players}"
-            raise ValueError(f"{name}: prox returned shape {np.shape(a)}, expected {index.shape}")
+            _shaped(a, index.shape, f"{name}: prox")
         target[index] = a
         if is_indicator(term):
             projected[index] = prox(term, 1.0, blocks[index])
@@ -144,7 +128,7 @@ def _interaction(game: Game, y: np.ndarray, where: str = "") -> np.ndarray:
     """``Q(y)``, checked to be of ``y``'s shape; the error ends with ``where``."""
     q = np.asarray(game.interaction.eval(y), dtype=float)
     if q.shape != y.shape:
-        raise ValueError(f"interaction gradient returned shape {q.shape}, expected {y.shape}{where}")
+        _shaped(q, y.shape, "interaction gradient", where=where)
     return q
 
 
@@ -178,21 +162,18 @@ def best_response_fixed_point(game: Game, x0=None, rounds: int = 50,
     after ``rounds`` sweeps (best response is known to cycle on minimax
     instances, which is precisely why the main solver exists). Couplings
     must have zero nonsmooth terms; shared nonsmooth constraints do not
-    reduce to a per-player proximal step. ``x0`` must hold one block per
-    player (ValueError otherwise).
+    reduce to a per-player proximal step. ``x0`` is per-block input or one
+    stacked 1-D vector, as ``check_equilibrium`` takes ``x`` (ValueError
+    named ``x0`` or ``x0[i]`` otherwise).
     """
-    if x0 is not None and len(x0 := list(x0)) != game.num_players:
-        raise ValueError(f"x0: expected {game.num_players} blocks, got {len(x0)}")
+    x0 = _stacked(x0, game.state_slices.x, "x0")
     for k, blk in enumerate(game.couplings):
         if blk.nonsmooth.kind != "zero":
             raise ValueError(
                 f"best-response oracle supports only smooth couplings; coupling {k} "
                 f"has a {blk.nonsmooth.kind!r} term"
             )
-    xs = [
-        np.zeros(p.dim_strategy) if x0 is None else as_vector(x0[i], p.dim_strategy, f"x0[{i}]")
-        for i, p in enumerate(game.players)
-    ]
+    xs = [x0[s] for s in game.state_slices.x]
 
     def smooth_grad(i, xi):
         p = game.players[i]

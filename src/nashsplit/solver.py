@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import re
 from itertools import accumulate
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -39,7 +38,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .model import (
-    Game, SolverParams, StateBlocks, _map_output, as_vector, validate_params, validate_problem,
+    Game, SolverParams, StateBlocks, _shaped, _stacked, validate_params, validate_problem,
 )
 from .proximal import prox
 from .schedules import Schedule
@@ -68,8 +67,6 @@ __all__ = [
 _GATE_SAMPLES, _GATE_SEED, _GATE_HORIZON = 16, 0, 256
 _MAX_PLANS = 256    # player-step plans that an IterState keeps
 _FIRST_ROWS = 256   # history rows that an IterState starts with, doubled as its run needs
-# the end of lagged_interaction_grad's shape error, which names its tick already
-_LAGGED_GRAD_ERROR = re.compile(r", at the y of tick \d+\Z")
 
 
 class MissingHistoryError(RuntimeError):
@@ -165,9 +162,12 @@ class IterState:
 
     A write into the views between ticks reaches all of the next tick:
     the tick pushes its own history row from the live state before its
-    local steps read it. To warm-start a run, pass the starting blocks and
-    the schedule's ``max_lag`` (a nonnegative integer) to ``IterState(game,
-    ...)`` and the state to ``solve(state=...)`` with the same game.
+    local steps read it. To warm-start a run, build ``IterState(game, x=...,
+    ..., v_star=..., max_lag=...)``, each start per-block input or one
+    stacked 1-D vector as ``check_equilibrium`` takes it (ValueError named
+    ``x0``, ``x0[i]``, ..., ``v0`` otherwise) and ``max_lag`` the
+    schedule's (a nonnegative integer), and pass it to ``solve(state=...)``
+    with the same game.
     """
 
     (flat, point, direction, s_star, x, y, z, u_star, v_star, cand_a, cand_q, cand_b, cand_c_star,
@@ -180,20 +180,14 @@ class IterState:
             raise ValueError(f"max_lag must be a nonnegative integer, not {max_lag!r}")
         self.game = game
         self.flat = np.zeros(game.state_size)
-        live = game.split_state(self.flat)
-        for given, views, what in zip((x, y, z, u_star, v_star), live,
-                                      ("x0", "y0", "z0", "u0", "v0")):
-            if given is None:
-                continue
-            blocks = list(given)
-            if len(blocks) != len(views):
-                raise ValueError(f"{what}: expected {len(views)} blocks, got {len(blocks)}")
-            for view, b in zip(views, blocks):
-                view[:] = as_vector(b, view.shape[0], what)
-        self.x, self.y, self.z, self.u_star, self.v_star = live
+        spans = game.x_span, game.y_span, game.z_span, game.u_span, game.v_span
+        for given, span, layout, what in zip((x, y, z, u_star, v_star), spans, game.state_slices,
+                                             ("x0", "y0", "z0", "u0", "v0")):
+            if given is not None:
+                self.flat[span] = _stacked(given, layout, what)
+        self.x, self.y, self.z, self.u_star, self.v_star = game.split_state(self.flat)
 
-        self.point = np.zeros(game.state_size)
-        self.direction = np.zeros(game.state_size)
+        self.point, self.direction = np.zeros((2, game.state_size))
         self.cand_a, self.cand_q, self.cand_b, self.cand_c_star, self.cand_e_star = (
             game.split_state(self.point))
         self.dual_a_star, self.dual_q_star, self.cand_b_star, self.cand_c, self.cand_e = (
@@ -209,6 +203,11 @@ class IterState:
         self._certified = (None, None)
         self._assembled = (None, None, None)    # see assemble_duals()
         self._capacity = int(max_lag) + 1   # the rows that the ring may grow to
+        # per interaction entry, its gradient entry in a ring row (see _grow), its y and u*
+        # entries and, when every player's widths agree, its x entry
+        y0, same = game.y_span.start, game.strategy_dims == game.interaction_dims
+        shifts = [game.state_size - y0, 0, game.u_span.start - y0] + [-y0] * same
+        self._entries = np.add.outer(shifts, range(y0, game.y_span.stop))
         self._ring_stamps, self._grad_stamps = [], []
         self._grow(min(self._capacity, _FIRST_ROWS))
         self._push_history(0)
@@ -320,7 +319,7 @@ def player_local_step(game: Game, params: SolverParams, state: IterState, player
         state.lagged_interaction_grad(tau)      # checks the row of each lag, read below
     plan = state._plans.get(players := tuple(players))
     if plan is None:
-        entries, dims = game._entries, game.strategy_dims
+        entries, dims = state._entries, game.strategy_dims
         if entries.shape[1] == game.num_players:    # one interaction entry per player
             at, y_repeats = entries.take(players, axis=1), None
         else:
@@ -331,8 +330,8 @@ def player_local_step(game: Game, params: SolverParams, state: IterState, player
             np.concatenate([game._x_entries[i] for i in players]), [dims[i] for i in players]))
         bounds = (range(len(players) + 1) if len(x_at) == len(players)
                   else [0, *accumulate(dims[i] for i in players)])
-        coupled = [(i, slice(lo, hi)) for i, lo, hi in zip(players, bounds, bounds[1:])
-                   if game.coupling_links[i]]
+        coupled = [(i, slice(lo, hi), (hi - lo,))
+                   for i, lo, hi in zip(players, bounds, bounds[1:]) if game.coupling_links[i]]
         plan = (at, x_at, bounds, y_repeats, x_repeats, coupled, [None])
         if len(state._plans) < _MAX_PLANS:
             state._plans[players] = plan
@@ -355,10 +354,12 @@ def player_local_step(game: Game, params: SolverParams, state: IterState, player
     # q = y + step_y * (u* - grad) and c* = u* + step_u * (M x - y) as two rows
     q_c = held[1:3] + step[:2] * (right - held[:2])
     pull = game.smooth_grad(x, players) + game.mix(held[2], players, adjoint=True)
-    for i, seg in coupled:     # L_ki^* v_k by increasing k, v* from the player's lag row
+    for i, seg, want in coupled:   # L_ki^* v_k by increasing k, v* from the player's lag row
         acc, v = pull[seg], frozen[lags[i] % len(frozen), game.v_span]
         for cols, op, names in game.coupling_links[i]:
-            acc = acc + _map_output(op.adjoint_apply(v[cols]), seg, names, adjoint=True)
+            if np.shape(out := op.adjoint_apply(v[cols])) != want:
+                _shaped(out, want, "coupling {}: map adjoint for player {}", *names)
+            acc = acc + out
         pull[seg] = acc
     x_star = x - step_x * pull
     a = []
@@ -366,7 +367,7 @@ def player_local_step(game: Game, params: SolverParams, state: IterState, player
         seg = x_star[lo:hi]
         a.append(np.asarray(prox(game.players[i].nonsmooth, strategy[lo], seg)))
         if a[-1].shape != seg.shape:
-            raise ValueError(f"player {i}: prox returned shape {a[-1].shape}, expected {seg.shape}")
+            _shaped(a[-1], seg.shape, "player {}: prox", i)
     a = np.concatenate(a)
     state.point[at[1:3]] = q_c
     state.point[x_at] = a
@@ -425,7 +426,7 @@ def coupling_local_step(game: Game, params: SolverParams, state: IterState, coup
         d_star = z + step_z * (v - game.coupling_grad(k, z))
         b = np.asarray(prox(game.couplings[k].nonsmooth, step_z, d_star))
         if b.shape != d_star.shape:
-            raise ValueError(f"coupling {k}: prox returned shape {b.shape}, expected {d_star.shape}")
+            _shaped(b, d_star.shape, "coupling {}: prox", k)
         mix = mixed[lags[k]][zs[k].start - z0:zs[k].stop - z0]
         e_star = v + params.coupling_dual_step(k, lags[k]) * (mix - z)
         state.point[zs[k]], state.point[vs[k]] = b, e_star
@@ -541,9 +542,8 @@ def tick(game: Game, params: SolverParams, schedule: Schedule, state: IterState)
     ``coupling_local_step``. They write ``p`` and ``p*``, whose inactive
     blocks keep their last values. The coupling gaps ``e`` and the player
     duals ``a*``, ``q*`` are then refreshed, and the iterate is projected
-    onto the half-space ``{w : <w - p, p*> <= 0}``. A ``ValueError`` raised
-    so far gets ``, at tick N`` appended, unless it is the lagged interaction
-    gradient's, which names the tick of its ``y`` already.
+    onto the half-space ``{w : <w - p, p*> <= 0}``. Any ``ValueError`` raised
+    after the schedule query, the certificate's included, ends ``, at tick N``.
     The reported residual certifies the post-update iterate. That
     certificate is the one step of a tick that touches every block, so it
     is evaluated only when the iterate differs bitwise from the one it last
@@ -563,16 +563,15 @@ def tick(game: Game, params: SolverParams, schedule: Schedule, state: IterState)
             coupling_local_step(game, params, state, info.active_couplings, info.coupling_lags)
         refresh_e(game, state)
         assemble_duals(game, state)
-    except ValueError as exc:   # a step's error names the block and the operator
-        if not _LAGGED_GRAD_ERROR.search(str(exc)):
-            exc.args = (f"{exc}, at tick {n}",)
+        compute_pi(game, state)
+        pi, theta, step_norm = apply_update(game, state, params)
+        if state._certified[0] != (key := (flat := state.flat).tobytes()):
+            cert = oracle.check_equilibrium(game, flat[game.x_span], flat[game.u_span],
+                                            flat[game.v_span], coerce=False)
+            state._certified = (key, cert.max_residual)
+    except ValueError as exc:   # it names the block and the operator, and now the tick
+        exc.args = (f"{exc}, at tick {n}",)
         raise
-    compute_pi(game, state)
-    pi, theta, step_norm = apply_update(game, state, params)
-    if state._certified[0] != (key := (flat := state.flat).tobytes()):
-        cert = oracle.check_equilibrium(game, flat[game.x_span], flat[game.u_span],
-                                        flat[game.v_span], coerce=False)
-        state._certified = (key, cert.max_residual)
     report = TickReport(n, pi, theta, step_norm, state._certified[1], info.active_players,
                         info.active_couplings, info.player_lags, info.coupling_lags)
     state.n = n + 1

@@ -1435,5 +1435,127 @@ def test_a_wrong_interaction_gradient_shape_names_the_tick():
     game = _consensus_10()
     broken = Game(game.players, InteractionGradient(lambda y: y[:-1], 1.0))
     with pytest.raises(ValueError, match=r"interaction gradient returned shape \(9,\), "
-                                         r"expected \(10,\), at the y of tick 0$"):
+                                         r"expected \(10,\), at the y of tick 0, at tick 0$"):
         ns.solve(broken, SolverParams.for_game(broken), ns.synchronous(), validate=False)
+
+
+def _stray(out, wrong: bool):
+    """``out`` with a stray entry appended when ``wrong``."""
+    return np.append(out, 0.0) if wrong else out
+
+
+class _StrayIdentity(Identity):
+    """An identity whose ``method`` (``apply`` or ``adjoint_apply``) appends a stray entry."""
+
+    def __init__(self, dim, method=None):
+        super().__init__(dim)
+        self.method = method
+
+    def apply(self, x):
+        return _stray(super().apply(x), self.method == "apply")
+
+    def adjoint_apply(self, y):
+        return _stray(super().adjoint_apply(y), self.method == "adjoint_apply")
+
+
+def _one_fault_game(fault=None):
+    """Player 0 of one entry and player 1 of two, with a hand-made mix, resolvent and smooth
+    gradient, and a two-entry coupling of both with a hand-made resolvent, gradient and map
+    for player 1: the one callable that ``fault`` names (a key of ``_FAULTS``) returns a
+    stray entry, a resolvent only at the certificate's unit step or only in a local step,
+    and the interaction gradient only on its first, second or third call."""
+    q_calls, q_faults = [], {1: "Q at a lag row", 2: "Q at q", 3: "Q at Mx"}
+
+    def interaction(y):
+        q_calls.append(None)
+        return _stray(y - 0.5, fault == q_faults.get(len(q_calls), ""))
+
+    def resolvent(block):
+        def clip(gamma, v):
+            at = "at the certificate" if gamma == 1.0 else "in the step"
+            return _stray(np.clip(v, -1.0, 1.0), fault == f"{block} resolvent {at}")
+        return proximal.custom_resolvent(clip)
+
+    def grad(name, scale):
+        return SmoothTerm(lambda v: 0.0, lambda v: _stray(scale * v, fault == name))
+
+    players = [
+        PlayerBlock(1, 1, proximal.box([-1.0], [1.0]), zero_smooth(), 0.0, Identity(1), 1.0),
+        PlayerBlock(2, 2, resolvent("player"), grad("smooth gradient", 0.5), 0.5,
+                    _StrayIdentity(2, {"mix": "apply", "mix adjoint": "adjoint_apply"}.get(fault)),
+                    1.0),
+    ]
+    map1 = _StrayIdentity(2, {"coupling map": "apply",
+                              "coupling map adjoint": "adjoint_apply"}.get(fault))
+    coupling = CouplingBlock(2, resolvent("coupling"), grad("coupling gradient", 0.25), 0.25,
+                             {0: Dense([[1.0], [0.0]]), 1: map1})
+    return Game(players, InteractionGradient(interaction, 1.0), [coupling])
+
+
+_FAULTS = {
+    "player resolvent in the step": "player 1: prox returned shape (3,), expected (2,)",
+    "player resolvent at the certificate": "player 1: prox returned shape (3,), expected (2,)",
+    "coupling resolvent in the step": "coupling 0: prox returned shape (3,), expected (2,)",
+    "coupling resolvent at the certificate": "coupling 0: prox returned shape (3,), expected (2,)",
+    "coupling map": "coupling 0: map for player 1 returned shape (3,), expected (2,)",
+    "coupling map adjoint": "coupling 0: map adjoint for player 1 returned shape (3,), expected (2,)",
+    "mix": "player 1: mix returned shape (3,), expected (2,)",
+    "mix adjoint": "player 1: mix adjoint returned shape (3,), expected (2,)",
+    "smooth gradient": "player 1: smooth gradient returned shape (3,), expected (2,)",
+    "coupling gradient": "coupling 0: smooth gradient returned shape (3,), expected (2,)",
+    "Q at a lag row": "interaction gradient returned shape (4,), expected (3,), at the y of tick 0",
+    "Q at q": "interaction gradient returned shape (4,), expected (3,), at the candidate q",
+    "Q at Mx": "interaction gradient returned shape (4,), expected (3,)",
+}
+
+
+@pytest.mark.parametrize("fault", list(_FAULTS))
+def test_every_wrong_shape_in_a_tick_names_the_block_the_operator_and_the_tick(fault):
+    # the local steps, the duals and the per-tick certificate of tick 0 are all
+    # inside the tick's one boundary, which appends the tick once
+    sound = _one_fault_game()
+    params = SolverParams.for_game(sound)
+    assert solver.validate_game_and_params(sound, params) == []
+    assert ns.solve(sound, dataclasses.replace(params, max_iters=3), ns.synchronous()).ticks == 3
+    game = _one_fault_game(fault)
+    with pytest.raises(ValueError, match="^" + re.escape(f"{_FAULTS[fault]}, at tick 0") + "$"):
+        ns.solve(game, params, ns.synchronous(), validate=False)
+
+
+def _final_bytes(result) -> bytes:
+    return b"".join(b.tobytes() for group in (result.x, result.y, result.z, result.u_star,
+                                              result.v_star) for b in group)
+
+
+def test_a_stacked_start_is_read_as_its_blocks():
+    # one 1-D vector per field, as check_equilibrium takes it, also where a
+    # player has two entries: the same bytes as the per-block form
+    game = _one_fault_game()
+    params = SolverParams.for_game(game, max_iters=20)
+    blocks, stacked = [[0.5], [0.25, -0.75]], np.array([0.5, 0.25, -0.75])
+    runs = [ns.solve(game, params, ns.synchronous(), x0=x0) for x0 in (blocks, stacked)]
+    assert _final_bytes(runs[0]) == _final_bytes(runs[1])
+    assert [r.pi for r in runs[0].reports] == [r.pi for r in runs[1].reports]
+    given = IterState(game, x=blocks, y=[[1.0], [2.0, 3.0]], z=[[4.0, 5.0]],
+                      u_star=[[6.0], [7.0, 8.0]], v_star=[[9.0, 10.0]])
+    joined = IterState(game, x=stacked, y=np.array([1.0, 2.0, 3.0]), z=np.array([4.0, 5.0]),
+                       u_star=np.array([6.0, 7.0, 8.0]), v_star=np.array([9.0, 10.0]))
+    assert given.flat.tobytes() == joined.flat.tobytes()
+    assert joined.flat.tobytes() == np.concatenate((stacked, np.arange(1.0, 11.0))).tobytes()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("x", [[0.5], [1.0]], "x0[1]: expected dimension 2, got 1"),
+    ("x", [[0.5], [1.0, np.nan]], "x0[1]: entries must be finite"),
+    ("x", np.zeros(4), "x0: expected dimension 3, got 4"),
+    ("x", [[0.5]], "x0: expected 2 blocks, got 1"),
+    ("u_star", [[0.5, 1.0], [1.0, 2.0]], "u0[0]: expected dimension 1, got 2"),
+    ("v_star", np.zeros(1), "v0: expected dimension 2, got 1"),
+])
+def test_a_bad_start_names_its_field_and_block(field, value, message):
+    game = _one_fault_game()
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        IterState(game, **{field: value})
+    if field == "x":
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            ns.solve(game, SolverParams.for_game(game), ns.synchronous(), x0=value)

@@ -61,9 +61,16 @@ that count is measured once per shape, before the timed reps, and both
 checkouts use it. The script prints, per shape, the median over
 ``--reps`` reps of the reference-core microseconds per tick or per call,
 and beside each whole-tick row (a workload, ``lasso100`` or ``kitchen``
-shape) the interaction-gradient evaluations per tick, ``Q/tick``, of one
-untimed solve of the shape, its closing certificate included, counted
-through an ``interaction.eval`` wrapped by ``dataclasses.replace``::
+shape) three counts per tick of untimed solves of the shape, each from a
+cold ``schedules._raw_active``, the closing certificate included: the
+interaction-gradient evaluations, ``Q/tick``, counted through an
+``interaction.eval`` wrapped by ``dataclasses.replace``, and the Python
+``call`` and C ``c_call`` events of ``sys.setprofile`` in a solve of the
+unwrapped game, ``call/tick`` and ``c_call/tick``. The counts do not
+move with the host's speed, so two runs print the same ones, but they
+see neither the work inside one numpy call nor arithmetic operators on
+arrays, and they hold for one Python and numpy version; they sit beside
+the timed rows and are not speed claims::
 
     python tools/time_tick.py --reps 3
 
@@ -71,7 +78,7 @@ through an ``interaction.eval`` wrapped by ``dataclasses.replace``::
 into the same process, under another module name, and times the two in
 interleaved pairs, each checkout first in every other pair: per shape the
 two medians, the change, and in how many pairs this checkout was faster,
-and the ``Q/tick`` of both, counted the same way.
+and the three counts of both, counted the same way.
 Both must give the same ticks and final iterate bytes, draws,
 certificates and set-up parameters, or the script stops; draws compare
 by value, each lag map as its sorted items, so a checkout whose maps are
@@ -249,9 +256,11 @@ def coupling_run(pkg, case):
     return run
 
 
-def q_per_tick(pkg, case) -> float:
-    """Interaction-gradient evaluations per tick of one solve of the case from a cold
-    activation cache, its closing certificate included, through a wrapped ``eval``."""
+def per_tick(pkg, case) -> tuple:
+    """Per tick of the case's solve, its closing certificate included: the
+    interaction-gradient evaluations, through a wrapped ``eval``, then the Python ``call``
+    and C ``c_call`` events of ``sys.setprofile`` in a second solve of the unwrapped game,
+    each solve from a cold activation cache."""
     game, params, schedule = case
     evaluate, calls = game.interaction.eval, []
 
@@ -262,8 +271,20 @@ def q_per_tick(pkg, case) -> float:
     counted = dataclasses.replace(game, interaction=dataclasses.replace(game.interaction,
                                                                          eval=counting))
     pkg.schedules._raw_active.cache_clear()
-    ticks = pkg.solve(counted, params, schedule, validate=False).ticks
-    return len(calls) / ticks
+    q_ticks = pkg.solve(counted, params, schedule, validate=False).ticks
+    events = {"call": 0, "c_call": 0}
+
+    def profile(frame, event, arg):
+        if event in events:
+            events[event] += 1
+
+    pkg.schedules._raw_active.cache_clear()
+    sys.setprofile(profile)
+    try:
+        ticks = pkg.solve(game, params, schedule, validate=False).ticks
+    finally:
+        sys.setprofile(None)
+    return len(calls) / q_ticks, events["call"] / ticks, events["c_call"] / ticks
 
 
 def solved(result):
@@ -330,9 +351,9 @@ def whole_tick_cases(pkg) -> dict:
     return cases
 
 
-def q_counts(pkg, patterns) -> dict:
-    """``q_per_tick`` of each whole-tick row that matches one of ``patterns``."""
-    return {shape: q_per_tick(pkg, case()) for shape, case in whole_tick_cases(pkg).items()
+def counts(pkg, patterns) -> dict:
+    """``per_tick`` of each whole-tick row that matches one of ``patterns``."""
+    return {shape: per_tick(pkg, case()) for shape, case in whole_tick_cases(pkg).items()
             if any(fnmatch.fnmatchcase(shape, pattern) for pattern in patterns)}
 
 
@@ -401,7 +422,7 @@ def main(argv=None) -> int:
     versions = {label: shapes(pkg, patterns) for label, pkg in packages.items()}
     if not versions["this"]:
         raise SystemExit(f"no row matches {patterns}")
-    q = {label: q_counts(pkg, patterns) for label, pkg in packages.items()}
+    tallies = {label: counts(pkg, patterns) for label, pkg in packages.items()}
     times = region_times(versions["this"])
     clock = Clock()
     us = {label: {shape: [] for shape in versions["this"]} for label in versions}
@@ -424,8 +445,10 @@ def main(argv=None) -> int:
             lower = sum(a < b for a, b in zip(mine, theirs))
             line = (f"{shape:21s} {before:8.1f} -> {after:8.1f} {unit} "
                     f"({after / before - 1.0:+.1%}, lower in {lower}/{len(mine)} pairs)")
-        if shape in q["this"]:
-            line += "  " + " -> ".join(f"{q[label][shape]:.3f}" for label in reversed(q)) + " Q/tick"
+        if shape in tallies["this"]:
+            for j, unit in enumerate(("Q", "call", "c_call")):
+                line += "  " + " -> ".join(f"{tallies[label][shape][j]:.3f}"
+                                           for label in reversed(tallies)) + f" {unit}/tick"
         print(line, flush=True)
     return 0
 
